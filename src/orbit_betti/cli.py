@@ -229,7 +229,7 @@ def _run_betti_job(doc: dict) -> tuple[dict, int]:
     out = report.to_json()
     out["timing_seconds"] = time.perf_counter() - start
     code = EXIT_OK
-    if not report.stable or report.undecided_cells:
+    if not report.stable or report.undecided_cells or report.coarse_undecided_cells:
         code = EXIT_UNCERTAIN
     return out, code
 

@@ -381,11 +381,13 @@ class StableBetti:
     stable: bool
     coarse: BettiVector
     undecided_cells: int
+    coarse_undecided_cells: int
 
     def to_json(self) -> dict:
         doc = self.betti.to_json()
         doc["stable"] = self.stable
         doc["undecided_cells"] = self.undecided_cells
+        doc["coarse_undecided_cells"] = self.coarse_undecided_cells
         return doc
 
 
@@ -405,18 +407,20 @@ def stable_betti(
     h = as_rational(resolution)
     resolutions = (h, h / 2)
     vectors = []
-    undecided = 0
+    undecided = []
     for step in resolutions:
         sampler = oracle_factory(step) if oracle_factory is not None else oracle
         complex_ = build_cubical(sampler, box, step)
         vectors.append(betti_numbers(complex_, field))
-        undecided = complex_.undecided_cells
+        undecided.append(complex_.undecided_cells)
     coarse, fine = vectors
+    coarse_undecided, fine_undecided = undecided
     return StableBetti(
         betti=fine,
         stable=coarse.values == fine.values,
         coarse=coarse,
-        undecided_cells=undecided,
+        undecided_cells=fine_undecided,
+        coarse_undecided_cells=coarse_undecided,
     )
 
 

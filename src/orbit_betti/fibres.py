@@ -18,8 +18,8 @@ under x ↦ -x.
 
 The solver combines certified interval subdivision (directed rounding, so a
 pruned box is *certified* to contain no solution) with damped Gauss-Newton
-refinement for fast location.  Undecided boxes are counted and reported,
-never dropped: membership answers are three-valued.
+refinement on the leaves it cannot prune.  Undecided boxes are counted and
+reported, never dropped: membership answers are three-valued.
 
 The section routine collects the per-face fibre solutions over the whole
 face poset comp_kd(k, d'), deduplicates points that appear in several face
@@ -393,17 +393,17 @@ def _chamber_feasible(box: list[tuple[float, float]]) -> bool:
 def _box_excludes_fibre(
     parts: tuple[int, ...],
     box: list[tuple[float, float]],
-    y_exact: tuple[Fraction, ...],
+    y_bounds: list[tuple[float, float]],
 ) -> bool:
     """Does directed interval arithmetic refute some moment equation on the box?"""
-    for m, target in enumerate(y_exact, start=1):
+    for m, (target_lo, target_hi) in enumerate(y_bounds, start=1):
         total_lo = 0.0
         total_hi = 0.0
         for w, (lo, hi) in zip(parts, box):
             plo, phi = _interval_pow(lo, hi, m)
             total_lo = _dn(total_lo + _dn(w * plo))
             total_hi = _up(total_hi + _up(w * phi))
-        if target < Fraction(total_lo) or target > Fraction(total_hi):
+        if target_hi < total_lo or target_lo > total_hi:
             return True
     return False
 
@@ -418,10 +418,10 @@ def solve_fibre(
     """All chamber solutions of Σ λ_i t_i^m = y_m, m = 1..len(y), t_1 ≥ ... ≥ t_ℓ.
 
     Interval subdivision over [-R, R]^ℓ intersected with the descending
-    region; boxes certified empty by directed interval evaluation are pruned;
-    Newton runs from box centers locate solutions early.  Boxes reaching the
-    depth limit without certification or a nearby located solution are
-    counted as undecided.
+    region; boxes certified empty by directed interval evaluation are pruned.
+    Damped Newton runs only on the surviving leaf boxes (width at the depth
+    limit): from the centre, then from random multistarts.  A leaf where
+    every start fails is counted as undecided.
     """
     if tol <= 0:
         raise FibreError("tolerance must be positive")
@@ -466,6 +466,8 @@ def solve_fibre(
     min_width = max(radius / 2**config.max_depth, tol)
     rng = np.random.default_rng(config.seed)
 
+    # float enclosures of the exact targets, stepped outward where float() rounded
+    y_bounds = [(f, f) if f == v else (_dn(f), _up(f)) for v, f in zip(y_exact, y_float)]
     face = Face.of(lam)
     solutions: list[tuple[list[float], float]] = []
     dedup_radius = config.dedup_factor * tol
@@ -503,10 +505,8 @@ def solve_fibre(
         box = queue.popleft()
         if not _chamber_feasible(box):
             continue
-        if _box_excludes_fibre(parts, box, y_exact):
+        if _box_excludes_fibre(parts, box, y_bounds):
             continue
-        center = [0.5 * (lo + hi) for lo, hi in box]
-        center_limit = try_newton(center)
         widths = [hi - lo for lo, hi in box]
         widest = max(range(ell), key=widths.__getitem__)
         if widths[widest] <= min_width:
@@ -516,7 +516,9 @@ def solve_fibre(
             # that solution (per-equation enclosures cannot separate nearby
             # level sets of the different moments).  Otherwise multistart;
             # only a box where every start diverges stays unresolved.
-            if center_limit is not None:
+            # Interior boxes need no Newton: every unpruned root reaches a leaf.
+            center = [0.5 * (lo + hi) for lo, hi in box]
+            if try_newton(center) is not None:
                 continue
             landed = False
             for _ in range(config.multistarts):
@@ -727,11 +729,6 @@ def arnold_section(
         ambiguous=ambiguous,
         candidates=len(candidates),
     )
-
-
-def section_faces(k: int, d: int) -> list[Composition]:
-    """The faces a section can land in (re-export for reporting layers)."""
-    return comp_kd(k, min(k, d))
 
 
 def is_below_some_maximal(lam: Composition, k: int, d: int) -> bool:

@@ -378,6 +378,7 @@ class QuotientReport:
     stable: bool
     resolutions: tuple[Fraction, Fraction]
     undecided_cells: int
+    coarse_undecided_cells: int
     full_betti: BettiVector
     coarse_betti: BettiVector
 
@@ -390,6 +391,7 @@ class QuotientReport:
             "stable": self.stable,
             "resolutions": [float(h) for h in self.resolutions],
             "undecided_cells": self.undecided_cells,
+            "coarse_undecided_cells": self.coarse_undecided_cells,
             "full_betti": self.full_betti.to_json(),
             "coarse_betti": self.coarse_betti.to_json(),
         }
@@ -435,6 +437,7 @@ def quotient_betti(
         stable=result.stable,
         resolutions=(spec.resolution, spec.resolution / 2),
         undecided_cells=result.undecided_cells,
+        coarse_undecided_cells=result.coarse_undecided_cells,
         full_betti=result.betti,
         coarse_betti=result.coarse,
     )

@@ -1,9 +1,11 @@
 """CLI surface: exit codes, JSON shapes, determinism, error envelopes."""
 
+import dataclasses
 import json
 
 import pytest
 
+from orbit_betti import pipeline
 from orbit_betti.cli import EXIT_ERROR, EXIT_OK, EXIT_UNCERTAIN, main
 
 SPHERE_JOB = {
@@ -117,6 +119,21 @@ def test_betti_unstable_slab_exits_2(tmp_path, capsys):
     code, doc = run(capsys, "betti", "--job", str(path))
     assert code == EXIT_UNCERTAIN
     assert doc["stable"] is False
+
+
+def test_betti_coarse_undecided_exits_2(tmp_path, capsys, monkeypatch):
+    real = pipeline.stable_betti
+
+    def coarse_only(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), coarse_undecided_cells=3)
+
+    monkeypatch.setattr(pipeline, "stable_betti", coarse_only)
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps(SPHERE_JOB))
+    code, doc = run(capsys, "betti", "--job", str(path))
+    assert code == EXIT_UNCERTAIN
+    assert doc["stable"] is True
+    assert (doc["undecided_cells"], doc["coarse_undecided_cells"]) == (0, 3)
 
 
 def test_betti_job_directory(tmp_path, capsys):

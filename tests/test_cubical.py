@@ -323,6 +323,21 @@ def test_stable_betti_oracle_factory_receives_resolution():
     assert seen == [Fraction(1, 2), Fraction(1, 4)]
 
 
+def test_stable_betti_keeps_coarse_undecided_cells():
+    """Undecided cells met only on the coarse grid must survive the fine pass."""
+    def factory(h):
+        if h == Fraction(1, 4):
+            return lambda p: "undecided" if p[0] < 0.5 else "inside"
+        return lambda p: "inside"
+
+    result = stable_betti(None, [(0, 1), (0, 1)], Fraction(1, 4), oracle_factory=factory)
+    assert result.stable
+    assert result.undecided_cells == 0
+    assert result.coarse_undecided_cells == 8
+    doc = result.to_json()
+    assert (doc["undecided_cells"], doc["coarse_undecided_cells"]) == (0, 8)
+
+
 # ---------------------------------------------------------------------------
 # Mayer-Vietoris bound
 # ---------------------------------------------------------------------------

@@ -371,6 +371,29 @@ def test_section_localization_random():
                     assert value <= result.value + 1e-6
 
 
+def test_solver_recovers_constructed_fibre_points():
+    """Independent oracle on 102 cases: y is built from a known face point
+    (λ, t), so the solver must find t, membership must say inside, and the
+    section must reach at least p4 of the point itself."""
+    rng = np.random.default_rng(20261018)
+    for k in (4, 5, 6):
+        faces = comp_kd(k, 3)
+        for _ in range(34):
+            lam = faces[int(rng.integers(len(faces)))]
+            grid = rng.choice(np.arange(-80, 81), size=lam.length, replace=False)
+            t = [Fraction(int(v), 64) for v in sorted(grid, reverse=True)]
+            y = [weighted_power_sum(lam, m, t) for m in (1, 2, 3)]
+            search = solve_fibre(lam, y)
+            assert any(
+                max(abs(a - float(b)) for a, b in zip(sol.t, t)) <= 1e-6
+                for sol in search.solutions
+            ), (lam, t, search)
+            assert image_membership(k, 3, y) == INSIDE
+            x = Face.of(lam).embed(t)
+            p4 = float(sum(v**4 for v in x))
+            assert arnold_section(k, 3, y).value >= p4 - 1e-6
+
+
 def test_comp_max_faces_are_maximal_in_comp_kd():
     for k, d in [(3, 2), (4, 2), (4, 3), (5, 3), (5, 4)]:
         tops = comp_max(k, d)

@@ -317,6 +317,7 @@ def test_verify_report_catches_fabricated_tail():
         stable=good.stable,
         resolutions=good.resolutions,
         undecided_cells=good.undecided_cells,
+        coarse_undecided_cells=good.coarse_undecided_cells,
         full_betti=BettiVector(FIELD_Q, (1, 0, 1), 2),
         coarse_betti=good.coarse_betti,
     )
