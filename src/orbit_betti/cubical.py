@@ -5,14 +5,27 @@ undecided) at the centers of a regular grid over a box: a top-dimensional
 cell enters iff its center is not outside (undecided counts as inside and is
 tallied), and the complex is the downward face closure.  Cells are encoded
 axis-wise by elementary-interval codes: 2i for the degenerate interval [i,i],
-2i+1 for [i, i+1]; the dimension of a cell is its number of odd codes.
+2i+1 for [i, i+1]; the dimension of a cell is its number of odd codes.  A
+complex on a grid of m_1 × … × m_n cells is stored as one boolean bitmap of
+shape (2m_1+1, …, 2m_n+1) indexed by these codes (Wagner, Chen & Vuçini
+2011; Kaczynski, Mischaikow & Mrozek, *Computational Homology*, 2004).  On
+this doubled grid two cells are axis neighbours exactly when one is a
+facet of the other.
 
-Betti numbers come from boundary-matrix ranks, b_q = dim C_q − rank ∂_q −
-rank ∂_{q+1}, over Q (exact fractions) or Z/2 (bitset elimination).  Before
-any matrix work the complex is simplified by free-face collapses — removing
-a cell together with its unique coface is an elementary collapse, a homotopy
-equivalence — which usually shrinks grid-scale complexes by orders of
-magnitude (a filled region collapses to almost nothing).
+For n ≤ 3 the Betti numbers are counts of connected components, with no
+matrix work: b_0 is the number of components of the bitmap under axis
+adjacency; for n ≥ 2, b_{n−1} is the number of bounded components of the
+complement (Alexander duality — the open cells outside K, joined through
+shared faces, are the components of R^n minus K); for n = 3, b_1 follows
+from the Euler characteristic.  Compact subsets of R^n with n ≤ 3 have
+torsion-free homology, so the values hold over Q and Z/2 alike.
+
+For n ≥ 4 the Betti numbers come from boundary-matrix ranks, b_q = dim C_q −
+rank ∂_q − rank ∂_{q+1}, over Q (exact fractions) or Z/2 (bitset
+elimination), after free-face collapses — removing a cell together with its
+unique coface is an elementary collapse, a homotopy equivalence — which
+shrink grid-scale complexes by orders of magnitude.  That path also serves
+as the test oracle for the component counts.
 
 Over a field, cohomology and homology ranks of a finite complex agree, so
 the reported values serve for either reading.
@@ -20,10 +33,11 @@ the reported values serve for either reading.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -35,6 +49,8 @@ FIELD_Z2 = "Z2"
 
 MAX_AMBIENT_DIM = 6
 MAX_CELLS_PER_AXIS = 512
+# top cells in one grid, checked before any grid array is allocated
+MAX_TOP_CELLS = 2**21
 
 Cell = tuple[int, ...]
 
@@ -86,43 +102,78 @@ def boundary(cell: Cell) -> list[tuple[Cell, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+def _parity_views(bitmap: np.ndarray):
+    """(parity vector, strided view) for each of the 2^n cell types: the
+    view holds the cells whose codes have exactly these parities."""
+    for parity in product((0, 1), repeat=bitmap.ndim):
+        yield parity, bitmap[tuple(slice(p, None, 2) for p in parity)]
+
+
+def close_bitmap(bitmap: np.ndarray) -> None:
+    """Face closure in place: along each axis, a cell with an odd code
+    there sets its two facets (the even codes on either side)."""
+    for axis in range(bitmap.ndim):
+        moved = np.moveaxis(bitmap, axis, 0)
+        odd = moved[1::2]
+        moved[:-1:2] |= odd
+        moved[2::2] |= odd
+
+
+@dataclass(eq=False)
 class CubicalComplex:
+    """A face-closed set of cells: ``bitmap`` has shape (2m_i + 1)_i over a
+    grid of (m_i)_i cells and is indexed by elementary-interval codes."""
+
     ambient_dim: int
     grid_shape: tuple[int, ...]
     resolution: Fraction
     origin: tuple[Fraction, ...]
-    cells: dict[int, set[Cell]]
+    bitmap: np.ndarray
     undecided_cells: int = 0
 
+    @property
+    def cells(self) -> dict[int, set[Cell]]:
+        """The stored cells by dimension, read from the bitmap."""
+        out: dict[int, set[Cell]] = {}
+        for parity, view in _parity_views(self.bitmap):
+            found = np.argwhere(view)
+            if found.size:
+                codes = 2 * found + np.array(parity)
+                out.setdefault(sum(parity), set()).update(map(tuple, codes.tolist()))
+        return out
+
     def cell_count(self, q: int) -> int:
-        return len(self.cells.get(q, ()))
+        return sum(
+            int(np.count_nonzero(view))
+            for parity, view in _parity_views(self.bitmap)
+            if sum(parity) == q
+        )
 
     def total_cells(self) -> int:
-        return sum(len(v) for v in self.cells.values())
+        return int(np.count_nonzero(self.bitmap))
 
     def euler_characteristic(self) -> int:
         return sum(
-            (-1) ** q * len(cells) for q, cells in self.cells.items()
+            (-1) ** sum(parity) * int(np.count_nonzero(view))
+            for parity, view in _parity_views(self.bitmap)
         )
 
     def validate_closure(self) -> None:
         """Structural assertion: every face of a stored cell is stored."""
-        stored = set()
-        for cells in self.cells.values():
-            stored.update(cells)
-        for cells in self.cells.values():
-            for cell in cells:
-                for f in cell_faces(cell):
-                    if f not in stored:
-                        raise CubicalError(f"face {f} of {cell} is missing")
+        for axis in range(self.ambient_dim):
+            moved = np.moveaxis(self.bitmap, axis, 0)
+            odd = moved[1::2]
+            missing = np.argwhere(odd & ~(moved[:-1:2] & moved[2::2]))
+            if missing.size:
+                code = [int(i) for i in missing[0][1:]]
+                code.insert(axis, 2 * int(missing[0][0]) + 1)
+                raise CubicalError(f"a face of cell {tuple(code)} is missing")
 
     def to_json(self) -> dict:
-        all_cells = sorted(c for cells in self.cells.values() for c in cells)
         return {
             "dim": self.ambient_dim,
             "resolution": float(self.resolution),
-            "cells": [list(c) for c in all_cells],
+            "cells": np.argwhere(self.bitmap).tolist(),
         }
 
 
@@ -158,11 +209,19 @@ def build_cubical(
             )
         lows.append(lo_q)
         shape.append(int(count))
+    if math.prod(shape) > MAX_TOP_CELLS:
+        raise CubicalError(
+            f"grid of {math.prod(shape)} cells exceeds the limit {MAX_TOP_CELLS}"
+        )
 
-    axes = [
-        np.array([float(lo + h * i + h / 2) for i in range(m)])
-        for lo, m in zip(lows, shape)
-    ]
+    axes = []
+    for lo, m in zip(lows, shape):
+        # center i is (lo + h/2) + i·h; int / int rounds as float(Fraction)
+        first = lo + h / 2
+        den = first.denominator * h.denominator
+        start = first.numerator * h.denominator
+        step = h.numerator * first.denominator
+        axes.append(np.array([(start + i * step) / den for i in range(m)]))
     mesh = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -178,30 +237,76 @@ def build_cubical(
             except KeyError:
                 raise CubicalError(f"oracle returned {verdict!r}") from None
 
-    included = np.flatnonzero(codes != 0)
-    undecided = int(np.count_nonzero(codes == 2))
-
-    cells: dict[int, set[Cell]] = {}
-    if included.size:
-        multi = np.stack(np.unravel_index(included, shape), axis=-1)
-        tops = {tuple(int(2 * i + 1) for i in row) for row in multi}
-        cells[n] = tops
-        current = tops
-        for q in range(n - 1, -1, -1):
-            lower: set[Cell] = set()
-            for cell in current:
-                lower.update(cell_faces(cell))
-            cells[q] = lower
-            current = lower
-    complex_ = CubicalComplex(
+    bitmap = np.zeros(tuple(2 * m + 1 for m in shape), dtype=bool)
+    bitmap[(slice(1, None, 2),) * n] = (codes != 0).reshape(shape)
+    close_bitmap(bitmap)
+    return CubicalComplex(
         ambient_dim=n,
         grid_shape=tuple(shape),
         resolution=h,
         origin=tuple(lows),
-        cells=cells,
-        undecided_cells=undecided,
+        bitmap=bitmap,
+        undecided_cells=int(np.count_nonzero(codes == 2)),
     )
-    return complex_
+
+
+# ---------------------------------------------------------------------------
+# connected components
+# ---------------------------------------------------------------------------
+
+
+def count_components(mask: np.ndarray) -> int:
+    """Number of connected components of the true voxels of ``mask`` under
+    axis (2n-neighbour) adjacency.
+
+    The runs of true voxels along the last axis are the nodes; the other
+    axes give the edges between runs.  Each round hooks the larger root of
+    every edge onto the smaller (``np.minimum.at``) and pointer-jumps all
+    parents to their roots, until every edge joins equal roots.  Parents
+    only decrease, so the links stay a forest, and the roots are the
+    components.
+    """
+    starts = mask.copy()
+    starts[..., 1:] &= ~mask[..., :-1]
+    ids = np.where(mask, np.cumsum(starts).reshape(mask.shape) - 1, -1)
+    edges = [np.zeros((2, 0), dtype=np.int64)]
+    for axis in range(mask.ndim - 1):
+        moved = np.moveaxis(ids, axis, 0)
+        a, b = moved[:-1], moved[1:]
+        joined = (a >= 0) & (b >= 0)
+        edges.append(np.stack([a[joined], b[joined]]))
+    u, v = np.concatenate(edges, axis=1)
+    # neighbouring voxel pairs along a run repeat the same edge
+    keep = np.ones(u.size, dtype=bool)
+    keep[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    u, v = u[keep], v[keep]
+    parent = np.arange(int(np.count_nonzero(starts)))
+    while True:
+        ru, rv = parent[u], parent[v]
+        pending = ru != rv
+        if not pending.any():
+            break
+        ru, rv = ru[pending], rv[pending]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    return int(np.count_nonzero(parent == np.arange(parent.size)))
+
+
+def _betti_by_components(complex_: CubicalComplex) -> tuple[int, ...]:
+    """b_0..b_n for n ≤ 3 from component counts, duality and χ."""
+    n = complex_.ambient_dim
+    values = [0] * (n + 1)
+    values[0] = count_components(complex_.bitmap)
+    if n >= 2:
+        outside = np.pad(~complex_.bitmap, 1, constant_values=True)
+        values[n - 1] = count_components(outside) - 1
+    if n == 3:
+        values[1] = values[0] + values[2] - complex_.euler_characteristic()
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +431,11 @@ class BettiVector:
         }
 
 
-def betti_numbers(complex_: CubicalComplex, field: str = FIELD_Q) -> BettiVector:
-    """Homology ranks from boundary matrices of the collapsed core."""
-    if field not in (FIELD_Q, FIELD_Z2):
-        raise CubicalError(f"unknown field {field!r}")
-    core = collapsed_cells(complex_.cells)
-    n = complex_.ambient_dim
+def rank_betti(
+    cells: dict[int, set[Cell]], ambient_dim: int, field: str = FIELD_Q
+) -> tuple[int, ...]:
+    """b_0..b_n from boundary-matrix ranks of the collapsed core."""
+    core = collapsed_cells(cells)
     dims = sorted(core)
     index: dict[int, dict[Cell, int]] = {
         q: {cell: i for i, cell in enumerate(core[q])} for q in dims
@@ -361,13 +465,24 @@ def betti_numbers(complex_: CubicalComplex, field: str = FIELD_Q) -> BettiVector
                 columns_q.append({r: v for r, v in col.items() if v != 0})
             ranks[q] = _rank_q(columns_q)
     values = []
-    for q in range(n + 1):
+    for q in range(ambient_dim + 1):
         if q in index:
             values.append(len(core[q]) - ranks.get(q, 0) - ranks.get(q + 1, 0))
         else:
             values.append(0)
+    return tuple(values)
+
+
+def betti_numbers(complex_: CubicalComplex, field: str = FIELD_Q) -> BettiVector:
+    """Betti numbers: component counts for n ≤ 3, ranks after collapse above."""
+    if field not in (FIELD_Q, FIELD_Z2):
+        raise CubicalError(f"unknown field {field!r}")
+    if complex_.ambient_dim <= 3:
+        values = _betti_by_components(complex_)
+    else:
+        values = rank_betti(complex_.cells, complex_.ambient_dim, field)
     euler = complex_.euler_characteristic()
-    return BettiVector(field=field, values=tuple(values), euler=euler)
+    return BettiVector(field=field, values=values, euler=euler)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ counts orbits of finite configurations two ways.
 
 Equality atoms are sampled by thickening: |P| ≤ τ with τ = (h/2) · L where L
 bounds the ℓ¹-norm of ∇P on the box, so every grid cell meeting {P = 0}
-contributes its center.  Inequality atoms are evaluated exactly at centers.
+contributes its center.  Every atom is decided exactly at the (float) grid
+centers: in float outside an a-priori rounding band, with fractions inside.
 The reported homology is that of the clipped, thickened set; callers pick
 clip boxes large enough to contain the region of interest.
 """
@@ -29,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from orbit_betti.polys import (
     Polynomial,
     RationalLike,
     as_rational,
+    evaluate_polynomial,
     interval_evaluate,
     multidegree,
 )
@@ -136,35 +138,92 @@ def _equality_taus(
     formula: ClosedFormula,
     box: Sequence[tuple[Fraction, Fraction]],
     h: Fraction,
-) -> dict[Polynomial, float]:
-    taus: dict[Polynomial, float] = {}
+) -> dict[Polynomial, Fraction]:
+    taus: dict[Polynomial, Fraction] = {}
     for atom in formula.atoms():
         if atom.relation == "=" and atom.poly not in taus:
             lipschitz = _gradient_bound(atom.poly, box)
-            tau = h / 2 * lipschitz if lipschitz > 0 else h / 2
-            taus[atom.poly] = float(tau)
+            taus[atom.poly] = h / 2 * lipschitz if lipschitz > 0 else h / 2
     return taus
+
+
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _float_error_bound(poly: Polynomial, points: np.ndarray) -> np.ndarray:
+    """A-priori bound on |evaluate_float − exact value| at float points.
+
+    ``evaluate_float`` rounds once per coefficient, at most e times per
+    power x^e (libm's pow errs below one ulp), once per product and once per
+    term added, so with N such steps on the longest path the error is at
+    most γ_N · Σ|c|·|x|^e, γ_N = N·u/(1 − N·u) (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, §3.1).  The returned band doubles
+    that, to cover the rounding of the float Σ|c|·|x|^e itself and of the
+    comparisons made against the band, and adds an allowance per step for
+    underflow.
+    """
+    steps = 1 + len(poly.terms) + max(
+        (sum(e + 1 for e in expo if e) for expo in poly.terms), default=0
+    )
+    gamma = steps * _UNIT_ROUNDOFF / (1 - steps * _UNIT_ROUNDOFF)
+    magnitude = Polynomial(
+        poly.var_count, {expo: abs(c) for expo, c in poly.terms.items()}
+    ).evaluate_float(np.abs(points))
+    return 2 * gamma * magnitude + steps * len(poly.terms) * np.finfo(float).tiny
+
+
+def _exact_truth(
+    poly: Polynomial, rows: np.ndarray, test: Callable[[Fraction], bool]
+) -> list[bool]:
+    """``test`` of the exact value of ``poly`` at the binary values of float
+    points, decided once per distinct tuple of the coordinates it uses."""
+    used = [i for i in range(poly.var_count) if any(e[i] for e in poly.terms)]
+    point = [Fraction(0)] * poly.var_count
+    cache: dict[tuple[float, ...], bool] = {}
+    out = []
+    for key in map(tuple, rows[:, used].tolist()):
+        if key not in cache:
+            for i, v in zip(used, key):
+                point[i] = Fraction(v)
+            cache[key] = test(evaluate_polynomial(poly, point))
+        out.append(cache[key])
+    return out
 
 
 def _formula_mask(
     formula: ClosedFormula,
     points: np.ndarray,
-    taus: dict[Polynomial, float],
+    taus: dict[Polynomial, Fraction],
 ) -> np.ndarray:
-    """Vectorised truth values of the thickened formula at an (N, k) array."""
-    values: dict[Polynomial, np.ndarray] = {
-        poly: poly.evaluate_float(points) for poly in formula.polynomial_set
+    """Exact truth values of the thickened formula at an (N, k) float array.
+
+    Each atom is decided in float wherever its value lies farther than the
+    a-priori error bound from the threshold (0, or ±τ for a thickened
+    equality); the points inside that band are evaluated exactly.
+    """
+    values: dict[Polynomial, tuple[np.ndarray, np.ndarray]] = {
+        poly: (poly.evaluate_float(points), _float_error_bound(poly, points))
+        for poly in formula.polynomial_set
     }
+
+    def atom_mask(atom) -> np.ndarray:
+        vals, err = values[atom.poly]
+        if atom.relation == "=":
+            tau = taus[atom.poly]
+            tau_f = float(tau)
+            mask = np.abs(vals) <= tau_f
+            band = np.abs(np.abs(vals) - tau_f) <= err + 2 * _UNIT_ROUNDOFF * tau_f
+            exact = _exact_truth(atom.poly, points[band], lambda v: abs(v) <= tau)
+        else:
+            mask = vals >= 0.0 if atom.relation == ">=" else vals <= 0.0
+            band = np.abs(vals) <= err
+            exact = _exact_truth(atom.poly, points[band], atom.holds)
+        mask[band] = exact
+        return mask
 
     def walk(node: FormulaNode) -> np.ndarray:
         if node.kind == "atom":
-            atom = node.atom
-            vals = values[atom.poly]
-            if atom.relation == ">=":
-                return vals >= 0.0
-            if atom.relation == "<=":
-                return vals <= 0.0
-            return np.abs(vals) <= taus[atom.poly]
+            return atom_mask(node.atom)
         masks = [walk(child) for child in node.children]
         out = masks[0]
         for m in masks[1:]:
@@ -174,12 +233,31 @@ def _formula_mask(
     return walk(formula.root)
 
 
+def _moment_mask(k: int, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Exact truth of p2 ≥ 0 and p1² ≤ k·p2 at float values.
+
+    These hold on the image of R^k under (p_1, p_2) (Cauchy–Schwarz), and
+    for d' = 2 they define it.  Each product rounds once, so the float
+    comparison is decided outside a band of 4u·(p1² + k·p2); points inside
+    it are rechecked with fractions.
+    """
+    square = p1 * p1
+    scaled = k * p2
+    mask = (p2 >= 0.0) & (square <= scaled)
+    band = np.abs(square - scaled) <= (
+        4 * _UNIT_ROUNDOFF * (square + np.abs(scaled)) + np.finfo(float).tiny
+    )
+    exact = zip(map(Fraction, p1[band].tolist()), map(Fraction, p2[band].tolist()))
+    mask[band] = [y2 >= 0 and y1 * y1 <= k * y2 for y1, y2 in exact]
+    return mask
+
+
 class _QuotientOracle:
     """Grid oracle in image space: thickened rewritten formula ∧ membership.
 
-    The formula filter is vectorised and runs first; the (costlier) image
-    membership test only sees the survivors.  Blocks with d' ≤ 2 have exact
-    membership; higher blocks fall back to the fibre solver.
+    The formula filter and the membership conditions on (p_1, p_2) are
+    vectorised and exact; they decide every block with d' ≤ 2.  Points that
+    pass them go through the fibre solver for each block with d' ≥ 3.
     """
 
     def __init__(
@@ -205,38 +283,33 @@ class _QuotientOracle:
         self.offsets = offsets
 
     def _block_membership(self, index: int, y: tuple[float, ...]) -> str:
-        k = self.blocks.block_sizes[index]
-        if len(y) == 1:
-            return INSIDE
-        if len(y) == 2:
-            p1, p2 = Fraction(y[0]), Fraction(y[1])
-            if p2 < 0 or p1 * p1 > k * p2:
-                return OUTSIDE
-            return INSIDE
         key = (index, y)
         if key not in self._cache:
             self._cache[key] = image_membership(
-                k, self.blocks.degree_caps[index], list(y),
-                tol=self.membership_tol, config=self.config,
+                self.blocks.block_sizes[index], self.blocks.degree_caps[index],
+                list(y), tol=self.membership_tol, config=self.config,
             )
         return self._cache[key]
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         mask = _formula_mask(self.rewritten, points, self.taus)
-        codes = np.zeros(points.shape[0], dtype=np.int8)
-        for idx in np.flatnonzero(mask):
-            row = points[idx]
-            verdict = INSIDE
-            for b, (lo, hi) in enumerate(self.offsets):
-                block_verdict = self._block_membership(
-                    b, tuple(float(v) for v in row[lo:hi])
-                )
-                if block_verdict == OUTSIDE:
-                    verdict = OUTSIDE
-                    break
-                if block_verdict != INSIDE:
-                    verdict = block_verdict
-            codes[idx] = {OUTSIDE: 0, INSIDE: 1}.get(verdict, 2)
+        for k, (lo, hi) in zip(self.blocks.block_sizes, self.offsets):
+            if hi - lo >= 2:
+                mask &= _moment_mask(k, points[:, lo], points[:, lo + 1])
+        codes = mask.astype(np.int8)
+        solved = [(b, lo, hi) for b, (lo, hi) in enumerate(self.offsets) if hi - lo >= 3]
+        if solved:
+            for idx in np.flatnonzero(mask):
+                row = points[idx]
+                for b, lo, hi in solved:
+                    verdict = self._block_membership(
+                        b, tuple(float(v) for v in row[lo:hi])
+                    )
+                    if verdict == OUTSIDE:
+                        codes[idx] = 0
+                        break
+                    if verdict != INSIDE:
+                        codes[idx] = 2
         return codes
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
@@ -152,6 +153,24 @@ def test_worker_env_cap(tmp_path, capsys, monkeypatch):
     (tmp_path / "a.json").write_text(json.dumps(SPHERE_JOB))
     code, doc = run(capsys, "betti", "--job", str(tmp_path), "--jobs", "8")
     assert code == EXIT_OK and "a" in doc["jobs"]
+
+
+def test_betti_oversized_grid_is_an_error_envelope(capsys):
+    """512^4 coarse cells: rejected by the grid-size limit before any grid
+    array exists, so the command allocates next to nothing."""
+    tracemalloc.start()
+    try:
+        code, doc = run(
+            capsys, "betti", "--blocks", "2,2", "--degrees", "2,2",
+            "--formula", "x1^2 + x2^2 <= 1 and x3^2 + x4^2 <= 1",
+            "--box", "0:512,0:512,0:512,0:512", "--resolution", "1",
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_ERROR
+    assert "exceeds the limit" in doc["error"]
+    assert peak < 16 * 2**20
 
 
 def test_orbits_command(capsys):

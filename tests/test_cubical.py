@@ -2,9 +2,11 @@
 
 Hand-built complexes with textbook Betti numbers pin the conventions; sympy
 ranks over Q provide an independent check that the collapse-then-reduce
-pipeline computes the same homology as plain dense linear algebra.
+path computes the same homology as plain dense linear algebra, and that
+path in turn checks the component counts used for n ≤ 3.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,30 +26,27 @@ from orbit_betti.cubical import (
     cell_dim,
     cell_faces,
     betti_numbers,
+    close_bitmap,
     collapsed_cells,
+    count_components,
     mv_union_bound,
+    rank_betti,
     stable_betti,
 )
 
 
 def complex_from_cells(ambient_dim: int, tops: list[tuple[int, ...]]) -> CubicalComplex:
     """Face closure of explicit cells (not necessarily top-dimensional)."""
-    cells: dict[int, set] = {}
-    stack = list(tops)
-    seen = set()
-    while stack:
-        cell = stack.pop()
-        if cell in seen:
-            continue
-        seen.add(cell)
-        cells.setdefault(cell_dim(cell), set()).add(cell)
-        stack.extend(cell_faces(cell))
+    bitmap = np.zeros((9,) * ambient_dim, dtype=bool)
+    for cell in tops:
+        bitmap[cell] = True
+    close_bitmap(bitmap)
     return CubicalComplex(
         ambient_dim=ambient_dim,
         grid_shape=(4,) * ambient_dim,
         resolution=Fraction(1),
         origin=(Fraction(0),) * ambient_dim,
-        cells=cells,
+        bitmap=bitmap,
     )
 
 
@@ -186,6 +185,123 @@ def test_collapsed_core_is_small():
     assert sum(len(v) for v in core.values()) == 1
 
 
+def bfs_components(mask: np.ndarray) -> int:
+    """Plain breadth-first count of axis-adjacent components."""
+    seen = np.zeros(mask.shape, dtype=bool)
+    count = 0
+    for start in map(tuple, np.argwhere(mask)):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            here = queue.popleft()
+            for axis in range(mask.ndim):
+                for step in (-1, 1):
+                    there = list(here)
+                    there[axis] += step
+                    there = tuple(there)
+                    if 0 <= there[axis] < mask.shape[axis] and mask[there] and not seen[there]:
+                        seen[there] = True
+                        queue.append(there)
+    return count
+
+
+def test_count_components_matches_bfs():
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        n = int(rng.integers(1, 4))
+        shape = tuple(int(m) for m in rng.integers(1, 10, size=n))
+        mask = rng.random(shape) < rng.uniform(0.0, 1.0)
+        assert count_components(mask) == bfs_components(mask)
+
+
+def random_complex(rng, n: int, pure: bool) -> CubicalComplex:
+    """Pure: random top cells through build_cubical.  Non-pure: random cells
+    of every dimension, closed under faces."""
+    shape = tuple(int(m) for m in rng.integers(1, 5 if n == 3 else 7, size=n))
+    if pure:
+        tops = rng.random(shape) < rng.uniform(0.2, 0.8)
+
+        class Tops:
+            def batch(self, points):
+                index = tuple(np.floor(points).astype(int).T)
+                return tops[index].astype(np.int8)
+
+        return build_cubical(Tops(), [(0, m) for m in shape], Fraction(1))
+    bitmap = rng.random(tuple(2 * m + 1 for m in shape)) < rng.uniform(0.02, 0.25)
+    close_bitmap(bitmap)
+    return CubicalComplex(n, shape, Fraction(1), (Fraction(0),) * n, bitmap)
+
+
+def test_component_betti_agrees_with_collapse_and_rank():
+    rng = np.random.default_rng(7)
+    small = 0
+    for trial in range(120):
+        n = 1 + trial % 3
+        c = random_complex(rng, n, pure=trial % 2 == 0)
+        c.validate_closure()
+        for field in (FIELD_Q, FIELD_Z2):
+            vec = betti_numbers(c, field)
+            assert vec.values == rank_betti(c.cells, n, field)
+            assert vec.euler == c.euler_characteristic()
+        if c.total_cells() <= 120:
+            small += 1
+            assert list(betti_numbers(c, FIELD_Q).values) == naive_betti_q(c)
+    assert small >= 20
+
+
+class _TorusOracle:
+    """Points within [r_in, r_out] of the circle of radius 2 in the xy-plane."""
+
+    def __init__(self, r_in: float, r_out: float) -> None:
+        self.r_in, self.r_out = r_in, r_out
+
+    def batch(self, points):
+        rho = np.hypot(points[:, 0], points[:, 1])
+        dist2 = (rho - 2.0) ** 2 + points[:, 2] ** 2
+        return ((self.r_in**2 <= dist2) & (dist2 <= self.r_out**2)).astype(np.int8)
+
+
+TORUS_BOX = [(Fraction(-7, 2), Fraction(7, 2))] * 2 + [(Fraction(-3, 2), Fraction(3, 2))]
+
+
+def test_solid_torus_has_one_loop():
+    """n = 3 with b_1 > 0: b_1 comes from b_0 + b_2 − χ."""
+    c = build_cubical(_TorusOracle(0.0, 1.0), TORUS_BOX, Fraction(1, 4))
+    for field in (FIELD_Q, FIELD_Z2):
+        assert betti_numbers(c, field).values == (1, 1, 0, 0)
+    assert rank_betti(c.cells, 3, FIELD_Z2) == (1, 1, 0, 0)
+
+
+def test_thickened_torus_surface():
+    c = build_cubical(_TorusOracle(0.5, 1.25), TORUS_BOX, Fraction(1, 4))
+    vec = betti_numbers(c, FIELD_Q)
+    assert vec.values == (1, 2, 1, 0)
+    assert vec.euler == 0
+    assert rank_betti(c.cells, 3, FIELD_Q) == (1, 2, 1, 0)
+
+
+def test_four_dimensional_complexes_use_ranks():
+    tops = [(1, 1, 1, 1), (5, 1, 1, 1)]
+    c = complex_from_cells(4, tops)
+    assert betti_numbers(c, FIELD_Q).values == (2, 0, 0, 0, 0)
+    shell = np.ones((7,) * 4, dtype=bool)
+    shell[(slice(1, 6),) * 4] = False  # the boundary of a 3^4 block of cells
+    c = CubicalComplex(4, (3,) * 4, Fraction(1), (Fraction(0),) * 4, shell)
+    c.validate_closure()
+    assert betti_numbers(c, FIELD_Z2).values == (1, 0, 0, 1, 0)
+
+
+def test_validate_closure_names_the_open_cell():
+    bitmap = np.zeros((3, 3), dtype=bool)
+    bitmap[1, 1] = True
+    c = CubicalComplex(2, (1, 1), Fraction(1), (Fraction(0),) * 2, bitmap)
+    with pytest.raises(CubicalError, match=r"\(1, 1\)"):
+        c.validate_closure()
+
+
 # ---------------------------------------------------------------------------
 # grid construction
 # ---------------------------------------------------------------------------
@@ -247,6 +363,13 @@ def test_build_validation_errors():
         build_cubical(lambda p: "inside", [(0, 1025)], Fraction(1))  # too many
     with pytest.raises(CubicalError):
         build_cubical(lambda p: "maybe", [(0, 1)], Fraction(1, 2))
+
+
+def test_total_grid_size_is_bounded_before_sampling():
+    calls = []
+    with pytest.raises(CubicalError, match="exceeds the limit"):
+        build_cubical(lambda p: calls.append(p) or "inside", [(0, 512)] * 4, Fraction(1))
+    assert calls == []
 
 
 def test_euler_matches_alternating_cell_count():

@@ -13,6 +13,7 @@ The three golden regions were worked out by hand in image coordinates
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from orbit_betti.cubical import BettiVector, FIELD_Q
@@ -29,9 +30,13 @@ from orbit_betti.pipeline import (
     quotient_betti,
     vanishing_threshold,
     verify_report,
+    _QuotientOracle,
+    _formula_mask,
+    _moment_mask,
 )
-from orbit_betti.polys import BlockSpec, parse_formula
-from orbit_betti.powersums import SymmetryError
+from orbit_betti.fibres import INSIDE, SolverConfig, image_membership
+from orbit_betti.polys import BlockSpec, evaluate_formula, parse_formula
+from orbit_betti.powersums import SymmetryError, rewrite_formula
 
 
 def make_spec(k, d, text, box, h, field=FIELD_Q):
@@ -333,3 +338,76 @@ def test_report_json_round_trip_shape():
     assert doc["bounds"]["optm_algebraic"] == 18
     assert doc["full_betti"]["field"] == "Q"
     assert doc["resolutions"] == [0.0625, 0.03125]
+
+
+# ---------------------------------------------------------------------------
+# exact decisions at float grid points
+# ---------------------------------------------------------------------------
+
+
+def test_formula_mask_decides_a_float_tie_exactly():
+    """1/10·x1² − 3/10·x2 is exactly 0 at (3/4, 3/16); float gives +6.9e-18."""
+    points = np.array([[0.75, 0.1875]])
+    for relation in ("<=", ">="):
+        formula = parse_formula(f"1/10*x1^2 - 3/10*x2 {relation} 0", 2)
+        assert formula.polynomial_set[0].evaluate_float(points)[0] != 0.0
+        assert _formula_mask(formula, points, {}).tolist() == [True]
+
+
+def test_formula_mask_keeps_the_thickening_exact():
+    """|x1| ≤ 1/10 is false at the double 0.1 (just above 1/10) and true one
+    ulp below, although float(1/10) == 0.1."""
+    formula = parse_formula("x1 = 0", 1)
+    poly = formula.polynomial_set[0]
+    points = np.array([[0.1], [np.nextafter(0.1, 0.0)], [-0.1], [0.05], [0.2]])
+    mask = _formula_mask(formula, points, {poly: Fraction(1, 10)})
+    assert mask.tolist() == [False, True, False, True, False]
+
+
+def test_formula_mask_matches_exact_evaluation():
+    formula = parse_formula(
+        "1/10*x1^2 - 3/10*x2 <= 0 and x1*x2 - 1/4 >= 0 or x1 + x2 = 1", 2
+    )
+    grid = np.arange(-16, 17) / 8
+    points = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+    eq_poly = next(p for p in formula.polynomial_set if p.total_degree() == 1)
+    mask = _formula_mask(formula, points, {eq_poly: Fraction(0)})
+    expected = [
+        evaluate_formula(formula, [Fraction(v) for v in row]) for row in points.tolist()
+    ]
+    assert mask.tolist() == expected
+
+
+def test_moment_mask_matches_fractions():
+    rng = np.random.default_rng(3)
+    p1 = np.concatenate([rng.integers(-64, 65, 400) / 16, [0.75, 0.75, 0.0, -3.0]])
+    p2 = np.concatenate([
+        rng.integers(-8, 200, 400) / 64,
+        [0.1875, np.nextafter(0.1875, 0.0), -0.0, 3.0],
+    ])
+    mask = _moment_mask(3, p1, p2)
+    expected = [
+        b >= 0 and a * a <= 3 * b
+        for a, b in zip(map(Fraction, p1.tolist()), map(Fraction, p2.tolist()))
+    ]
+    assert mask.tolist() == expected
+    assert mask[-4:].tolist() == [True, False, True, True]
+
+
+def test_quotient_oracle_matches_image_membership_for_d2():
+    """The vectorised d' ≤ 2 oracle against image_membership per point, on
+    two blocks (d' = 2 and d' = 1) with points on the boundary p1² = k·p2."""
+    blocks = BlockSpec((3, 2), (2, 1))
+    formula = parse_formula("x1^2 + x2^2 + x3^2 <= 4", 5)
+    box = [(Fraction(-4), Fraction(4)), (Fraction(-1), Fraction(4)), (Fraction(-2), Fraction(2))]
+    oracle = _QuotientOracle(
+        blocks, rewrite_formula(formula, blocks), box, Fraction(1, 8), 1e-9, SolverConfig()
+    )
+    rng = np.random.default_rng(5)
+    p1 = rng.integers(-32, 33, 300) / 8
+    points = np.stack([p1, p1 * p1 / 3, rng.integers(-16, 17, 300) / 8], axis=-1)
+    points[::2, 1] += rng.integers(-2, 3, 150) / 64
+    codes = oracle.batch(points)
+    for row, code in zip(points.tolist(), codes.tolist()):
+        inside = row[1] <= 4 and image_membership(3, 2, row[:2]) == INSIDE
+        assert code == int(inside)
