@@ -234,6 +234,14 @@ def _run_betti_job(doc: dict) -> tuple[dict, int]:
     return out, code
 
 
+def _run_betti_job_caught(doc: dict) -> tuple[dict, int]:
+    """One job of a directory: a failure becomes that job's error envelope."""
+    try:
+        return _run_betti_job(doc)
+    except (ValueError, KeyError, OSError) as exc:
+        return {"error": str(exc)}, EXIT_ERROR
+
+
 def _load_job(path: str) -> dict:
     try:
         return json.loads(Path(path).read_text())
@@ -269,10 +277,11 @@ def betti(job, k, d, blocks, degrees, formula_text, box, resolution, field, cons
             raise click.UsageError(f"no *.json jobs under {job}")
         docs = [_load_job(str(p)) for p in paths]
         with ThreadPoolExecutor(max_workers=_worker_count(jobs)) as pool:
-            results = list(pool.map(_run_betti_job, docs))
+            results = list(pool.map(_run_betti_job_caught, docs))
         out = {"jobs": {p.stem: r for p, (r, _) in zip(paths, results)}}
         _emit(out, output)
-        return max(code for _, code in results)
+        codes = [code for _, code in results]
+        return EXIT_ERROR if EXIT_ERROR in codes else max(codes)
     if job:
         doc = _load_job(job)
     else:

@@ -16,10 +16,15 @@ singleton, comp_max) the strata carrying the *maxima* of p_{d+1} on fibres;
 grouping from the bottom instead would hand them the minima, the mirror image
 under x ↦ -x.
 
-The solver combines certified interval subdivision (directed rounding, so a
-pruned box is *certified* to contain no solution) with damped Gauss-Newton
-refinement on the leaves it cannot prune.  Undecided boxes are counted and
-reported, never dropped: membership answers are three-valued.
+The solver combines interval subdivision in directed-rounding floats (a
+pruned box is *certified* to contain no solution) with a Krawczyk test on
+the square subsystem m = 1..ℓ, which proves small boxes empty or holding a
+unique root (Krawczyk 1969; Rump, Acta Numerica 2010), and damped
+Gauss-Newton on the leaves neither can settle.  Undecided boxes are counted
+and reported, never dropped: membership answers are three-valued.  An
+"outside" verdict is a proof; an "inside" verdict is a proof when its root
+came from a Krawczyk-proved box of a square face system (ℓ = d'), and
+otherwise rests on the float residual ≤ tol.
 
 The section routine collects the per-face fibre solutions over the whole
 face poset comp_kd(k, d'), deduplicates points that appear in several face
@@ -379,6 +384,11 @@ def _interval_pow(lo: float, hi: float, m: int) -> tuple[float, float]:
     return 0.0, max(phi, qhi)
 
 
+def _target_bounds(y_exact: Sequence[Fraction]) -> list[tuple[float, float]]:
+    """Float enclosures of the exact targets, stepped outward where float() rounded."""
+    return [(f, f) if f == v else (_dn(f), _up(f)) for v, f in zip(y_exact, map(float, y_exact))]
+
+
 def _chamber_feasible(box: list[tuple[float, float]]) -> bool:
     """Can t_1 ≥ ... ≥ t_ℓ hold with t_i in the i-th interval?"""
     running = _INF
@@ -408,6 +418,92 @@ def _box_excludes_fibre(
     return False
 
 
+# Krawczyk runs on boxes whose widest side is at most this share of the
+# search box side 2R: on wide boxes it seldom contracts and costs more than
+# the bisections it saves.
+_KRAWCZYK_WIDTH = 1 / 16
+
+_EMPTY = "empty"
+_UNIQUE = "unique"
+
+
+def _scale(a: float, lo: float, hi: float) -> tuple[float, float]:
+    """Certified enclosure of a·[lo, hi]."""
+    if a >= 0.0:
+        return _dn(a * lo), _up(a * hi)
+    return _dn(a * hi), _up(a * lo)
+
+
+def _krawczyk(
+    parts: tuple[int, ...],
+    box: list[tuple[float, float]],
+    y_bounds: list[tuple[float, float]],
+) -> tuple[str | None, list[tuple[float, float]]] | None:
+    """Krawczyk operator of the square system m = 1..ℓ on the box X.
+
+    K(X) = c − Y·F(c) + (I − Y·J(X))(X − c), with c the centre of X, Y a
+    float inverse of J(c) and everything else enclosed by directed rounding,
+    holds every root of the square system that lies in X.  Returns
+    (_EMPTY, []) when K ∩ X is empty (no root in X), (_UNIQUE, K) when K lies
+    in the interior of X (exactly one root in X, and it lies in K), else
+    (None, K ∩ X).  None when J(c) is singular.
+    """
+    ell = len(parts)
+    c = [0.5 * (lo + hi) for lo, hi in box]
+    jac_c = [[m * w * ci ** (m - 1) for w, ci in zip(parts, c)] for m in range(1, ell + 1)]
+    columns = [_solve_linear(jac_c, [float(i == j) for i in range(ell)]) for j in range(ell)]
+    if any(col is None for col in columns):
+        return None
+    inv = [[columns[j][r] for j in range(ell)] for r in range(ell)]
+    # F(c) against the target enclosures, and the interval Jacobian J(X)
+    f_c = []
+    jac_x = []
+    for m in range(1, ell + 1):
+        s_lo = s_hi = 0.0
+        row = []
+        for w, ci, (lo, hi) in zip(parts, c, box):
+            p_lo, p_hi = _pow_bounds(ci, m)
+            s_lo = _dn(s_lo + _dn(w * p_lo))
+            s_hi = _up(s_hi + _up(w * p_hi))
+            if m == 1:
+                row.append((float(w), float(w)))
+            else:
+                q_lo, q_hi = _interval_pow(lo, hi, m - 1)
+                row.append((_dn(m * w * q_lo), _up(m * w * q_hi)))
+        target_lo, target_hi = y_bounds[m - 1]
+        f_c.append((_dn(s_lo - target_hi), _up(s_hi - target_lo)))
+        jac_x.append(row)
+    offsets = [(_dn(lo - ci), _up(hi - ci)) for ci, (lo, hi) in zip(c, box)]
+    out = []
+    unique = True
+    for r in range(ell):
+        yf_lo = yf_hi = 0.0
+        for a, (lo, hi) in zip(inv[r], f_c):
+            p_lo, p_hi = _scale(a, lo, hi)
+            yf_lo = _dn(yf_lo + p_lo)
+            yf_hi = _up(yf_hi + p_hi)
+        k_lo = _dn(c[r] - yf_hi)
+        k_hi = _up(c[r] - yf_lo)
+        for i, (d_lo, d_hi) in enumerate(offsets):
+            # (I − Y·J(X))[r][i]
+            s_lo = s_hi = 0.0
+            for a, row in zip(inv[r], jac_x):
+                p_lo, p_hi = _scale(a, *row[i])
+                s_lo = _dn(s_lo + p_lo)
+                s_hi = _up(s_hi + p_hi)
+            delta = float(r == i)
+            m_lo, m_hi = _dn(delta - s_hi), _up(delta - s_lo)
+            products = (m_lo * d_lo, m_lo * d_hi, m_hi * d_lo, m_hi * d_hi)
+            k_lo = _dn(k_lo + _dn(min(products)))
+            k_hi = _up(k_hi + _up(max(products)))
+        lo, hi = box[r]
+        if k_hi < lo or k_lo > hi:
+            return _EMPTY, []
+        unique = unique and lo < k_lo and k_hi < hi
+        out.append((max(lo, k_lo), min(hi, k_hi)))
+    return (_UNIQUE if unique else None), out
+
+
 def solve_fibre(
     lam: Composition,
     y: Sequence[RationalLike],
@@ -418,10 +514,22 @@ def solve_fibre(
     """All chamber solutions of Σ λ_i t_i^m = y_m, m = 1..len(y), t_1 ≥ ... ≥ t_ℓ.
 
     Interval subdivision over [-R, R]^ℓ intersected with the descending
-    region; boxes certified empty by directed interval evaluation are pruned.
-    Damped Newton runs only on the surviving leaf boxes (width at the depth
-    limit): from the centre, then from random multistarts.  A leaf where
-    every start fails is counted as undecided.
+    region; boxes certified empty by directed-rounding float intervals are
+    pruned.  When ℓ ≤ d', boxes at most 2R·_KRAWCZYK_WIDTH wide also get the
+    Krawczyk test on the square subsystem m = 1..ℓ: a box it proves empty is
+    pruned; a box it proves to hold a unique root is finished when Newton
+    from the centre lands in the proved enclosure (for ℓ < d' the enclosure
+    is first tested against the extra equations); any other box shrinks to
+    the enclosure.  Damped Newton runs on the leaf boxes that survive (width
+    at the depth limit): from the centre, then from random multistarts.  A
+    leaf where every start fails is counted as undecided.
+
+    What is certified: an empty result with no undecided boxes proves the
+    fibre empty.  A solution from a Krawczyk-finished box of a square system
+    (ℓ = d') has an exact root in its enclosure; for ℓ < d', and for
+    solutions found on leaf boxes (singular Jacobians, as at coincident
+    parameters), only the float residual ≤ tol stands behind it.  Solutions
+    closer than max(dedup_factor·tol, √tol) are merged.
     """
     if tol <= 0:
         raise FibreError("tolerance must be positive")
@@ -466,11 +574,12 @@ def solve_fibre(
     min_width = max(radius / 2**config.max_depth, tol)
     rng = np.random.default_rng(config.seed)
 
-    # float enclosures of the exact targets, stepped outward where float() rounded
-    y_bounds = [(f, f) if f == v else (_dn(f), _up(f)) for v, f in zip(y_exact, y_float)]
+    y_bounds = _target_bounds(y_exact)
     face = Face.of(lam)
     solutions: list[tuple[list[float], float]] = []
-    dedup_radius = config.dedup_factor * tol
+    # the radius arnold_section groups at: converged Newton limits along a
+    # degenerate fibre spread like √tol, far beyond dedup_factor·tol
+    dedup_radius = max(config.dedup_factor * tol, math.sqrt(tol))
 
     def record(t: list[float], residual: float) -> None:
         if any(b - a > tol for a, b in zip(t, t[1:])):
@@ -496,6 +605,8 @@ def solve_fibre(
     queue.append([(-radius, radius) for _ in range(ell)])
     undecided = 0
     processed = 0
+    # the square subsystem m = 1..ℓ has isolated roots only when ℓ ≤ d'
+    krawczyk_width = 2 * radius * _KRAWCZYK_WIDTH if ell <= d_prime else -1.0
 
     while queue:
         if processed >= config.max_boxes:
@@ -509,6 +620,26 @@ def solve_fibre(
             continue
         widths = [hi - lo for lo, hi in box]
         widest = max(range(ell), key=widths.__getitem__)
+        if widths[widest] <= krawczyk_width:
+            test = _krawczyk(parts, box, y_bounds)
+            if test is not None:
+                verdict, narrowed = test
+                # every root of the square subsystem in the box lies in
+                # `narrowed`, where the moment equations (m > ℓ among them)
+                # are tested again on the smaller box
+                if verdict == _EMPTY or _box_excludes_fibre(parts, narrowed, y_bounds):
+                    continue
+                if verdict == _UNIQUE:
+                    center = [0.5 * (lo + hi) for lo, hi in box]
+                    hit = _gauss_newton(parts, y_float, center, tol, radius, config.max_newton_iter)
+                    if hit is not None and all(
+                        lo <= v <= hi for v, (lo, hi) in zip(hit[0], narrowed)
+                    ):
+                        record(*hit)
+                        continue
+                box = narrowed
+                widths = [hi - lo for lo, hi in box]
+                widest = max(range(ell), key=widths.__getitem__)
         if widths[widest] <= min_width:
             # A leaf box counts as resolved when Newton launched from its own
             # interior converges: its residual flow drains to a located
@@ -553,39 +684,29 @@ OUTSIDE = "outside"
 UNDECIDED = "undecided"
 
 
-def _newton_probe(
-    lam: Composition,
-    y_float: list[float],
-    tol: float,
-    radius: float,
-    config: SolverConfig,
-) -> FibreSolution | None:
-    """Cheap multistart Newton on one face; None means 'nothing found'."""
-    parts = lam.parts
-    ell = len(parts)
-    if ell == 1:
-        t = y_float[0] / parts[0]
-        residual = max(abs(parts[0] * t**m - ym) for m, ym in enumerate(y_float, 1))
-        if residual <= tol:
-            return FibreSolution(Face.of(lam), (t,), residual)
-        return None
-    rng = np.random.default_rng(config.seed + 1)
-    starts = [[0.0] * ell]
-    mean = y_float[0] / lam.k
-    starts.append([mean] * ell)
-    for _ in range(config.multistarts):
-        starts.append(sorted(rng.uniform(-radius, radius, size=ell).tolist(), reverse=True))
-    for start in starts:
-        hit = _gauss_newton(parts, y_float, start, tol, radius, config.max_newton_iter)
-        if hit is None:
-            continue
-        t, residual = hit
-        if any(b - a > tol for a, b in zip(t, t[1:])):
-            continue
-        if max(abs(v) for v in t) > radius + max(1e-9, 1e-6 * radius):
-            continue
-        return FibreSolution(Face.of(lam), tuple(t), residual)
-    return None
+def _moment_verdict(k: int, d: int, y: Sequence[RationalLike]) -> tuple[list[Fraction], str | None]:
+    """Check y against (k, d) and run the exact tests on (p_1, p_2).
+
+    Returns the exact targets and INSIDE or OUTSIDE when these tests decide
+    (always for d' ≤ 2), else None.
+    """
+    if k < 1 or d < 1:
+        raise FibreError("k and d must be positive")
+    d_prime = min(k, d)
+    y_exact = [as_rational(v) for v in y]
+    if len(y_exact) != d_prime:
+        raise FibreError(f"expected {d_prime} power sums, got {len(y_exact)}")
+    if d_prime == 1:
+        # p_1 is onto: x = (c, ..., c) with c = y_1/k
+        return y_exact, INSIDE
+    # necessary conditions: p_2 ≥ 0 and Cauchy-Schwarz p_1² ≤ k p_2
+    if y_exact[1] < 0 or y_exact[0] ** 2 > k * y_exact[1]:
+        return y_exact, OUTSIDE
+    if d_prime == 2:
+        # converse: any (p1, p2) with p1² ≤ k p2 is realised by a two-value
+        # configuration with the right mean and variance
+        return y_exact, INSIDE
+    return y_exact, None
 
 
 def image_membership(
@@ -597,47 +718,26 @@ def image_membership(
 ) -> str:
     """Is y in the image of the chamber under the truncated power-sum map?
 
-    Three-valued: "inside" needs one face fibre solution; "outside" needs
-    every face of comp_kd(k, d') certified empty by exact intervals;
-    anything else is "undecided".
+    Three-valued.  For d' ≤ 2 exact tests on (p_1, p_2) decide.  Otherwise
+    ``solve_fibre`` runs on the faces of comp_kd(k, d') shortest first (a
+    boundary point is found on its lower face before the top face's
+    degenerate fibre is searched) and stops at the first face with a
+    solution: "inside".  "outside" needs every face certified empty by
+    directed-rounding intervals; anything else is "undecided".
+
+    An "inside" found by a Krawczyk-proved unique root of a square face
+    system (ℓ = d') carries a proof; one found on an overdetermined face
+    (ℓ < d'), or by Newton on a leaf box, rests on the float residual ≤ tol.
     """
-    if k < 1 or d < 1:
-        raise FibreError("k and d must be positive")
-    d_prime = min(k, d)
-    y = list(y)
-    if len(y) != d_prime:
-        raise FibreError(f"expected {d_prime} power sums, got {len(y)}")
-    if d_prime == 1:
-        # p_1 is onto: x = (c, ..., c) with c = y_1/k
-        return INSIDE
-    y_exact = [as_rational(v) for v in y]
-    # exact necessary conditions: p_2 ≥ 0 and Cauchy-Schwarz p_1² ≤ k p_2
-    if y_exact[1] < 0:
-        return OUTSIDE
-    if y_exact[0] ** 2 > k * y_exact[1]:
-        return OUTSIDE
-    if d_prime == 2:
-        # exact converse: any (p1, p2) with p1² ≤ k p2 is realised by a
-        # two-value configuration with the right mean and variance
-        return INSIDE
-    y_float = [float(v) for v in y_exact]
-    radius = math.sqrt(max(y_float[1], 0.0)) + 1.0
-
-    faces = comp_kd(k, d_prime)
-    # longer faces first: generic points live there, so the cheap probe
-    # usually answers immediately
-    faces.sort(key=lambda c: (-c.length, c.parts))
-    for lam in faces:
-        if _newton_probe(lam, y_float, tol, radius, config) is not None:
-            return INSIDE
-
+    y_exact, verdict = _moment_verdict(k, d, y)
+    if verdict is not None:
+        return verdict
     any_undecided = False
-    for lam in faces:
+    for lam in comp_kd(k, len(y_exact)):
         search = solve_fibre(lam, y_exact, tol=tol, config=config)
         if search.solutions:
             return INSIDE
-        if search.undecided_boxes:
-            any_undecided = True
+        any_undecided = any_undecided or search.undecided_boxes > 0
     return UNDECIDED if any_undecided else OUTSIDE
 
 
@@ -671,30 +771,30 @@ def arnold_section(
     error scales like the square root of the residual at tangential double
     roots) and reported in their minimal face.  Genuinely distinct candidates
     tied in value within tolerance set the ``ambiguous`` flag.
+
+    Membership is read off the same per-face searches: no candidate on any
+    face raises, with "outside" when every face was certified empty by
+    directed-rounding intervals (or the exact (p_1, p_2) tests fail) and
+    "undecided" otherwise.  The candidates carry what ``solve_fibre``
+    certifies: an exact root in a proved enclosure on square faces where the
+    Krawczyk test applied, else only the float residual ≤ tol.
     """
     if not d < k:
         raise FibreError(f"section requires d < k, got d={d}, k={k}")
-    d_prime = min(k, d)
-    status = image_membership(k, d, y, tol=tol, config=config)
-    if status != INSIDE:
-        raise FibreError(f"image membership is {status}, not inside")
-    y_exact = [as_rational(v) for v in y]
-
+    y_exact, verdict = _moment_verdict(k, d, y)
+    if verdict == OUTSIDE:
+        raise FibreError(f"image membership is {OUTSIDE}, not inside")
     raw: list[FibreSolution] = []
-    for lam in comp_kd(k, d_prime):
+    any_undecided = False
+    for lam in comp_kd(k, len(y_exact)):
         search = solve_fibre(lam, y_exact, tol=tol, config=config)
         raw.extend(search.solutions)
+        any_undecided = any_undecided or search.undecided_boxes > 0
     if not raw:
-        # membership said inside via the probe; re-probe to get the witness
-        radius = (
-            math.sqrt(max(float(y_exact[1]), 0.0)) + 1.0 if d_prime >= 2 else 2.0
-        )
-        for lam in comp_kd(k, d_prime):
-            hit = _newton_probe(lam, [float(v) for v in y_exact], tol, radius, config)
-            if hit is not None:
-                raw.append(hit)
-    if not raw:
-        raise FibreError("no fibre candidates located despite inside membership")
+        if verdict == INSIDE:
+            raise FibreError("no fibre candidates located despite inside membership")
+        status = UNDECIDED if any_undecided else OUTSIDE
+        raise FibreError(f"image membership is {status}, not inside")
 
     dedup_radius = max(config.dedup_factor * tol, math.sqrt(tol))
     groups: list[list[FibreSolution]] = []

@@ -148,6 +148,22 @@ def test_betti_job_directory(tmp_path, capsys):
     assert doc["jobs"]["b"]["betti"] == [1, 0]
 
 
+def test_betti_job_directory_keeps_results_when_one_job_fails(tmp_path, capsys):
+    """A job that raises gets its own error envelope; the others still report."""
+    (tmp_path / "a.json").write_text(json.dumps(SPHERE_JOB))
+    oversized = {
+        "blocks": [2, 2], "degrees": [2, 2],
+        "formula": "x1^2 + x2^2 <= 1 and x3^2 + x4^2 <= 1",
+        "box": [["0", "512"]] * 4, "resolution": "1",
+    }
+    (tmp_path / "b.json").write_text(json.dumps(oversized))
+    code, doc = run(capsys, "betti", "--job", str(tmp_path))
+    assert code == EXIT_ERROR
+    assert doc["jobs"]["a"]["betti"] == [1, 0]
+    assert set(doc["jobs"]["b"]) == {"error"}
+    assert "exceeds the limit" in doc["jobs"]["b"]["error"]
+
+
 def test_worker_env_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ORBIT_BETTI_THREADS", "1")
     (tmp_path / "a.json").write_text(json.dumps(SPHERE_JOB))

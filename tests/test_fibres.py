@@ -6,19 +6,26 @@ expected values; the solver must reproduce them to tolerance.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from orbit_betti.compositions import Composition, comp_kd, comp_max, precedes
 from orbit_betti.fibres import (
+    _EMPTY,
+    _UNIQUE,
+    _krawczyk,
+    _target_bounds,
     Face,
     FibreError,
     FibreSolution,
     INSIDE,
     OUTSIDE,
+    UNDECIDED,
     SolverConfig,
     arnold_section,
     chamber_formula,
@@ -223,6 +230,68 @@ def test_solve_fibre_radius_requirement():
     assert search.solutions  # a one-dimensional solution family, sampled
 
 
+def test_solve_fibre_returns_a_degenerate_root_once():
+    """x on the (5, 1) face at k = 6 is a degenerate point of the (1, 4, 1)
+    fibre: the converged Newton limits around it spread far beyond 1e-8 and
+    once came back as 301 copies of one point."""
+    lam, t = C((5, 1)), [Fraction(7, 8), Fraction(53, 64)]
+    y = [weighted_power_sum(lam, m, t) for m in (1, 2, 3)]
+    search = solve_fibre(C((1, 4, 1)), y)
+    assert 1 <= len(search.solutions) <= 2
+    result = arnold_section(6, 3, y)
+    assert result.solution.face.lam.parts == (5, 1)
+    assert result.candidates == 1
+
+
+# -- the Krawczyk test --------------------------------------------------------
+
+
+def _box_around(t, half_width):
+    return [(float(v) - half_width, float(v) + half_width) for v in t]
+
+
+def test_krawczyk_proves_a_simple_root_and_encloses_it():
+    lam = C((1, 2, 1))
+    t = [Fraction(5, 4), Fraction(1, 8), Fraction(-3, 4)]
+    y = [weighted_power_sum(lam, m, t) for m in (1, 2, 3)]
+    verdict, enclosure = _krawczyk(lam.parts, _box_around(t, 1 / 64), _target_bounds(y))
+    assert verdict == _UNIQUE
+    for (lo, hi), exact in zip(enclosure, t):
+        assert Fraction(lo) <= exact <= Fraction(hi)
+        assert hi - lo < 1 / 64
+
+
+def test_krawczyk_empties_a_box_away_from_every_root():
+    lam = C((1, 2, 1))
+    t = [Fraction(5, 4), Fraction(1, 8), Fraction(-3, 4)]
+    y = [weighted_power_sum(lam, m, t) for m in (1, 2, 3)]
+    verdict, enclosure = _krawczyk(lam.parts, _box_around((1, 0.5, 0), 1 / 64), _target_bounds(y))
+    assert (verdict, enclosure) == (_EMPTY, [])
+
+
+def test_krawczyk_never_claims_uniqueness_at_coincident_parameters():
+    """t_1 = t_2 on (1, 2, 1): J is singular there, so no box around the
+    point may be proved to hold a unique root."""
+    lam = C((1, 2, 1))
+    t = [Fraction(1, 2), Fraction(1, 2), Fraction(-1, 4)]
+    bounds = _target_bounds([weighted_power_sum(lam, m, t) for m in (1, 2, 3)])
+    for shift in (0.0, 1 / 512, -1 / 300):
+        for half_width in (1 / 16, 1 / 256, 1 / 4096):
+            box = _box_around([float(t[0]) + shift, float(t[1]) - shift, t[2]], half_width)
+            test = _krawczyk(lam.parts, box, bounds)
+            assert test is None or test[0] != _UNIQUE
+
+
+def test_solve_fibre_skips_krawczyk_on_positive_dimensional_fibres():
+    """ℓ = 3 > d' = 2: the fibre is a curve, and the square subsystem the
+    Krawczyk test needs does not exist."""
+    search = solve_fibre(C((1, 1, 1)), (0, 1), tol=1e-6)
+    assert search.solutions
+    for sol in search.solutions:
+        assert sum(sol.t) == pytest.approx(0, abs=1e-6)
+        assert sum(v * v for v in sol.t) == pytest.approx(1, abs=1e-6)
+
+
 def test_fibre_solution_invariants_enforced():
     with pytest.raises(FibreError):
         # residual-exact point but ascending parameters
@@ -280,6 +349,63 @@ def test_membership_forward_consistency():
         y = power_sum_vector(xs, min(k, d))
         assert image_membership(k, d, y, tol=1e-7) == INSIDE, (k, d, xs)
         checked += 1
+
+
+def _exact_membership_d3(k: int, y) -> bool:
+    """Exact decision on the closed (1, a, 1) face, a = k − 2, whose image is
+    the whole image for d' = 3.  Fix s = t_2; then t_1 + t_3 = S,
+    t_1² + t_3² = Q and t_1³ + t_3³ = C with S = y_1 − a·s, Q = y_2 − a·s²,
+    C = y_3 − a·s³, so s is a root of the cubic (3SQ − S³)/2 − C, and
+    t_3 ≤ s ≤ t_1 holds iff g(s) = s² − S·s + (S² − Q)/2 ≤ 0."""
+    a = k - 2
+    s = sympy.Symbol("s")
+    y1, y2, y3 = (sympy.Rational(v.numerator, v.denominator) for v in y)
+    big_s, big_q, big_c = y1 - a * s, y2 - a * s**2, y3 - a * s**3
+    f = sympy.Poly((3 * big_s * big_q - big_s**3) / 2 - big_c, s, domain="QQ")
+    g = sympy.Poly(s**2 - big_s * s + (big_s**2 - big_q) / 2, s, domain="QQ")
+    if sympy.gcd(f, g).count_roots():
+        return True  # a real root of f with g = 0
+    for (u, v), _multiplicity in f.intervals():
+        # g has no zero at the root, so refine until g keeps one sign on [u, v]
+        while u != v and g.count_roots(u, v):
+            u, v = f.refine_root(u, v, eps=(v - u) / 4)
+        if g.eval(u) < 0:
+            return True
+    return False
+
+
+def test_membership_matches_exact_oracle_d3():
+    """330 seeded points of (1/16)Z³ that pass the (p_1, p_2) tests, k = 4, 5,
+    6: every verdict is the exact one or undecided, at most 1% undecided.
+    The first point was undecided before the Krawczyk test."""
+    rng = random.Random(20261018)
+    points = [(4, (Fraction(1, 16), Fraction(17, 16), Fraction(11, 16)))]
+    while len(points) < 330:
+        k = rng.choice((4, 5, 6))
+        y1 = Fraction(rng.randint(-24, 24), 16)
+        y2 = Fraction(math.ceil(16 * y1 * y1 / k), 16) + Fraction(rng.randint(0, 24), 16)
+        bound = int(16 * float(y2) ** 1.5) + 1
+        points.append((k, (y1, y2, Fraction(rng.randint(-bound, bound), 16))))
+    undecided = 0
+    for k, y in points:
+        verdict = image_membership(k, 3, y)
+        if verdict == UNDECIDED:
+            undecided += 1
+            continue
+        assert (verdict == INSIDE) == _exact_membership_d3(k, y), (k, y, verdict)
+    assert image_membership(4, 3, points[0][1]) == OUTSIDE
+    assert undecided <= len(points) // 100
+
+
+def test_exact_membership_oracle_says_inside_on_forward_images():
+    rng = random.Random(7)
+    for _ in range(40):
+        k = rng.choice((4, 5, 6))
+        x = [Fraction(rng.randint(-40, 40), 16) for _ in range(k)]
+        if rng.random() < 0.5:
+            x[1] = x[2] = x[0]
+        assert _exact_membership_d3(k, power_sum_vector(x, 3))
+    assert not _exact_membership_d3(4, (Fraction(1, 16), Fraction(17, 16), Fraction(11, 16)))
 
 
 @given(
