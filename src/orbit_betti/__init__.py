@@ -2,7 +2,9 @@
 
 The package pipeline, bottom to top:
 
-* :mod:`orbit_betti.polys` — exact polynomials, closed formulas, intervals;
+* :mod:`orbit_betti.polys` — exact polynomials, closed formulas, the
+  directed-rounding float intervals and the exact sparse elimination that
+  the stages above share;
 * :mod:`orbit_betti.powersums` — symmetry check and the power-sum rewrite;
 * :mod:`orbit_betti.compositions` — the composition poset and chain counts;
 * :mod:`orbit_betti.fibres` — fibres of the power-sum map, image membership,
@@ -17,7 +19,6 @@ The package pipeline, bottom to top:
 from orbit_betti.polys import (
     BlockSpec,
     ClosedFormula,
-    Interval,
     ParseError,
     Polynomial,
     PolynomialError,
@@ -48,7 +49,6 @@ from orbit_betti.compositions import (
 )
 from orbit_betti.fibres import (
     SectionResult,
-    SolverConfig,
     arnold_section,
     image_membership,
     solve_fibre,
@@ -83,7 +83,6 @@ __all__ = [
     "Composition",
     "FIELD_Q",
     "FIELD_Z2",
-    "Interval",
     "OrbitCount",
     "ParseError",
     "Polynomial",
@@ -94,7 +93,6 @@ __all__ = [
     "Rational",
     "SectionResult",
     "SignAtom",
-    "SolverConfig",
     "SymmetryError",
     "arnold_section",
     "betti_numbers",

@@ -23,7 +23,6 @@ import click
 
 from orbit_betti.compositions import (
     Composition,
-    chain_count,
     chain_report,
     chains,
     comp_kd,
@@ -60,7 +59,7 @@ def _emit(doc: dict, output: str | None) -> None:
 def _rational_list(text: str) -> list[Fraction]:
     try:
         return [as_rational(part.strip()) for part in text.split(",") if part.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise click.UsageError(f"bad rational list {text!r}: {exc}")
 
 
@@ -129,16 +128,16 @@ def rewrite(k, d, blocks, degrees, formula_text, output) -> int:
 def compositions(k, d, list_chains, output) -> int:
     """Composition poset of the face lattice: elements, maxima, chain data."""
     elements = comp_kd(k, min(k, d))
+    report = chain_report(k, d)
     doc: dict = {
         "k": k,
         "d": d,
         "compositions": sorted(_composition_doc(c) for c in elements),
         "count": len(elements),
         "maximal": sorted(_composition_doc(c) for c in comp_max(k, min(k, d))),
-        "chain_count": chain_count(k, d),
+        "chain_count": report["chain_count"],
         "paper_chain_bound": paper_chain_bound(k, d),
     }
-    report = chain_report(k, d)
     doc["flags"] = {
         "bound_exceeded": report["bound_exceeded"],
         "maximal_formula_mismatch": report.get("maximal_formula_mismatch"),
@@ -193,12 +192,19 @@ def section(k, d, point, tol, output) -> int:
 
 
 def _spec_from_job(doc: dict) -> tuple[ProblemSpec, float]:
+    if not isinstance(doc, dict):
+        raise PipelineError("a job must be a JSON object")
+    edges = doc.get("box")
+    if not isinstance(edges, list) or not all(
+        isinstance(edge, list) and len(edge) == 2 for edge in edges
+    ):
+        raise PipelineError("a job's box must be a list of [lo, hi] pairs")
     if "blocks" in doc:
         blocks = BlockSpec(tuple(doc["blocks"]), tuple(doc["degrees"]))
     else:
         blocks = BlockSpec.single(int(doc["k"]), int(doc["d"]))
     formula = parse_formula(doc["formula"], blocks.total_vars)
-    box = tuple((as_rational(lo), as_rational(hi)) for lo, hi in doc["box"])
+    box = tuple((as_rational(lo), as_rational(hi)) for lo, hi in edges)
     spec = ProblemSpec(
         blocks=blocks,
         formula=formula,
@@ -238,7 +244,7 @@ def _run_betti_job_caught(doc: dict) -> tuple[dict, int]:
     """One job of a directory: a failure becomes that job's error envelope."""
     try:
         return _run_betti_job(doc)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError) as exc:
         return {"error": str(exc)}, EXIT_ERROR
 
 
@@ -363,7 +369,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except click.ClickException as exc:
         click.echo(json.dumps({"error": exc.format_message()}, sort_keys=True))
         return EXIT_ERROR
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError) as exc:
         click.echo(json.dumps({"error": str(exc)}, sort_keys=True))
         return EXIT_ERROR
 

@@ -18,10 +18,13 @@ when the formula is exceeded rather than asserting it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
 
-from orbit_betti.polys import BlockSpec
-
+# Both limits are checked before the work they bound: the most compositions
+# a poset may hold (the chain-count dynamic program visits every comparable
+# pair, 3^12 of them for the whole of Comp(13)), and the most chains listed
+# one by one, each held in memory.
+POSET_LIMIT = 2**12
 ENUMERATION_LIMIT = 2**16
 
 
@@ -114,31 +117,23 @@ class Chain:
         return " < ".join(str(c.parts) for c in self.elements)
 
 
-@dataclass(frozen=True)
-class MultiComposition:
-    """One composition per block of a BlockSpec."""
-
-    components: tuple[Composition, ...]
-
-    def __post_init__(self) -> None:
-        if not self.components:
-            raise CompositionError("at least one component required")
-
-    def matches(self, blocks: BlockSpec) -> bool:
-        return len(self.components) == blocks.omega and all(
-            c.k == k for c, k in zip(self.components, blocks.block_sizes)
-        )
-
-
 # ---------------------------------------------------------------------------
 # the posets
 # ---------------------------------------------------------------------------
+
+
+def _check_poset_size(size: int) -> None:
+    if size > POSET_LIMIT:
+        raise CompositionError(
+            f"poset of {size} or more compositions exceeds the limit {POSET_LIMIT}"
+        )
 
 
 def all_compositions(k: int) -> list[Composition]:
     """All 2^{k−1} compositions of k, sorted by (length, parts)."""
     if k < 1:
         raise CompositionError("k must be a positive integer")
+    _check_poset_size(2 ** (k - 1))
     out = []
     for mask in range(2 ** (k - 1)):
         breaks = frozenset(i + 1 for i in range(k - 1) if mask >> i & 1)
@@ -161,6 +156,8 @@ def comp_max(k: int, d: int) -> list[Composition]:
     forced = [i for i in range(1, d + 1) if i % 2 == 1]
     free = [i for i in range(1, d + 1) if i % 2 == 0]
     budget = k - len(forced)
+    # stars and bars: len(free) positive parts summing to budget
+    _check_poset_size(comb(budget - 1, len(free) - 1))
     out: list[Composition] = []
 
     def rec(pos: int, remaining: int, values: dict[int, int]) -> None:
@@ -184,7 +181,7 @@ def comp_kd(k: int, d: int) -> list[Composition]:
 
     For d ≤ k this is the downward closure of comp_max(k, d) under ≺ (subset
     enumeration on breakpoints); for d > k it is all of Comp(k).  Sorted by
-    (length, parts).
+    (length, parts).  More than POSET_LIMIT elements raise CompositionError.
     """
     if k < 1 or d < 1:
         raise CompositionError("k and d must be positive")
@@ -193,8 +190,10 @@ def comp_kd(k: int, d: int) -> list[Composition]:
     seen: set[frozenset[int]] = set()
     for top in comp_max(k, d):
         points = sorted(top.breakpoints)
+        _check_poset_size(2 ** len(points))
         for mask in range(2 ** len(points)):
             seen.add(frozenset(p for i, p in enumerate(points) if mask >> i & 1))
+        _check_poset_size(len(seen))
     out = [Composition(k, b) for b in seen]
     out.sort(key=Composition.sort_key)
     return out
@@ -208,36 +207,37 @@ def comp_kd(k: int, d: int) -> list[Composition]:
 def chain_count(k: int, d: int) -> int:
     """Exact number of nonempty chains in comp_kd(k, d), by dynamic program.
 
-    f(λ) = 1 + Σ_{μ strictly below λ} f(μ), summed over the poset.
+    f(λ) = 1 + Σ_{μ strictly below λ} f(μ), summed over the poset.  The
+    poset is downward closed, so the μ below λ are exactly the proper
+    subsets of its breakpoint set, enumerated as submasks.
     """
-    elements = comp_kd(k, d)
-    # process in order of breakpoint-set size so predecessors are done first
-    elements.sort(key=lambda c: (len(c.breakpoints), c.parts))
-    f: dict[frozenset[int], int] = {}
-    for lam in elements:
+    f: dict[int, int] = {}
+    # comp_kd lists shorter compositions first: every proper subset is done
+    for lam in comp_kd(k, d):
+        mask = sum(1 << b for b in lam.breakpoints)
         total = 1
-        for mu in elements:
-            if len(mu.breakpoints) >= len(lam.breakpoints):
-                break
-            if mu.breakpoints < lam.breakpoints:
-                total += f[mu.breakpoints]
-        f[lam.breakpoints] = total
+        sub = mask
+        while sub:
+            sub = (sub - 1) & mask
+            total += f[sub]
+        f[mask] = total
     return sum(f.values())
 
 
 def chains(k: int, d: int) -> tuple[list[Chain], int]:
     """All nonempty chains plus the independently computed exact count.
 
-    Enumeration is depth-first over strictly nesting breakpoint sets; the
-    dynamic-program count must agree with the enumeration length (asserted
-    here, so any drift between the two implementations fails loudly).
+    The dynamic-program count comes first, and more than ENUMERATION_LIMIT
+    chains are refused.  Enumeration is depth-first over strictly nesting
+    breakpoint sets; its length must agree with the count (asserted here,
+    so any drift between the two implementations fails loudly).
     """
-    elements = comp_kd(k, d)
-    if len(elements) > ENUMERATION_LIMIT:
+    count = chain_count(k, d)
+    if count > ENUMERATION_LIMIT:
         raise CompositionError(
-            f"poset has {len(elements)} elements; enumeration limit is {ENUMERATION_LIMIT}"
+            f"{count} chains exceed the enumeration limit {ENUMERATION_LIMIT}"
         )
-    elements.sort(key=lambda c: (len(c.breakpoints), c.parts))
+    elements = comp_kd(k, d)
     above: dict[Composition, list[Composition]] = {
         lam: [mu for mu in elements if lam.breakpoints < mu.breakpoints]
         for lam in elements
@@ -254,7 +254,6 @@ def chains(k: int, d: int) -> tuple[list[Chain], int]:
     for lam in elements:
         extend([lam])
 
-    count = chain_count(k, d)
     if count != len(out):  # pragma: no cover - cross-check of two algorithms
         raise AssertionError(
             f"chain DP count {count} disagrees with enumeration {len(out)}"
@@ -310,24 +309,17 @@ def paper_maximal_chain_formula(k: int, d: int) -> int:
     return product
 
 
-def multi_chains(blocks: BlockSpec) -> int:
-    """Product over blocks of the per-block exact chain counts."""
-    total = 1
-    for k_i, d_i in zip(blocks.block_sizes, blocks.degree_caps):
-        total *= chain_count(k_i, d_i)
-    return total
-
-
 def chain_report(k: int, d: int) -> dict:
     """Exact counts next to the closed-form numbers, with discrepancy flags.
 
     ``bound_exceeded`` / ``maximal_formula_mismatch`` are True on the inputs
     where the quoted formulas fall short of enumeration; consumers should
-    treat the exact values as authoritative.
+    treat the exact values as authoritative.  The maximal chains are counted
+    only when the chains number at most ENUMERATION_LIMIT.
     """
     exact = chain_count(k, d)
     bound = paper_chain_bound(k, d)
-    maximal = len(maximal_chains(k, d)) if len(comp_kd(k, d)) <= 4096 else None
+    maximal = len(maximal_chains(k, d)) if exact <= ENUMERATION_LIMIT else None
     formula = paper_maximal_chain_formula(k, d)
     report = {
         "k": k,

@@ -21,11 +21,11 @@ from the Euler characteristic.  Compact subsets of R^n with n ≤ 3 have
 torsion-free homology, so the values hold over Q and Z/2 alike.
 
 For n ≥ 4 the Betti numbers come from boundary-matrix ranks, b_q = dim C_q −
-rank ∂_q − rank ∂_{q+1}, over Q (exact fractions) or Z/2 (bitset
-elimination), after free-face collapses — removing a cell together with its
-unique coface is an elementary collapse, a homotopy equivalence — which
-shrink grid-scale complexes by orders of magnitude.  That path also serves
-as the test oracle for the component counts.
+rank ∂_q − rank ∂_{q+1}, over Q (the exact sparse elimination of ``polys``)
+or Z/2 (bitset elimination), after free-face collapses — removing a cell
+together with its unique coface is an elementary collapse, a homotopy
+equivalence — which shrink grid-scale complexes by orders of magnitude.
+That path also serves as the test oracle for the component counts.
 
 Over a field, cohomology and homology ranks of a finite complex agree, so
 the reported values serve for either reading.
@@ -42,7 +42,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from orbit_betti.polys import RationalLike, as_rational
+from orbit_betti.polys import RationalLike, as_rational, column_pivots
 
 FIELD_Q = "Q"
 FIELD_Z2 = "Z2"
@@ -380,30 +380,6 @@ def _rank_z2(columns: list[int]) -> int:
     return rank
 
 
-def _rank_q(columns: list[dict[int, Fraction]]) -> int:
-    """Exact rank over Q; columns are sparse {row: coefficient} maps."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    rank = 0
-    for col in columns:
-        col = dict(col)
-        while col:
-            low = max(col)
-            if low in pivots:
-                pivot = pivots[low]
-                factor = col[low] / pivot[low]
-                for row, value in pivot.items():
-                    acc = col.get(row, Fraction(0)) - factor * value
-                    if acc == 0:
-                        col.pop(row, None)
-                    else:
-                        col[row] = acc
-            else:
-                pivots[low] = col
-                rank += 1
-                break
-    return rank
-
-
 @dataclass(frozen=True)
 class BettiVector:
     """Betti numbers b^0..b^n over a field, with the Euler characteristic."""
@@ -463,7 +439,7 @@ def rank_betti(
                     if f in rows:
                         col[rows[f]] = col.get(rows[f], Fraction(0)) + sign
                 columns_q.append({r: v for r, v in col.items() if v != 0})
-            ranks[q] = _rank_q(columns_q)
+            ranks[q] = len(column_pivots(columns_q))
     values = []
     for q in range(ambient_dim + 1):
         if q in index:

@@ -46,13 +46,15 @@ import numpy as np
 
 from orbit_betti.compositions import Composition, comp_kd, comp_max, precedes
 from orbit_betti.polys import (
-    ClosedFormula,
-    FormulaNode,
-    Polynomial,
     RationalLike,
-    SignAtom,
     as_rational,
-    conjunction,
+    float_enclosure,
+    interval_mul,
+    interval_pow,
+    interval_scale,
+    pow_bounds,
+    round_down,
+    round_up,
 )
 
 
@@ -102,30 +104,6 @@ class Face:
         out.reverse()
         return tuple(out)
 
-    def contains(self, x: Sequence, tol: float = 0.0) -> bool:
-        """Is x in the closed face: nondecreasing, constant on each group?
-
-        Groups are read from the top, so along the ascending coordinates the
-        run lengths are the parts reversed.
-        """
-        if len(x) != self.ambient_k:
-            raise FibreError(f"point has length {len(x)}, expected {self.ambient_k}")
-        xs = [float(v) for v in x]
-        if any(b - a < -tol for a, b in zip(xs, xs[1:])):
-            return False
-        pos = 0
-        for mult in reversed(self.lam.parts):
-            group = xs[pos : pos + mult]
-            if max(group) - min(group) > tol:
-                return False
-            pos += mult
-        return True
-
-    def sample(self, rng: np.random.Generator, radius: float = 2.0) -> tuple:
-        """A random point of the closed face (descending uniform parameters)."""
-        t = np.sort(rng.uniform(-radius, radius, size=self.length))[::-1]
-        return self.embed(tuple(float(v) for v in t))
-
 
 def weighted_power_sum(lam: Composition, m: int, t: Sequence):
     """Σ_i λ_i t_i^m with t in the composition's own group order (descending);
@@ -146,51 +124,6 @@ def power_sum_vector(x: Sequence[RationalLike], m_max: int) -> tuple[Fraction, .
     """Exact (p_1, ..., p_{m_max}) of a rational point (weights all 1)."""
     xs = [as_rational(v) for v in x]
     return tuple(sum((v**m for v in xs), Fraction(0)) for m in range(1, m_max + 1))
-
-
-def face_coordinate_polynomials(lam: Composition, arity: int) -> list[Polynomial]:
-    """The polynomials t ↦ Σ λ_i t_i^m for m = 1..arity, in ℓ variables."""
-    ell = lam.length
-    out = []
-    for m in range(1, arity + 1):
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for i, w in enumerate(lam.parts):
-            expo = tuple(m if j == i else 0 for j in range(ell))
-            terms[expo] = Fraction(w)
-        out.append(Polynomial(ell, terms))
-    return out
-
-
-def chamber_formula(ell: int) -> ClosedFormula | None:
-    """t_1 ≥ t_2 ≥ ... ≥ t_ℓ as a conjunction of atoms; None when ℓ = 1."""
-    if ell < 2:
-        return None
-    atoms = []
-    for i in range(1, ell):
-        poly = Polynomial.variable(i, ell) - Polynomial.variable(i + 1, ell)
-        atoms.append(FormulaNode("atom", atom=SignAtom(poly, ">=")))
-    if len(atoms) == 1:
-        root = atoms[0]
-    else:
-        root = FormulaNode("and", children=tuple(atoms))
-    return ClosedFormula(ell, root)
-
-
-def restrict_to_face(f: ClosedFormula, lam: Composition) -> ClosedFormula:
-    """Substitute the face parametrization into a power-sum-space formula.
-
-    ``f`` lives in the power-sum coordinates z_1..z_{d'}; each z_m is replaced
-    by Σ λ_i t_i^m, and the chamber ordering atoms are conjoined.
-    """
-    images = face_coordinate_polynomials(lam, f.k)
-    restricted = f.map_atoms(
-        lambda atom: SignAtom(atom.poly.substitute(images), atom.relation),
-        new_k=lam.length,
-    )
-    chamber = chamber_formula(lam.length)
-    if chamber is None:
-        return restricted
-    return conjunction([restricted, chamber])
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +156,13 @@ class FibreSolution:
         return FibreSolution(face, tuple(float(v) for v in t), residual)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tunables the underlying theory is silent about."""
-
-    multistarts: int = 8
-    dedup_factor: float = 10.0
-    max_depth: int = 9
-    max_boxes: int = 200_000
-    max_newton_iter: int = 60
-    seed: int = 20260814
+# Solver settings the underlying theory is silent about.
+_MULTISTARTS = 8
+_DEDUP_FACTOR = 10.0
+_MAX_DEPTH = 9
+_MAX_BOXES = 200_000
+_MAX_NEWTON_ITER = 60
+_SEED = 20260814
 
 
 @dataclass(frozen=True)
@@ -264,10 +194,7 @@ def _solve_linear(a: list[list[float]], b: list[float]) -> list[float] | None:
                 factor = m[r][col] / lead
                 for c in range(col, n + 1):
                     m[r][c] -= factor * m[col][c]
-    try:
-        return [m[i][n] / m[i][i] for i in range(n)]
-    except ZeroDivisionError:  # pragma: no cover
-        return None
+    return [m[i][n] / m[i][i] for i in range(n)]
 
 
 def _residual_vector(parts: tuple[int, ...], t: list[float], y: list[float]) -> list[float]:
@@ -341,57 +268,16 @@ def _gauss_newton(
     return None
 
 
-# -- certified float interval arithmetic (outward rounding) ------------------
+# -- box tests -----------------------------------------------------------------
 #
 # Box pruning must be rigorous — a pruned box is a claim that no solution
-# exists there.  Exact rationals would do, but directed rounding on floats is
-# just as sound and an order of magnitude faster at subdivision depths: round
-# every lower bound toward -inf and every upper bound toward +inf.
-
-_INF = math.inf
-
-
-def _dn(x: float) -> float:
-    return math.nextafter(x, -_INF)
-
-
-def _up(x: float) -> float:
-    return math.nextafter(x, _INF)
-
-
-def _pow_bounds(x: float, m: int) -> tuple[float, float]:
-    """Certified enclosure of the point value x^m."""
-    a = abs(x)
-    lo_mag = hi_mag = a
-    for _ in range(m - 1):
-        lo_mag = _dn(lo_mag * a)
-        hi_mag = _up(hi_mag * a)
-    if x >= 0.0 or m % 2 == 0:
-        return lo_mag, hi_mag
-    return -hi_mag, -lo_mag
-
-
-def _interval_pow(lo: float, hi: float, m: int) -> tuple[float, float]:
-    """Certified enclosure of {t^m : lo ≤ t ≤ hi}."""
-    if m == 1:
-        return lo, hi
-    plo, phi = _pow_bounds(lo, m)
-    qlo, qhi = _pow_bounds(hi, m)
-    if m % 2 == 1 or lo >= 0.0:
-        return plo, qhi
-    if hi <= 0.0:
-        return qlo, phi
-    return 0.0, max(phi, qhi)
-
-
-def _target_bounds(y_exact: Sequence[Fraction]) -> list[tuple[float, float]]:
-    """Float enclosures of the exact targets, stepped outward where float() rounded."""
-    return [(f, f) if f == v else (_dn(f), _up(f)) for v, f in zip(y_exact, map(float, y_exact))]
+# exists there — so every box test runs in the directed-rounding float
+# intervals of orbit_betti.polys.
 
 
 def _chamber_feasible(box: list[tuple[float, float]]) -> bool:
     """Can t_1 ≥ ... ≥ t_ℓ hold with t_i in the i-th interval?"""
-    running = _INF
+    running = math.inf
     for lo, hi in box:
         if hi < running:
             running = hi
@@ -410,9 +296,9 @@ def _box_excludes_fibre(
         total_lo = 0.0
         total_hi = 0.0
         for w, (lo, hi) in zip(parts, box):
-            plo, phi = _interval_pow(lo, hi, m)
-            total_lo = _dn(total_lo + _dn(w * plo))
-            total_hi = _up(total_hi + _up(w * phi))
+            plo, phi = interval_pow(lo, hi, m)
+            total_lo = round_down(total_lo + round_down(w * plo))
+            total_hi = round_up(total_hi + round_up(w * phi))
         if target_hi < total_lo or target_lo > total_hi:
             return True
     return False
@@ -425,13 +311,6 @@ _KRAWCZYK_WIDTH = 1 / 16
 
 _EMPTY = "empty"
 _UNIQUE = "unique"
-
-
-def _scale(a: float, lo: float, hi: float) -> tuple[float, float]:
-    """Certified enclosure of a·[lo, hi]."""
-    if a >= 0.0:
-        return _dn(a * lo), _up(a * hi)
-    return _dn(a * hi), _up(a * lo)
 
 
 def _krawczyk(
@@ -462,40 +341,40 @@ def _krawczyk(
         s_lo = s_hi = 0.0
         row = []
         for w, ci, (lo, hi) in zip(parts, c, box):
-            p_lo, p_hi = _pow_bounds(ci, m)
-            s_lo = _dn(s_lo + _dn(w * p_lo))
-            s_hi = _up(s_hi + _up(w * p_hi))
+            p_lo, p_hi = pow_bounds(ci, m)
+            s_lo = round_down(s_lo + round_down(w * p_lo))
+            s_hi = round_up(s_hi + round_up(w * p_hi))
             if m == 1:
                 row.append((float(w), float(w)))
             else:
-                q_lo, q_hi = _interval_pow(lo, hi, m - 1)
-                row.append((_dn(m * w * q_lo), _up(m * w * q_hi)))
+                q_lo, q_hi = interval_pow(lo, hi, m - 1)
+                row.append((round_down(m * w * q_lo), round_up(m * w * q_hi)))
         target_lo, target_hi = y_bounds[m - 1]
-        f_c.append((_dn(s_lo - target_hi), _up(s_hi - target_lo)))
+        f_c.append((round_down(s_lo - target_hi), round_up(s_hi - target_lo)))
         jac_x.append(row)
-    offsets = [(_dn(lo - ci), _up(hi - ci)) for ci, (lo, hi) in zip(c, box)]
+    offsets = [(round_down(lo - ci), round_up(hi - ci)) for ci, (lo, hi) in zip(c, box)]
     out = []
     unique = True
     for r in range(ell):
         yf_lo = yf_hi = 0.0
         for a, (lo, hi) in zip(inv[r], f_c):
-            p_lo, p_hi = _scale(a, lo, hi)
-            yf_lo = _dn(yf_lo + p_lo)
-            yf_hi = _up(yf_hi + p_hi)
-        k_lo = _dn(c[r] - yf_hi)
-        k_hi = _up(c[r] - yf_lo)
+            p_lo, p_hi = interval_scale(a, lo, hi)
+            yf_lo = round_down(yf_lo + p_lo)
+            yf_hi = round_up(yf_hi + p_hi)
+        k_lo = round_down(c[r] - yf_hi)
+        k_hi = round_up(c[r] - yf_lo)
         for i, (d_lo, d_hi) in enumerate(offsets):
             # (I − Y·J(X))[r][i]
             s_lo = s_hi = 0.0
             for a, row in zip(inv[r], jac_x):
-                p_lo, p_hi = _scale(a, *row[i])
-                s_lo = _dn(s_lo + p_lo)
-                s_hi = _up(s_hi + p_hi)
+                p_lo, p_hi = interval_scale(a, *row[i])
+                s_lo = round_down(s_lo + p_lo)
+                s_hi = round_up(s_hi + p_hi)
             delta = float(r == i)
-            m_lo, m_hi = _dn(delta - s_hi), _up(delta - s_lo)
-            products = (m_lo * d_lo, m_lo * d_hi, m_hi * d_lo, m_hi * d_hi)
-            k_lo = _dn(k_lo + _dn(min(products)))
-            k_hi = _up(k_hi + _up(max(products)))
+            m_lo, m_hi = round_down(delta - s_hi), round_up(delta - s_lo)
+            p_lo, p_hi = interval_mul(m_lo, m_hi, d_lo, d_hi)
+            k_lo = round_down(k_lo + p_lo)
+            k_hi = round_up(k_hi + p_hi)
         lo, hi = box[r]
         if k_hi < lo or k_lo > hi:
             return _EMPTY, []
@@ -509,7 +388,6 @@ def solve_fibre(
     y: Sequence[RationalLike],
     tol: float = 1e-9,
     box_radius: float | None = None,
-    config: SolverConfig = SolverConfig(),
 ) -> FibreSearch:
     """All chamber solutions of Σ λ_i t_i^m = y_m, m = 1..len(y), t_1 ≥ ... ≥ t_ℓ.
 
@@ -529,10 +407,9 @@ def solve_fibre(
     (ℓ = d') has an exact root in its enclosure; for ℓ < d', and for
     solutions found on leaf boxes (singular Jacobians, as at coincident
     parameters), only the float residual ≤ tol stands behind it.  Solutions
-    closer than max(dedup_factor·tol, √tol) are merged.
+    closer than max(_DEDUP_FACTOR·tol, √tol) are merged.
     """
-    if tol <= 0:
-        raise FibreError("tolerance must be positive")
+    _check_tol(tol)
     parts = lam.parts
     ell = len(parts)
     y_exact = tuple(as_rational(v) for v in y)
@@ -571,15 +448,15 @@ def solve_fibre(
                 "box_radius is required when y_2 is not prescribed and ℓ > 1"
             )
     radius = float(box_radius)
-    min_width = max(radius / 2**config.max_depth, tol)
-    rng = np.random.default_rng(config.seed)
+    min_width = max(radius / 2**_MAX_DEPTH, tol)
+    rng = np.random.default_rng(_SEED)
 
-    y_bounds = _target_bounds(y_exact)
+    y_bounds = [float_enclosure(v) for v in y_exact]
     face = Face.of(lam)
     solutions: list[tuple[list[float], float]] = []
     # the radius arnold_section groups at: converged Newton limits along a
-    # degenerate fibre spread like √tol, far beyond dedup_factor·tol
-    dedup_radius = max(config.dedup_factor * tol, math.sqrt(tol))
+    # degenerate fibre spread like √tol, far beyond _DEDUP_FACTOR·tol
+    dedup_radius = max(_DEDUP_FACTOR * tol, math.sqrt(tol))
 
     def record(t: list[float], residual: float) -> None:
         if any(b - a > tol for a, b in zip(t, t[1:])):
@@ -595,7 +472,7 @@ def solve_fibre(
 
     def try_newton(start: Sequence[float]) -> list[float] | None:
         """Run damped Newton; record and return the limit (or None)."""
-        hit = _gauss_newton(parts, y_float, start, tol, radius, config.max_newton_iter)
+        hit = _gauss_newton(parts, y_float, start, tol, radius, _MAX_NEWTON_ITER)
         if hit is None:
             return None
         record(*hit)
@@ -609,7 +486,7 @@ def solve_fibre(
     krawczyk_width = 2 * radius * _KRAWCZYK_WIDTH if ell <= d_prime else -1.0
 
     while queue:
-        if processed >= config.max_boxes:
+        if processed >= _MAX_BOXES:
             undecided += len(queue)
             break
         processed += 1
@@ -631,7 +508,7 @@ def solve_fibre(
                     continue
                 if verdict == _UNIQUE:
                     center = [0.5 * (lo + hi) for lo, hi in box]
-                    hit = _gauss_newton(parts, y_float, center, tol, radius, config.max_newton_iter)
+                    hit = _gauss_newton(parts, y_float, center, tol, radius, _MAX_NEWTON_ITER)
                     if hit is not None and all(
                         lo <= v <= hi for v, (lo, hi) in zip(hit[0], narrowed)
                     ):
@@ -652,7 +529,7 @@ def solve_fibre(
             if try_newton(center) is not None:
                 continue
             landed = False
-            for _ in range(config.multistarts):
+            for _ in range(_MULTISTARTS):
                 start = [rng.uniform(lo, hi) for lo, hi in box]
                 if try_newton(start) is not None:
                     landed = True
@@ -684,14 +561,22 @@ OUTSIDE = "outside"
 UNDECIDED = "undecided"
 
 
-def _moment_verdict(k: int, d: int, y: Sequence[RationalLike]) -> tuple[list[Fraction], str | None]:
-    """Check y against (k, d) and run the exact tests on (p_1, p_2).
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise FibreError(f"tolerance must be finite and positive, got {tol}")
+
+
+def _moment_verdict(
+    k: int, d: int, y: Sequence[RationalLike], tol: float
+) -> tuple[list[Fraction], str | None]:
+    """Check y and tol against (k, d) and run the exact tests on (p_1, p_2).
 
     Returns the exact targets and INSIDE or OUTSIDE when these tests decide
     (always for d' ≤ 2), else None.
     """
     if k < 1 or d < 1:
         raise FibreError("k and d must be positive")
+    _check_tol(tol)
     d_prime = min(k, d)
     y_exact = [as_rational(v) for v in y]
     if len(y_exact) != d_prime:
@@ -714,7 +599,6 @@ def image_membership(
     d: int,
     y: Sequence[RationalLike],
     tol: float = 1e-9,
-    config: SolverConfig = SolverConfig(),
 ) -> str:
     """Is y in the image of the chamber under the truncated power-sum map?
 
@@ -729,12 +613,12 @@ def image_membership(
     system (ℓ = d') carries a proof; one found on an overdetermined face
     (ℓ < d'), or by Newton on a leaf box, rests on the float residual ≤ tol.
     """
-    y_exact, verdict = _moment_verdict(k, d, y)
+    y_exact, verdict = _moment_verdict(k, d, y, tol)
     if verdict is not None:
         return verdict
     any_undecided = False
     for lam in comp_kd(k, len(y_exact)):
-        search = solve_fibre(lam, y_exact, tol=tol, config=config)
+        search = solve_fibre(lam, y_exact, tol=tol)
         if search.solutions:
             return INSIDE
         any_undecided = any_undecided or search.undecided_boxes > 0
@@ -760,7 +644,6 @@ def arnold_section(
     d: int,
     y: Sequence[RationalLike],
     tol: float = 1e-9,
-    config: SolverConfig = SolverConfig(),
 ) -> SectionResult:
     """The distinguished fibre point: maximal p_{d+1} among face candidates.
 
@@ -781,13 +664,13 @@ def arnold_section(
     """
     if not d < k:
         raise FibreError(f"section requires d < k, got d={d}, k={k}")
-    y_exact, verdict = _moment_verdict(k, d, y)
+    y_exact, verdict = _moment_verdict(k, d, y, tol)
     if verdict == OUTSIDE:
         raise FibreError(f"image membership is {OUTSIDE}, not inside")
     raw: list[FibreSolution] = []
     any_undecided = False
     for lam in comp_kd(k, len(y_exact)):
-        search = solve_fibre(lam, y_exact, tol=tol, config=config)
+        search = solve_fibre(lam, y_exact, tol=tol)
         raw.extend(search.solutions)
         any_undecided = any_undecided or search.undecided_boxes > 0
     if not raw:
@@ -796,7 +679,7 @@ def arnold_section(
         status = UNDECIDED if any_undecided else OUTSIDE
         raise FibreError(f"image membership is {status}, not inside")
 
-    dedup_radius = max(config.dedup_factor * tol, math.sqrt(tol))
+    dedup_radius = max(_DEDUP_FACTOR * tol, math.sqrt(tol))
     groups: list[list[FibreSolution]] = []
     for sol in raw:
         x = sol.embedded()

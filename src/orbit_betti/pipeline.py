@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from orbit_betti.compositions import chain_count, comp_kd, paper_chain_bound
+from orbit_betti.compositions import CompositionError, chain_count, paper_chain_bound
 from orbit_betti.cubical import (
     BettiVector,
     FIELD_Q,
@@ -43,18 +43,19 @@ from orbit_betti.cubical import (
     betti_numbers,
     stable_betti,
 )
-from orbit_betti.fibres import INSIDE, OUTSIDE, SolverConfig, image_membership
+from orbit_betti.fibres import INSIDE, OUTSIDE, image_membership
 from orbit_betti.polys import (
     BlockSpec,
     ClosedFormula,
     FormulaNode,
-    Interval,
     Polynomial,
     RationalLike,
     as_rational,
     evaluate_polynomial,
+    float_enclosure,
     interval_evaluate,
     multidegree,
+    round_up,
 )
 from orbit_betti.powersums import check_symmetric, rewrite_formula
 
@@ -124,14 +125,16 @@ class ProblemSpec:
 
 
 def _gradient_bound(poly: Polynomial, box: Sequence[tuple[Fraction, Fraction]]) -> Fraction:
-    """Bound on the ℓ¹ norm of ∇poly over the box, by interval arithmetic."""
-    intervals = [Interval(lo, hi) for lo, hi in box]
-    total = Fraction(0)
+    """Bound on the ℓ¹ norm of ∇poly over the box, by float interval
+    arithmetic on the box's outward float enclosure, summed rounding up."""
+    edges = [(float_enclosure(lo)[0], float_enclosure(hi)[1]) for lo, hi in box]
+    total = 0.0
     for j in range(1, poly.var_count + 1):
         partial = poly.derivative(j)
         if partial.terms:
-            total += interval_evaluate(partial, intervals).mag()
-    return total
+            lo, hi = interval_evaluate(partial, edges)
+            total = round_up(total + max(-lo, hi))
+    return Fraction(total)
 
 
 def _equality_taus(
@@ -266,14 +269,10 @@ class _QuotientOracle:
         rewritten: ClosedFormula,
         clip_box: Sequence[tuple[Fraction, Fraction]],
         h: Fraction,
-        membership_tol: float,
-        config: SolverConfig,
     ) -> None:
         self.blocks = blocks
         self.rewritten = rewritten
         self.taus = _equality_taus(rewritten, clip_box, h)
-        self.membership_tol = membership_tol
-        self.config = config
         self._cache: dict[tuple[int, tuple[float, ...]], str] = {}
         offsets = []
         start = 0
@@ -286,8 +285,7 @@ class _QuotientOracle:
         key = (index, y)
         if key not in self._cache:
             self._cache[key] = image_membership(
-                self.blocks.block_sizes[index], self.blocks.degree_caps[index],
-                list(y), tol=self.membership_tol, config=self.config,
+                self.blocks.block_sizes[index], self.blocks.degree_caps[index], list(y)
             )
         return self._cache[key]
 
@@ -316,9 +314,6 @@ class _QuotientOracle:
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
-
-CHAIN_POSET_LIMIT = 5000
-
 
 @dataclass(frozen=True)
 class BoundsReport:
@@ -406,11 +401,12 @@ def bounds_report(blocks: BlockSpec, s: int, constant_c: float = 1.0) -> BoundsR
         "the absolute constant behind the O(.) is not pinned down"
     ]
     for k_i, d_i in zip(blocks.block_sizes, blocks.degree_caps):
-        if len(comp_kd(k_i, min(k_i, d_i))) > CHAIN_POSET_LIMIT:
+        try:
+            chain_exact *= chain_count(k_i, d_i)
+        except CompositionError:
             chain_exact = None
             notes.append("chain poset too large for the exact count; F_value stands alone")
             break
-        chain_exact *= chain_count(k_i, d_i)
     if chain_exact is not None and chain_exact > f_value:
         notes.append(
             f"exact chain count {chain_exact} exceeds the closed-form F {f_value}; "
@@ -470,12 +466,7 @@ class QuotientReport:
         }
 
 
-def quotient_betti(
-    spec: ProblemSpec,
-    constant_c: float = 1.0,
-    membership_tol: float = 1e-9,
-    config: SolverConfig = SolverConfig(),
-) -> QuotientReport:
+def quotient_betti(spec: ProblemSpec, constant_c: float = 1.0) -> QuotientReport:
     """Betti numbers of the quotient, from the image-space region.
 
     The oracle region is {y in clip_box : y in image, Φ̃(y)}; homology is
@@ -490,9 +481,7 @@ def quotient_betti(
     rewritten = rewrite_formula(spec.formula, spec.blocks)
 
     def factory(h: Fraction) -> _QuotientOracle:
-        return _QuotientOracle(
-            spec.blocks, rewritten, spec.clip_box, h, membership_tol, config
-        )
+        return _QuotientOracle(spec.blocks, rewritten, spec.clip_box, h)
 
     result = stable_betti(
         None,

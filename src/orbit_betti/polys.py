@@ -1,5 +1,5 @@
-"""Exact sparse multivariate polynomials, closed sign formulas, and interval
-evaluation.
+"""Exact sparse multivariate polynomials, closed sign formulas, float interval
+arithmetic and exact elimination.
 
 Everything symbolic in this package flows through :class:`Polynomial`:
 coefficients are exact ``fractions.Fraction`` values, terms are kept in a
@@ -11,13 +11,19 @@ Formulas are *closed*: atoms are ``P >= 0``, ``P <= 0`` or ``P = 0`` combined
 with ``and`` / ``or`` only.  Negations and strict inequalities are rejected at
 parse time — the sets we feed to the homology stages must be closed, and the
 quotient theory downstream is stated for exactly this class.
+
+The package's one interval arithmetic (directed-rounding floats: the fibre
+solver's box tests, the gradient bounds of thickened equalities) and its one
+exact elimination (a sparse ``Fraction`` column reduction: the power-sum
+rewrite's solve, the ranks over Q) live here too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -25,19 +31,24 @@ Rational = Fraction
 RationalLike = Union[Fraction, int, str, float]
 
 RELATIONS = (">=", "<=", "=")
+_INF = math.inf
 
 
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce ints, strings like ``"3/4"``, and floats to exact fractions.
 
     Floats are converted via ``Fraction(value)`` (exact binary value), which
-    is what callers holding grid coordinates want.
+    is what callers holding grid coordinates want.  A zero denominator or a
+    value of another type is a :class:`PolynomialError`.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
+    try:
         return Fraction(value)
-    return Fraction(value)
+    except ZeroDivisionError:
+        raise PolynomialError(f"zero denominator in {value!r}") from None
+    except TypeError:
+        raise PolynomialError(f"{value!r} is not a rational number") from None
 
 
 class PolynomialError(ValueError):
@@ -161,9 +172,6 @@ class Polynomial:
         return result
 
     # -- queries --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def total_degree(self) -> int:
         """Total degree; 0 for the zero polynomial by convention."""
@@ -300,74 +308,142 @@ def evaluate_polynomial(p: Polynomial, x: Sequence[RationalLike]) -> Fraction:
 # ---------------------------------------------------------------------------
 # Intervals
 # ---------------------------------------------------------------------------
+#
+# An interval is a (lo, hi) pair of floats.  Directed rounding (Rump,
+# *Verification methods*, Acta Numerica 2010) steps every lower bound toward
+# -inf and every upper bound toward +inf, so each enclosure holds the exact
+# real range.
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval with exact rational endpoints."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", as_rational(self.lo))
-        object.__setattr__(self, "hi", as_rational(self.hi))
-        if self.lo > self.hi:
-            raise PolynomialError(f"empty interval [{self.lo}, {self.hi}]")
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(min(products), max(products))
-
-    def scale(self, c: Fraction) -> "Interval":
-        if c >= 0:
-            return Interval(self.lo * c, self.hi * c)
-        return Interval(self.hi * c, self.lo * c)
-
-    def power(self, e: int) -> "Interval":
-        if e == 0:
-            return Interval(Fraction(1), Fraction(1))
-        if e % 2 == 1 or self.lo >= 0:
-            return Interval(self.lo**e, self.hi**e)
-        if self.hi <= 0:
-            return Interval(self.hi**e, self.lo**e)
-        # even power across zero
-        return Interval(Fraction(0), max(self.lo**e, self.hi**e))
-
-    def contains(self, value: RationalLike) -> bool:
-        v = as_rational(value)
-        return self.lo <= v <= self.hi
-
-    def mag(self) -> Fraction:
-        """max |x| over the interval."""
-        return max(abs(self.lo), abs(self.hi))
+def round_down(x: float) -> float:
+    return math.nextafter(x, -_INF)
 
 
-def interval_evaluate(p: Polynomial, box: Sequence[Interval]) -> Interval:
-    """Interval enclosure of the range of ``p`` over a box.
+def round_up(x: float) -> float:
+    return math.nextafter(x, _INF)
 
-    Straight term-wise interval arithmetic: exact rational endpoints, so the
-    enclosure property needs no rounding step.  It overestimates (dependency
-    problem) but never underestimates, which is all the solver needs.
+
+def float_enclosure(value: Fraction) -> tuple[float, float]:
+    """Float bounds of an exact rational, stepped outward where float() rounded."""
+    f = float(value)
+    return (f, f) if f == value else (round_down(f), round_up(f))
+
+
+def pow_bounds(x: float, m: int) -> tuple[float, float]:
+    """Enclosure of the point value x^m, m ≥ 1."""
+    a = abs(x)
+    lo_mag = hi_mag = a
+    for _ in range(m - 1):
+        lo_mag = round_down(lo_mag * a)
+        hi_mag = round_up(hi_mag * a)
+    if x >= 0.0 or m % 2 == 0:
+        return lo_mag, hi_mag
+    return -hi_mag, -lo_mag
+
+
+def interval_pow(lo: float, hi: float, m: int) -> tuple[float, float]:
+    """Enclosure of {t^m : lo ≤ t ≤ hi}, m ≥ 1."""
+    if m == 1:
+        return lo, hi
+    plo, phi = pow_bounds(lo, m)
+    qlo, qhi = pow_bounds(hi, m)
+    if m % 2 == 1 or lo >= 0.0:
+        return plo, qhi
+    if hi <= 0.0:
+        return qlo, phi
+    return 0.0, max(phi, qhi)
+
+
+def interval_scale(a: float, lo: float, hi: float) -> tuple[float, float]:
+    """Enclosure of a·[lo, hi]."""
+    if a >= 0.0:
+        return round_down(a * lo), round_up(a * hi)
+    return round_down(a * hi), round_up(a * lo)
+
+
+def interval_mul(a_lo: float, a_hi: float, b_lo: float, b_hi: float) -> tuple[float, float]:
+    """Enclosure of [a_lo, a_hi]·[b_lo, b_hi]."""
+    products = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+    return round_down(min(products)), round_up(max(products))
+
+
+def interval_evaluate(p: Polynomial, box: Sequence[tuple[float, float]]) -> tuple[float, float]:
+    """Float enclosure (lo, hi) of the range of ``p`` over a float box.
+
+    Term-wise interval arithmetic, the coefficients taken as their float
+    enclosures.  It overestimates (dependency problem) but never
+    underestimates, which is all its callers need.
     """
     if len(box) != p.var_count:
         raise PolynomialError(f"box has dimension {len(box)}, expected {p.var_count}")
-    total = Interval(Fraction(0), Fraction(0))
+    if not all(lo <= hi for lo, hi in box):
+        raise PolynomialError(f"box {box} has an empty edge")
+    total_lo = total_hi = 0.0
     for expo, coeff in p.terms.items():
-        term = Interval(Fraction(1), Fraction(1))
-        for iv, e in zip(box, expo):
+        lo, hi = float_enclosure(coeff)
+        for (edge_lo, edge_hi), e in zip(box, expo):
             if e:
-                term = term * iv.power(e)
-        total = total + term.scale(coeff)
-    return total
+                lo, hi = interval_mul(lo, hi, *interval_pow(edge_lo, edge_hi, e))
+        total_lo = round_down(total_lo + lo)
+        total_hi = round_up(total_hi + hi)
+    return total_lo, total_hi
+
+
+# ---------------------------------------------------------------------------
+# Exact elimination
+# ---------------------------------------------------------------------------
+
+
+def _reduce(column: dict, pivots: dict) -> dict:
+    """Subtract pivot multiples from ``column``, in place, while its largest
+    row key holds a pivot."""
+    while column:
+        lead = max(column)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            break
+        factor = column[lead] / pivot[lead]
+        for row, value in pivot.items():
+            acc = column.get(row, 0) - factor * value
+            if acc:
+                column[row] = acc
+            else:
+                column.pop(row, None)
+    return column
+
+
+def column_pivots(columns: Iterable[Mapping]) -> dict:
+    """Sparse column reduction over Q; the number of pivots is the rank.
+
+    Columns are {row key: nonzero Fraction} maps, row keys comparable.  Each
+    column is reduced against the pivots found so far, and a nonzero
+    remainder becomes the pivot of its largest row key.
+    """
+    pivots: dict = {}
+    for column in columns:
+        reduced = _reduce(dict(column), pivots)
+        if reduced:
+            pivots[max(reduced)] = reduced
+    return pivots
+
+
+def solve_columns(
+    columns: Sequence[Mapping[tuple[int, ...], Fraction]],
+    target: Mapping[tuple[int, ...], Fraction],
+) -> list[Fraction] | None:
+    """Coefficients c with Σ_j c_j·columns[j] = target over Q, or None when
+    the system is inconsistent.
+
+    Row keys are exponent tuples.  Column j gets an extra 1 under the tag
+    (−1, j), which sorts below every exponent tuple, so tags lead a column
+    only once its exponent entries are eliminated.  The target reduced to
+    tags alone is target − Σ_j c_j·(column j + tag j): its tag-j entry is −c_j.
+    """
+    tagged = ({**column, (-1, j): Fraction(1)} for j, column in enumerate(columns))
+    rest = _reduce(dict(target), column_pivots(tagged))
+    if rest and max(rest)[0] >= 0:
+        return None
+    return [-rest.get((-1, j), Fraction(0)) for j in range(len(columns))]
 
 
 # ---------------------------------------------------------------------------
@@ -492,30 +568,6 @@ class ClosedFormula:
             return {"type": node.kind, "children": [walk(c) for c in node.children]}
 
         return {"k": self.k, "tree": walk(self.root)}
-
-
-def atom_formula(k: int, poly: Polynomial, relation: str) -> ClosedFormula:
-    return ClosedFormula(k, FormulaNode("atom", atom=SignAtom(poly, relation)))
-
-
-def conjunction(formulas: Sequence[ClosedFormula]) -> ClosedFormula:
-    return _combine("and", formulas)
-
-
-def disjunction(formulas: Sequence[ClosedFormula]) -> ClosedFormula:
-    return _combine("or", formulas)
-
-
-def _combine(kind: str, formulas: Sequence[ClosedFormula]) -> ClosedFormula:
-    if not formulas:
-        raise PolynomialError(f"cannot build empty {kind}")
-    if len(formulas) == 1:
-        return formulas[0]
-    k = formulas[0].k
-    for f in formulas:
-        if f.k != k:
-            raise PolynomialError("formulas over different variable counts")
-    return ClosedFormula(k, FormulaNode(kind, children=tuple(f.root for f in formulas)))
 
 
 def evaluate_formula(f: ClosedFormula, x: Sequence[RationalLike]) -> bool:

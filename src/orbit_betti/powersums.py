@@ -9,9 +9,9 @@ the Newton power sums
 The rewrite here is exact and works by linear algebra: enumerate the monomials
 in the admissible power sums up to the observed block degrees, expand each one
 back into x-monomials, and solve the (consistent, full-column-rank) linear
-system over the rationals.  Power sums of index up to min(k_i, d_i) are
-algebraically independent, so the answer is unique — no normal-form or
-straightening step is needed.
+system over the rationals by the sparse elimination of ``polys``.  Power sums
+of index up to min(k_i, d_i) are algebraically independent, so the answer is
+unique — no normal-form or straightening step is needed.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from orbit_betti.polys import (
     PolynomialError,
     SignAtom,
     multidegree,
+    solve_columns,
 )
 
 
@@ -121,44 +122,6 @@ def _weighted_monomials(arity: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _solve_exact(columns: list[dict], target: dict) -> list[Fraction] | None:
-    """Solve sum_j c_j * columns[j] == target over the rationals.
-
-    Columns and target are sparse vectors keyed by x-exponent tuples.  Returns
-    the coefficient list, or None when the system is inconsistent (which for
-    us means the input was not in the span, i.e. not symmetric of the claimed
-    degree).
-    """
-    keys = sorted(set(target) | {k for col in columns for k in col})
-    rows = [[col.get(key, Fraction(0)) for col in columns] + [target.get(key, Fraction(0))] for key in keys]
-    n_cols = len(columns)
-    pivot_row = 0
-    pivot_cols: list[int] = []
-    for col in range(n_cols):
-        pivot = next(
-            (r for r in range(pivot_row, len(rows)) if rows[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        lead = rows[pivot_row][col]
-        rows[pivot_row] = [v / lead for v in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_cols.append(col)
-        pivot_row += 1
-    # inconsistency: a zero row with nonzero rhs
-    for r in range(pivot_row, len(rows)):
-        if rows[r][n_cols] != 0:
-            return None
-    solution = [Fraction(0)] * n_cols
-    for r, col in enumerate(pivot_cols):
-        solution[col] = rows[r][n_cols]
-    return solution
-
-
 def power_sum_rewrite(p: Polynomial, blocks: BlockSpec) -> PowerSumForm:
     """Express a block-symmetric polynomial in power-sum coordinates.
 
@@ -202,7 +165,7 @@ def power_sum_rewrite(p: Polynomial, blocks: BlockSpec) -> PowerSumForm:
                     expanded = expanded * psum(i, m) ** a
         columns.append(expanded.terms)
 
-    solution = _solve_exact(columns, p.terms)
+    solution = solve_columns(columns, p.terms)
     if solution is None:  # pragma: no cover - guarded by check_symmetric
         raise SymmetryError("polynomial is not in the power-sum span")
 

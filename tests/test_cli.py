@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -239,3 +240,102 @@ def test_error_envelopes(tmp_path, capsys):
         capsys, "rewrite", "--k", "3", "--d", "2", "--formula", "x1 > 0"
     )
     assert code == EXIT_ERROR and "strict" in doc["error"].lower() or "error" in doc
+
+
+def _job_file(tmp_path, name, doc):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+MALFORMED_JOBS = {
+    "box_not_a_list": dict(SPHERE_JOB, box=5),
+    "box_edge_not_a_pair": dict(SPHERE_JOB, box=[["-2", "2"], ["0"]]),
+    "not_an_object": [1, 2],
+    "zero_denominator": dict(SPHERE_JOB, resolution="1/0"),
+}
+
+
+def test_inline_zero_denominator_is_an_error_envelope(capsys):
+    code, doc = run(
+        capsys, "betti", "--k", "3", "--d", "2", "--formula", "x1 >= 0",
+        "--box", "0:1/0,0:1", "--resolution", "1/4",
+    )
+    assert code == EXIT_ERROR
+    assert "zero denominator" in doc["error"]
+
+
+def test_box_beyond_the_float_range_is_an_error_envelope(capsys):
+    big = "1" + "0" * 400
+    code, doc = run(
+        capsys, "betti", "--k", "3", "--d", "2", "--formula", "x1^2 + x2^2 + x3^2 = 1",
+        "--box", f"-{big}:{big},0:{big}", "--resolution", big,
+    )
+    assert code == EXIT_ERROR
+    assert set(doc) == {"error"}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_JOBS))
+def test_malformed_job_is_an_error_envelope(tmp_path, capsys, name):
+    code, doc = run(capsys, "betti", "--job", _job_file(tmp_path, name, MALFORMED_JOBS[name]))
+    assert code == EXIT_ERROR
+    assert set(doc) == {"error"}
+
+
+def test_betti_job_directory_reports_each_malformed_job(tmp_path, capsys):
+    _job_file(tmp_path, "sphere", SPHERE_JOB)
+    for name, job in MALFORMED_JOBS.items():
+        _job_file(tmp_path, name, job)
+    code, doc = run(capsys, "betti", "--job", str(tmp_path))
+    assert code == EXIT_ERROR
+    assert doc["jobs"]["sphere"]["betti"] == [1, 0]
+    for name in MALFORMED_JOBS:
+        assert set(doc["jobs"][name]) == {"error"}
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("membership", "--k", "3", "--d", "2", "--point", "0,1"),
+        ("membership", "--k", "4", "--d", "3", "--point", "0,4,7"),
+        ("section", "--k", "3", "--d", "2", "--point", "0,1"),
+        ("section", "--k", "4", "--d", "3", "--point", "0,4,7"),
+    ],
+    ids=["membership-d2", "membership-d3", "section-d2", "section-d3"],
+)
+def test_tol_must_be_finite_and_positive(capsys, argv, tol):
+    code, doc = run(capsys, *argv, "--tol", tol)
+    assert code == EXIT_ERROR
+    assert "finite and positive" in doc["error"]
+
+
+@pytest.mark.parametrize("k", [9, 13, 14, 17, 40])
+def test_composition_commands_are_bounded(capsys, k):
+    """Poset and chain enumerations are refused above their limits before
+    any work is done: each command answers quickly in little memory."""
+    commands = {
+        "compositions": ("compositions", "--k", str(k), "--d", str(k)),
+        "bounds": ("bounds", "--k", str(k), "--d", str(k), "--s", "1"),
+    }
+    docs = {}
+    for name, argv in commands.items():
+        start = time.perf_counter()
+        docs[name] = run(capsys, *argv)
+        assert time.perf_counter() - start < 10, name
+        tracemalloc.start()
+        try:
+            assert run(capsys, *argv) == docs[name]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 2**20, name
+    (comp_code, comp_doc), (bounds_code, bounds_doc) = docs["compositions"], docs["bounds"]
+    assert bounds_code == EXIT_OK
+    if k <= 13:
+        assert comp_code == EXIT_OK and comp_doc["count"] == 2 ** (k - 1)
+        assert comp_doc["flags"]["maximal_formula_mismatch"] is None
+        assert bounds_doc["chain_count_exact"] == comp_doc["chain_count"]
+    else:
+        assert comp_code == EXIT_ERROR and "exceeds the limit" in comp_doc["error"]
+        assert bounds_doc["chain_count_exact"] is None

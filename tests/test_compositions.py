@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orbit_betti.compositions import (
+    ENUMERATION_LIMIT,
+    POSET_LIMIT,
     Chain,
     Composition,
     CompositionError,
@@ -24,12 +26,10 @@ from orbit_betti.compositions import (
     hasse_edges,
     maximal_chains,
     meet,
-    multi_chains,
     paper_chain_bound,
     paper_maximal_chain_formula,
     precedes,
 )
-from orbit_betti.polys import BlockSpec
 
 
 def brute_force_chain_count(k: int, d: int) -> int:
@@ -313,13 +313,6 @@ def test_paper_maximal_chain_formula_values():
     assert paper_maximal_chain_formula(10, 4) == 7
 
 
-def test_multi_chains_products():
-    assert multi_chains(BlockSpec((3, 3), (3, 3))) == 121
-    assert multi_chains(BlockSpec((3, 4), (2, 2))) == 9
-    # single block reduces to the plain count
-    assert multi_chains(BlockSpec.single(5, 3)) == chain_count(5, 3)
-
-
 def test_hasse_edges_comp3():
     elements = all_compositions(3)
     edges = hasse_edges(elements)
@@ -368,3 +361,22 @@ def test_full_poset_chain_count_by_inclusion_exclusion(k):
 def test_enumeration_limit_guard():
     with pytest.raises(CompositionError):
         chains(18, 18)
+
+
+def test_poset_limit_is_checked_before_enumerating():
+    assert len(comp_kd(13, 13)) == POSET_LIMIT
+    # 2^13 and 2^39 subsets of one top, 10^7 tops, 2^14 compositions
+    for k, d in [(14, 14), (40, 40), (40, 20), (15, 16)]:
+        with pytest.raises(CompositionError):
+            comp_kd(k, d)
+    with pytest.raises(CompositionError):
+        comp_max(40, 20)
+
+
+def test_chains_are_listed_only_below_the_limit():
+    assert chain_count(9, 9) > ENUMERATION_LIMIT
+    with pytest.raises(CompositionError):
+        chains(9, 9)
+    report = chain_report(9, 9)
+    assert report["chain_count"] == chain_count(9, 9)
+    assert "maximal_chain_count" not in report

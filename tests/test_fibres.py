@@ -19,33 +19,20 @@ from orbit_betti.fibres import (
     _EMPTY,
     _UNIQUE,
     _krawczyk,
-    _target_bounds,
     Face,
     FibreError,
     FibreSolution,
     INSIDE,
     OUTSIDE,
     UNDECIDED,
-    SolverConfig,
     arnold_section,
-    chamber_formula,
-    face_coordinate_polynomials,
     image_membership,
     is_below_some_maximal,
     power_sum_vector,
-    restrict_to_face,
     solve_fibre,
     weighted_power_sum,
 )
-from orbit_betti.polys import (
-    BlockSpec,
-    Polynomial,
-    evaluate_formula,
-    evaluate_polynomial,
-    parse_formula,
-    parse_polynomial,
-)
-from orbit_betti.powersums import rewrite_formula
+from orbit_betti.polys import float_enclosure
 
 C = Composition.from_parts
 
@@ -69,18 +56,32 @@ def test_weighted_power_sum_dimension_check():
         weighted_power_sum(C((1, 2)), 2, (1, 2, 3))
 
 
+def in_closed_face(lam, x, tol=0.0):
+    """Oracle: x is nondecreasing and constant on each group of λ; groups
+    are read from the top, so along x the run lengths are the parts reversed."""
+    if any(b - a < -tol for a, b in zip(x, x[1:])):
+        return False
+    pos = 0
+    for mult in reversed(lam.parts):
+        group = x[pos : pos + mult]
+        if max(group) - min(group) > tol:
+            return False
+        pos += mult
+    return True
+
+
 def test_face_embed_and_contains():
     # parts count groups from the largest value: (1,2) is "top value alone,
     # bottom pair tied", embedded ascending
-    face = Face.of(C((1, 2)))
-    assert face.embed((1, 0)) == (0, 0, 1)
-    assert face.contains((0, 0, 1))
-    assert not face.contains((0, 1, 1))  # bottom singleton: that is (2,1)
-    assert not face.contains((0, 1, 2))  # group not constant
-    assert not face.contains((1, 0, 0))  # not sorted
-    assert Face.of(C((2, 1))).contains((0, 1, 1))
-    assert Face.of(C((3,))).contains((5, 5, 5))
-    assert face.contains((5, 5, 5))  # diagonal lies in every closed face
+    lam = C((1, 2))
+    assert Face.of(lam).embed((1, 0)) == (0, 0, 1)
+    assert in_closed_face(lam, (0, 0, 1))
+    assert not in_closed_face(lam, (0, 1, 1))  # bottom singleton: that is (2,1)
+    assert not in_closed_face(lam, (0, 1, 2))  # group not constant
+    assert not in_closed_face(lam, (1, 0, 0))  # not sorted
+    assert in_closed_face(C((2, 1)), Face.of(C((2, 1))).embed((1, 0)))
+    assert in_closed_face(C((3,)), Face.of(C((3,))).embed((5,)))
+    assert in_closed_face(lam, Face.of(lam).embed((5, 5)))  # diagonal lies in every closed face
 
 
 def test_face_ambient_mismatch():
@@ -89,7 +90,7 @@ def test_face_ambient_mismatch():
 
 
 def test_face_sampling_respects_order_relation():
-    """λ ≺ μ means the closed face W_λ sits inside W_μ: every sampled point
+    """λ ≺ μ means the closed face W_λ sits inside W_μ: every embedded point
     of the smaller face must pass the bigger face's pattern check."""
     rng = np.random.default_rng(7)
     for k in range(2, 6):
@@ -99,78 +100,9 @@ def test_face_sampling_respects_order_relation():
                 if not precedes(fa.lam, fb.lam):
                     continue
                 for _ in range(8):
-                    x = fa.sample(rng)
-                    assert fb.contains(x, tol=1e-12), (fa.lam.parts, fb.lam.parts)
-
-
-# ---------------------------------------------------------------------------
-# restriction
-# ---------------------------------------------------------------------------
-
-
-def test_restrict_sphere_to_face_12():
-    f = parse_formula("x2 - 1 = 0", 2)  # z2 = 1 in power-sum coordinates
-    g = restrict_to_face(f, C((1, 2)))
-    assert g.k == 2
-    atoms = g.atoms()
-    assert atoms[0].poly == parse_polynomial("x1^2 + 2*x2^2 - 1", 2)
-    assert atoms[0].relation == "="
-    # parameter ordering atom t1 >= t2
-    assert atoms[1].poly == parse_polynomial("x1 - x2", 2)
-    assert atoms[1].relation == ">="
-
-
-def test_restrict_linear_to_vertex_face():
-    f = parse_formula("x1 >= 0", 1)  # z1 >= 0
-    g = restrict_to_face(f, C((3,)))
-    (atom,) = g.atoms()
-    assert atom.poly == parse_polynomial("3*x1", 1)
-    assert g.k == 1
-
-
-def test_restrict_quartic_identity_at_rational_points():
-    """Restriction commutes with evaluation: the rewritten-and-restricted
-    polynomial at parameters t equals the original at the embedded point."""
-    p_text = "+".join(f"(x{i}-1)^2*(x{i}-2)^2" for i in range(1, 6))
-    f = parse_formula(f"{p_text} = 0", 5)
-    blocks = BlockSpec.single(5, 4)
-    g = rewrite_formula(f, blocks)  # z-space formula, arity 4
-    lam = C((1, 1, 1, 2))
-    restricted = restrict_to_face(g, lam)
-    face = Face.of(lam)
-    original_poly = parse_polynomial(p_text, 5)
-    restricted_poly = restricted.atoms()[0].poly
-    assert restricted_poly.total_degree() <= 4
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        t = sorted(
-            (
-                Fraction(int(a), int(b))
-                for a, b in zip(
-                    rng.integers(-6, 7, size=4), rng.integers(1, 5, size=4)
-                )
-            ),
-            reverse=True,
-        )
-        x = face.embed(t)
-        assert evaluate_polynomial(restricted_poly, t) == evaluate_polynomial(
-            original_poly, x
-        )
-
-
-def test_chamber_formula_shape():
-    assert chamber_formula(1) is None
-    g = chamber_formula(3)
-    assert g is not None and len(g.atoms()) == 2
-    assert evaluate_formula(g, (2, 1, 0))
-    assert not evaluate_formula(g, (0, 2, 1))
-
-
-def test_face_coordinate_polynomials():
-    polys = face_coordinate_polynomials(C((1, 2)), 3)
-    assert polys[0] == parse_polynomial("x1 + 2*x2", 2)
-    assert polys[1] == parse_polynomial("x1^2 + 2*x2^2", 2)
-    assert polys[2] == parse_polynomial("x1^3 + 2*x2^3", 2)
+                    t = np.sort(rng.uniform(-2.0, 2.0, size=fa.length))[::-1]
+                    x = fa.embed(t.tolist())
+                    assert in_closed_face(fb.lam, x, tol=1e-12), (fa.lam.parts, fb.lam.parts)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +186,8 @@ def test_krawczyk_proves_a_simple_root_and_encloses_it():
     lam = C((1, 2, 1))
     t = [Fraction(5, 4), Fraction(1, 8), Fraction(-3, 4)]
     y = [weighted_power_sum(lam, m, t) for m in (1, 2, 3)]
-    verdict, enclosure = _krawczyk(lam.parts, _box_around(t, 1 / 64), _target_bounds(y))
+    bounds = [float_enclosure(v) for v in y]
+    verdict, enclosure = _krawczyk(lam.parts, _box_around(t, 1 / 64), bounds)
     assert verdict == _UNIQUE
     for (lo, hi), exact in zip(enclosure, t):
         assert Fraction(lo) <= exact <= Fraction(hi)
@@ -265,7 +198,8 @@ def test_krawczyk_empties_a_box_away_from_every_root():
     lam = C((1, 2, 1))
     t = [Fraction(5, 4), Fraction(1, 8), Fraction(-3, 4)]
     y = [weighted_power_sum(lam, m, t) for m in (1, 2, 3)]
-    verdict, enclosure = _krawczyk(lam.parts, _box_around((1, 0.5, 0), 1 / 64), _target_bounds(y))
+    bounds = [float_enclosure(v) for v in y]
+    verdict, enclosure = _krawczyk(lam.parts, _box_around((1, 0.5, 0), 1 / 64), bounds)
     assert (verdict, enclosure) == (_EMPTY, [])
 
 
@@ -274,7 +208,7 @@ def test_krawczyk_never_claims_uniqueness_at_coincident_parameters():
     point may be proved to hold a unique root."""
     lam = C((1, 2, 1))
     t = [Fraction(1, 2), Fraction(1, 2), Fraction(-1, 4)]
-    bounds = _target_bounds([weighted_power_sum(lam, m, t) for m in (1, 2, 3)])
+    bounds = [float_enclosure(weighted_power_sum(lam, m, t)) for m in (1, 2, 3)]
     for shift in (0.0, 1 / 512, -1 / 300):
         for half_width in (1 / 16, 1 / 256, 1 / 4096):
             box = _box_around([float(t[0]) + shift, float(t[1]) - shift, t[2]], half_width)

@@ -34,7 +34,7 @@ from orbit_betti.pipeline import (
     _formula_mask,
     _moment_mask,
 )
-from orbit_betti.fibres import INSIDE, SolverConfig, image_membership
+from orbit_betti.fibres import INSIDE, image_membership
 from orbit_betti.polys import BlockSpec, evaluate_formula, parse_formula
 from orbit_betti.powersums import SymmetryError, rewrite_formula
 
@@ -400,9 +400,7 @@ def test_quotient_oracle_matches_image_membership_for_d2():
     blocks = BlockSpec((3, 2), (2, 1))
     formula = parse_formula("x1^2 + x2^2 + x3^2 <= 4", 5)
     box = [(Fraction(-4), Fraction(4)), (Fraction(-1), Fraction(4)), (Fraction(-2), Fraction(2))]
-    oracle = _QuotientOracle(
-        blocks, rewrite_formula(formula, blocks), box, Fraction(1, 8), 1e-9, SolverConfig()
-    )
+    oracle = _QuotientOracle(blocks, rewrite_formula(formula, blocks), box, Fraction(1, 8))
     rng = np.random.default_rng(5)
     p1 = rng.integers(-32, 33, 300) / 8
     points = np.stack([p1, p1 * p1 / 3, rng.integers(-16, 17, 300) / 8], axis=-1)

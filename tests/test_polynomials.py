@@ -1,10 +1,12 @@
-"""Polynomial core: exact arithmetic, parsing, intervals, block degrees.
+"""Polynomial core: exact arithmetic, parsing, intervals, elimination, block
+degrees.
 
 Expected values are computed inside each test by independent means (direct
 integer arithmetic, sympy, or evaluation at random points) rather than by
 calling the code under test twice.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,19 +16,20 @@ from hypothesis import given, strategies as st
 
 from orbit_betti.polys import (
     BlockSpec,
-    Interval,
     ParseError,
     Polynomial,
     PolynomialError,
     as_rational,
-    atom_formula,
-    conjunction,
+    column_pivots,
     evaluate_formula,
     evaluate_polynomial,
+    float_enclosure,
     interval_evaluate,
+    interval_pow,
     multidegree,
     parse_formula,
     parse_polynomial,
+    solve_columns,
 )
 
 # ---------------------------------------------------------------------------
@@ -284,27 +287,77 @@ def test_interval_enclosure_is_sound(p, data):
         a = data.draw(small_fractions)
         b = data.draw(small_fractions)
         lo, hi = min(a, b), max(a, b)
-        box.append(Interval(lo, hi))
+        box.append((float_enclosure(lo)[0], float_enclosure(hi)[1]))
         t = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=8))
         point.append(lo + (hi - lo) * t)
-    enclosure = interval_evaluate(p, box)
-    assert enclosure.contains(evaluate_polynomial(p, point))
+    lo, hi = interval_evaluate(p, box)
+    assert Fraction(lo) <= evaluate_polynomial(p, point) <= Fraction(hi)
 
 
-def test_interval_is_exact_on_linear_terms():
+def test_float_enclosure_steps_out_only_when_rounded():
+    assert float_enclosure(Fraction(3, 4)) == (0.75, 0.75)
+    lo, hi = float_enclosure(Fraction(1, 3))
+    assert Fraction(lo) < Fraction(1, 3) < Fraction(hi)
+    assert np.nextafter(lo, 1.0) == float(Fraction(1, 3)) == np.nextafter(hi, 0.0)
+
+
+def test_interval_is_tight_on_linear_terms():
     p = parse_polynomial("2*x1 - 3", 1)
-    iv = interval_evaluate(p, [Interval(Fraction(-1), Fraction(2))])
-    assert (iv.lo, iv.hi) == (Fraction(-5), Fraction(1))
+    lo, hi = interval_evaluate(p, [(-1.0, 2.0)])
+    assert -5 - 1e-14 < lo <= -5 and 1 <= hi < 1 + 1e-14
 
 
 def test_interval_even_power_across_zero():
-    iv = Interval(Fraction(-2), Fraction(1)).power(2)
-    assert (iv.lo, iv.hi) == (Fraction(0), Fraction(4))
+    lo, hi = interval_pow(-2.0, 1.0, 2)
+    assert lo == 0.0 and 4.0 <= hi < 4.0 + 1e-14
 
 
 def test_interval_rejects_inverted_endpoints():
     with pytest.raises(PolynomialError):
-        Interval(Fraction(1), Fraction(0))
+        interval_evaluate(parse_polynomial("x1", 1), [(1.0, 0.0)])
+
+
+# ---------------------------------------------------------------------------
+# elimination
+# ---------------------------------------------------------------------------
+
+
+def test_column_elimination_matches_sympy():
+    """Rank and solve of the sparse elimination against sympy on random
+    sparse Fraction matrices, a third of them with a dependent column."""
+    rng = random.Random(20261018)
+    inconsistent = 0
+    for trial in range(90):
+        n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 6)
+        dense = [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.4 else Fraction(0)
+             for _ in range(n_cols)]
+            for _ in range(n_rows)
+        ]
+        if trial % 3 == 0 and n_cols > 1:
+            a, b = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3), 3)
+            for row in dense:
+                row[-1] = a * row[0] + b * row[1 % (n_cols - 1)]
+        columns = [
+            {(i,): dense[i][j] for i in range(n_rows) if dense[i][j]} for j in range(n_cols)
+        ]
+        matrix = sympy.Matrix(dense)
+        rank = matrix.rank()
+        assert len(column_pivots(columns)) == rank
+
+        weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n_cols)]
+        reachable = [sum((w * row[j] for j, w in enumerate(weights)), Fraction(0)) for row in dense]
+        drawn = [Fraction(rng.randint(-2, 2)) for _ in range(n_rows)]
+        for values in (reachable, drawn):
+            target = {(i,): v for i, v in enumerate(values) if v}
+            solution = solve_columns(columns, target)
+            if matrix.row_join(sympy.Matrix(values)).rank() > rank:
+                inconsistent += 1
+                assert solution is None
+            else:
+                assert solution is not None
+                assert [sum(c * row[j] for j, c in enumerate(solution)) for row in dense] == values
+    assert inconsistent > 0
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +408,13 @@ def test_as_rational_accepts_strings_and_floats():
     assert as_rational(7) == Fraction(7)
 
 
+@pytest.mark.parametrize("bad", ["1/0", None, [1, 2]])
+def test_as_rational_rejects_with_a_polynomial_error(bad):
+    with pytest.raises(PolynomialError):
+        as_rational(bad)
+
+
 def test_formula_builders():
-    k = 2
-    a = atom_formula(k, parse_polynomial("x1", k), ">=")
-    b = atom_formula(k, parse_polynomial("x2", k), "<=")
-    f = conjunction([a, b])
+    f = parse_formula("x1 >= 0 and x2 <= 0", 2)
     assert evaluate_formula(f, (1, -1))
     assert not evaluate_formula(f, (1, 1))
