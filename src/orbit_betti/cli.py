@@ -11,10 +11,8 @@ as {"error": "..."} on stdout, never as a traceback.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -191,6 +189,11 @@ def section(k, d, point, tol, output) -> int:
     return EXIT_UNCERTAIN if result.ambiguous else EXIT_OK
 
 
+# The types a job's scalar fields may have: int(), float() and the parser
+# raise TypeError, not ValueError, on any other.
+_JOB_TYPES = {"k": (int, str), "d": (int, str), "formula": str, "constant_c": (int, float, str)}
+
+
 def _spec_from_job(doc: dict) -> tuple[ProblemSpec, float]:
     if not isinstance(doc, dict):
         raise PipelineError("a job must be a JSON object")
@@ -199,6 +202,14 @@ def _spec_from_job(doc: dict) -> tuple[ProblemSpec, float]:
         isinstance(edge, list) and len(edge) == 2 for edge in edges
     ):
         raise PipelineError("a job's box must be a list of [lo, hi] pairs")
+    for key, kinds in _JOB_TYPES.items():
+        if key in doc and not isinstance(doc[key], kinds):
+            raise PipelineError(f"a job's {key} must not be a {type(doc[key]).__name__}")
+    for key in ("blocks", "degrees"):
+        if key in doc and not (
+            isinstance(doc[key], list) and all(isinstance(v, (int, str)) for v in doc[key])
+        ):
+            raise PipelineError(f"a job's {key} must be a list of integers")
     if "blocks" in doc:
         blocks = BlockSpec(tuple(doc["blocks"]), tuple(doc["degrees"]))
     else:
@@ -255,13 +266,6 @@ def _load_job(path: str) -> dict:
         raise click.UsageError(f"malformed job JSON in {path}: {exc}")
 
 
-def _worker_count(requested: int) -> int:
-    cap = os.environ.get("ORBIT_BETTI_THREADS")
-    if cap:
-        return max(1, min(requested, int(cap)))
-    return max(1, requested)
-
-
 @cli.command()
 @click.option("--job", type=str, default=None, help="job JSON file, or a directory of them")
 @click.option("--k", type=int, default=None)
@@ -273,7 +277,8 @@ def _worker_count(requested: int) -> int:
 @click.option("--resolution", type=str, default=None)
 @click.option("--field", type=click.Choice([FIELD_Q, FIELD_Z2]), default=FIELD_Q)
 @click.option("--constant-c", type=float, default=1.0)
-@click.option("--jobs", type=int, default=1, help="parallel workers for a job directory")
+@click.option("--jobs", type=int, default=1,
+              help="accepted for compatibility: the jobs of a directory run one after another")
 @click.option("--json", "output", type=str, default=None)
 def betti(job, k, d, blocks, degrees, formula_text, box, resolution, field, constant_c, jobs, output) -> int:
     """Quotient Betti numbers b^0..b^{t−1} from a job file or inline flags."""
@@ -282,8 +287,7 @@ def betti(job, k, d, blocks, degrees, formula_text, box, resolution, field, cons
         if not paths:
             raise click.UsageError(f"no *.json jobs under {job}")
         docs = [_load_job(str(p)) for p in paths]
-        with ThreadPoolExecutor(max_workers=_worker_count(jobs)) as pool:
-            results = list(pool.map(_run_betti_job_caught, docs))
+        results = [_run_betti_job_caught(doc) for doc in docs]
         out = {"jobs": {p.stem: r for p, (r, _) in zip(paths, results)}}
         _emit(out, output)
         codes = [code for _, code in results]

@@ -262,24 +262,22 @@ def chains(k: int, d: int) -> tuple[list[Chain], int]:
 
 
 def maximal_chains(k: int, d: int) -> list[Chain]:
-    """Chains not properly contained in any other chain."""
+    """Chains not properly contained in any other chain.
+
+    comp_kd(k, d) is downward closed and its maximal elements are
+    comp_max(k, min(k, d)), so a chain is maximal exactly when it starts at
+    (k), adds one breakpoint per step and ends in comp_max: nothing fits
+    below, between or above it.  That is an O(length) test per chain.
+    """
     all_chains, _ = chains(k, d)
-    elements = comp_kd(k, d)
-    out = []
-    for chain in all_chains:
-        members = set(chain.elements)
-        extendable = False
-        for nu in elements:
-            if nu in members:
-                continue
-            if all(
-                precedes(nu, c) or precedes(c, nu) for c in chain.elements
-            ):
-                extendable = True
-                break
-        if not extendable:
-            out.append(chain)
-    return out
+    tops = set(comp_max(k, min(k, d)))
+    return [
+        chain
+        for chain in all_chains
+        if not chain.elements[0].breakpoints
+        and chain.elements[-1] in tops
+        and all(b.length == a.length + 1 for a, b in zip(chain.elements, chain.elements[1:]))
+    ]
 
 
 def paper_chain_bound(k: int, d: int) -> int:
@@ -334,19 +332,3 @@ def chain_report(k: int, d: int) -> dict:
         report["maximal_chain_count"] = maximal
         report["maximal_formula_mismatch"] = maximal != formula
     return report
-
-
-def hasse_edges(elements: list[Composition]) -> list[tuple[Composition, Composition]]:
-    """Covering pairs (λ, μ) with λ ≺ μ and nothing strictly between."""
-    edges = []
-    for lam in elements:
-        for mu in elements:
-            if not (lam.breakpoints < mu.breakpoints):
-                continue
-            if any(
-                lam.breakpoints < nu.breakpoints < mu.breakpoints for nu in elements
-            ):
-                continue
-            edges.append((lam, mu))
-    edges.sort(key=lambda e: (e[0].sort_key(), e[1].sort_key()))
-    return edges

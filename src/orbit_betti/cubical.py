@@ -268,8 +268,10 @@ def count_components(mask: np.ndarray) -> int:
     """
     starts = mask.copy()
     starts[..., 1:] &= ~mask[..., :-1]
-    ids = np.where(mask, np.cumsum(starts).reshape(mask.shape) - 1, -1)
-    edges = [np.zeros((2, 0), dtype=np.int64)]
+    # run ids in half the memory of int64 whenever they fit
+    index = np.int32 if mask.size < 2**31 else np.int64
+    ids = np.where(mask, np.cumsum(starts, dtype=index).reshape(mask.shape) - 1, index(-1))
+    edges = [np.zeros((2, 0), dtype=index)]
     for axis in range(mask.ndim - 1):
         moved = np.moveaxis(ids, axis, 0)
         a, b = moved[:-1], moved[1:]

@@ -16,15 +16,19 @@ singleton, comp_max) the strata carrying the *maxima* of p_{d+1} on fibres;
 grouping from the bottom instead would hand them the minima, the mirror image
 under x ↦ -x.
 
-The solver combines interval subdivision in directed-rounding floats (a
-pruned box is *certified* to contain no solution) with a Krawczyk test on
-the square subsystem m = 1..ℓ, which proves small boxes empty or holding a
-unique root (Krawczyk 1969; Rump, Acta Numerica 2010), and damped
-Gauss-Newton on the leaves neither can settle.  Undecided boxes are counted
-and reported, never dropped: membership answers are three-valued.  An
-"outside" verdict is a proof; an "inside" verdict is a proof when its root
-came from a Krawczyk-proved box of a square face system (ℓ = d'), and
-otherwise rests on the float residual ≤ tol.
+For d' ≤ 3 the image is cut out by the polynomial sign conditions of
+``image_conditions``, which membership and the grid oracle of
+:mod:`orbit_betti.pipeline` both decide exactly.  For d' ≥ 4 they are only
+necessary, and membership searches the faces.  The solver combines
+interval subdivision in directed-rounding floats (a pruned box is
+*certified* to contain no solution) with a Krawczyk test on the square
+subsystem m = 1..ℓ, which proves small boxes empty or holding a unique root
+(Krawczyk 1969; Rump, Acta Numerica 2010), and damped Gauss-Newton on the
+leaves neither can settle.  Undecided boxes are counted and reported, never
+dropped: membership answers beyond d' = 3 are three-valued.  An "outside"
+verdict is a proof; an "inside" verdict is a proof when its root came from a
+Krawczyk-proved box of a square face system (ℓ = d'), and otherwise rests on
+the float residual ≤ tol.
 
 The section routine collects the per-face fibre solutions over the whole
 face poset comp_kd(k, d'), deduplicates points that appear in several face
@@ -36,6 +40,7 @@ tied within tolerance are flagged as ambiguous rather than resolved by fiat.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -46,8 +51,10 @@ import numpy as np
 
 from orbit_betti.compositions import Composition, comp_kd, comp_max, precedes
 from orbit_betti.polys import (
+    Polynomial,
     RationalLike,
     as_rational,
+    evaluate_polynomial,
     float_enclosure,
     interval_mul,
     interval_pow,
@@ -566,13 +573,37 @@ def _check_tol(tol: float) -> None:
         raise FibreError(f"tolerance must be finite and positive, got {tol}")
 
 
+@functools.lru_cache(maxsize=64)
+def image_conditions(k: int, d_prime: int, var_count: int, offset: int) -> tuple[Polynomial, ...]:
+    """Polynomials P ≥ 0 on the image of R^k (or of the chamber, which meets
+    every orbit) under (p_1, ..., p_{d'}), in ``var_count`` variables of
+    which offset + m (1-based) is p_m.  With V = k·p_2 − p_1² (k² times the
+    variance) and T = k²·p_3 − 3k·p_1·p_2 + 2p_1³ (k³ times the third central
+    moment) they are: none for d' = 1; V for d' = 2 (Cauchy–Schwarz); for
+    d' = 3 (k−2)²·V³ − (k−1)·T², the bound |skewness| ≤ (k−2)/√(k−1)
+    (Wilkins, Ann. Math. Statist. 15, 1944), which implies V ≥ 0.  These
+    define the image: the fibres of (p_1, p_2) are connected (Arnold 1986;
+    Kostov 1989), so p_3 takes every value between its extremes.  For d' ≥ 4
+    the d' = 3 condition on (p_1, p_2, p_3) is only necessary.
+    """
+    if d_prime == 1:
+        return ()
+    p1, p2 = (Polynomial.variable(offset + m, var_count) for m in (1, 2))
+    variance = k * p2 - p1**2
+    if d_prime == 2:
+        return (variance,)
+    p3 = Polynomial.variable(offset + 3, var_count)
+    third = k**2 * p3 - 3 * k * p1 * p2 + 2 * p1**3
+    return ((k - 2) ** 2 * variance**3 - (k - 1) * third**2,)
+
+
 def _moment_verdict(
     k: int, d: int, y: Sequence[RationalLike], tol: float
 ) -> tuple[list[Fraction], str | None]:
-    """Check y and tol against (k, d) and run the exact tests on (p_1, p_2).
+    """Check y and tol against (k, d) and decide ``image_conditions`` exactly.
 
-    Returns the exact targets and INSIDE or OUTSIDE when these tests decide
-    (always for d' ≤ 2), else None.
+    Returns the exact targets and INSIDE or OUTSIDE when the conditions
+    decide (always for d' ≤ 3), else None.
     """
     if k < 1 or d < 1:
         raise FibreError("k and d must be positive")
@@ -581,17 +612,10 @@ def _moment_verdict(
     y_exact = [as_rational(v) for v in y]
     if len(y_exact) != d_prime:
         raise FibreError(f"expected {d_prime} power sums, got {len(y_exact)}")
-    if d_prime == 1:
-        # p_1 is onto: x = (c, ..., c) with c = y_1/k
-        return y_exact, INSIDE
-    # necessary conditions: p_2 ≥ 0 and Cauchy-Schwarz p_1² ≤ k p_2
-    if y_exact[1] < 0 or y_exact[0] ** 2 > k * y_exact[1]:
+    conditions = image_conditions(k, d_prime, d_prime, 0)
+    if any(evaluate_polynomial(p, y_exact) < 0 for p in conditions):
         return y_exact, OUTSIDE
-    if d_prime == 2:
-        # converse: any (p1, p2) with p1² ≤ k p2 is realised by a two-value
-        # configuration with the right mean and variance
-        return y_exact, INSIDE
-    return y_exact, None
+    return y_exact, INSIDE if d_prime <= 3 else None
 
 
 def image_membership(
@@ -602,12 +626,13 @@ def image_membership(
 ) -> str:
     """Is y in the image of the chamber under the truncated power-sum map?
 
-    Three-valued.  For d' ≤ 2 exact tests on (p_1, p_2) decide.  Otherwise
-    ``solve_fibre`` runs on the faces of comp_kd(k, d') shortest first (a
-    boundary point is found on its lower face before the top face's
-    degenerate fibre is searched) and stops at the first face with a
-    solution: "inside".  "outside" needs every face certified empty by
-    directed-rounding intervals; anything else is "undecided".
+    For d' ≤ 3 ``image_conditions`` decide exactly.  For d' ≥ 4 a point that
+    fails them is "outside"; otherwise ``solve_fibre`` runs on the faces of
+    comp_kd(k, d') shortest first (a boundary point is found on its lower
+    face before the top face's degenerate fibre is searched) and stops at
+    the first face with a solution: "inside".  "outside" then needs every
+    face certified empty by directed-rounding intervals; anything else is
+    "undecided".
 
     An "inside" found by a Krawczyk-proved unique root of a square face
     system (ℓ = d') carries a proof; one found on an overdetermined face
@@ -655,12 +680,12 @@ def arnold_section(
     roots) and reported in their minimal face.  Genuinely distinct candidates
     tied in value within tolerance set the ``ambiguous`` flag.
 
-    Membership is read off the same per-face searches: no candidate on any
-    face raises, with "outside" when every face was certified empty by
-    directed-rounding intervals (or the exact (p_1, p_2) tests fail) and
-    "undecided" otherwise.  The candidates carry what ``solve_fibre``
-    certifies: an exact root in a proved enclosure on square faces where the
-    Krawczyk test applied, else only the float residual ≤ tol.
+    A point that fails ``image_conditions`` raises before any search, and
+    so does one where no face yields a candidate; for d' ≥ 4 the error says
+    "outside" when every face was certified empty by directed-rounding
+    intervals and "undecided" otherwise.  The candidates carry what
+    ``solve_fibre`` certifies: an exact root in a proved enclosure on square
+    faces where the Krawczyk test applied, else only the float residual ≤ tol.
     """
     if not d < k:
         raise FibreError(f"section requires d < k, got d={d}, k={k}")

@@ -18,10 +18,14 @@ counts orbits of finite configurations two ways.
 
 Equality atoms are sampled by thickening: |P| ≤ τ with τ = (h/2) · L where L
 bounds the ℓ¹-norm of ∇P on the box, so every grid cell meeting {P = 0}
-contributes its center.  Every atom is decided exactly at the (float) grid
-centers: in float outside an a-priori rounding band, with fractions inside.
-The reported homology is that of the clipped, thickened set; callers pick
-clip boxes large enough to contain the region of interest.
+contributes its center.  The image of the chamber is the conjunction of the
+per-block ``fibres.image_conditions``, which define it for d' ≤ 3.  Every
+atom of the rewritten formula and of that conjunction is decided exactly at
+the (float) grid centers: in float outside an a-priori rounding band, with
+fractions inside.  Only a block with d' ≥ 4 sends the points that pass both
+to the fibre solver.  The reported homology is that of the clipped,
+thickened set; callers pick clip boxes large enough to contain the region of
+interest.
 """
 
 from __future__ import annotations
@@ -43,13 +47,14 @@ from orbit_betti.cubical import (
     betti_numbers,
     stable_betti,
 )
-from orbit_betti.fibres import INSIDE, OUTSIDE, image_membership
+from orbit_betti.fibres import INSIDE, OUTSIDE, image_conditions, image_membership
 from orbit_betti.polys import (
     BlockSpec,
     ClosedFormula,
     FormulaNode,
     Polynomial,
     RationalLike,
+    SignAtom,
     as_rational,
     evaluate_polynomial,
     float_enclosure,
@@ -193,6 +198,32 @@ def _exact_truth(
     return out
 
 
+def _atom_mask(atom: SignAtom, points: np.ndarray, values: dict, taus: dict) -> np.ndarray:
+    vals, err = values[atom.poly]
+    if atom.relation == "=":
+        tau = taus[atom.poly]
+        tau_f = float(tau)
+        mask = np.abs(vals) <= tau_f
+        band = np.abs(np.abs(vals) - tau_f) <= err + 2 * _UNIT_ROUNDOFF * tau_f
+        exact = _exact_truth(atom.poly, points[band], lambda v: abs(v) <= tau)
+    else:
+        mask = vals >= 0.0 if atom.relation == ">=" else vals <= 0.0
+        band = np.abs(vals) <= err
+        exact = _exact_truth(atom.poly, points[band], atom.holds)
+    mask[band] = exact
+    return mask
+
+
+def _node_mask(node: FormulaNode, points: np.ndarray, values: dict, taus: dict) -> np.ndarray:
+    if node.kind == "atom":
+        return _atom_mask(node.atom, points, values, taus)
+    masks = [_node_mask(child, points, values, taus) for child in node.children]
+    out = masks[0]
+    for m in masks[1:]:
+        out = (out & m) if node.kind == "and" else (out | m)
+    return out
+
+
 def _formula_mask(
     formula: ClosedFormula,
     points: np.ndarray,
@@ -202,65 +233,23 @@ def _formula_mask(
 
     Each atom is decided in float wherever its value lies farther than the
     a-priori error bound from the threshold (0, or ±τ for a thickened
-    equality); the points inside that band are evaluated exactly.
+    equality); the points inside that band are evaluated exactly.  The
+    per-polynomial arrays are freed on return: no closure cycle holds them.
     """
     values: dict[Polynomial, tuple[np.ndarray, np.ndarray]] = {
         poly: (poly.evaluate_float(points), _float_error_bound(poly, points))
         for poly in formula.polynomial_set
     }
-
-    def atom_mask(atom) -> np.ndarray:
-        vals, err = values[atom.poly]
-        if atom.relation == "=":
-            tau = taus[atom.poly]
-            tau_f = float(tau)
-            mask = np.abs(vals) <= tau_f
-            band = np.abs(np.abs(vals) - tau_f) <= err + 2 * _UNIT_ROUNDOFF * tau_f
-            exact = _exact_truth(atom.poly, points[band], lambda v: abs(v) <= tau)
-        else:
-            mask = vals >= 0.0 if atom.relation == ">=" else vals <= 0.0
-            band = np.abs(vals) <= err
-            exact = _exact_truth(atom.poly, points[band], atom.holds)
-        mask[band] = exact
-        return mask
-
-    def walk(node: FormulaNode) -> np.ndarray:
-        if node.kind == "atom":
-            return atom_mask(node.atom)
-        masks = [walk(child) for child in node.children]
-        out = masks[0]
-        for m in masks[1:]:
-            out = (out & m) if node.kind == "and" else (out | m)
-        return out
-
-    return walk(formula.root)
-
-
-def _moment_mask(k: int, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """Exact truth of p2 ≥ 0 and p1² ≤ k·p2 at float values.
-
-    These hold on the image of R^k under (p_1, p_2) (Cauchy–Schwarz), and
-    for d' = 2 they define it.  Each product rounds once, so the float
-    comparison is decided outside a band of 4u·(p1² + k·p2); points inside
-    it are rechecked with fractions.
-    """
-    square = p1 * p1
-    scaled = k * p2
-    mask = (p2 >= 0.0) & (square <= scaled)
-    band = np.abs(square - scaled) <= (
-        4 * _UNIT_ROUNDOFF * (square + np.abs(scaled)) + np.finfo(float).tiny
-    )
-    exact = zip(map(Fraction, p1[band].tolist()), map(Fraction, p2[band].tolist()))
-    mask[band] = [y2 >= 0 and y1 * y1 <= k * y2 for y1, y2 in exact]
-    return mask
+    return _node_mask(formula.root, points, values, taus)
 
 
 class _QuotientOracle:
-    """Grid oracle in image space: thickened rewritten formula ∧ membership.
+    """Grid oracle in image space: thickened rewritten formula ∧ image.
 
-    The formula filter and the membership conditions on (p_1, p_2) are
-    vectorised and exact; they decide every block with d' ≤ 2.  Points that
-    pass them go through the fibre solver for each block with d' ≥ 3.
+    ``_formula_mask`` decides the rewritten formula, then, on the points that
+    pass it, ``image``: the conjunction of every block's ``image_conditions``,
+    which decides every block with d' ≤ 3 exactly.  Points that pass both go
+    through ``image_membership`` for each block with d' ≥ 4.
     """
 
     def __init__(
@@ -275,11 +264,18 @@ class _QuotientOracle:
         self.taus = _equality_taus(rewritten, clip_box, h)
         self._cache: dict[tuple[int, tuple[float, ...]], str] = {}
         offsets = []
+        nodes = []
         start = 0
-        for dp in blocks.d_primes:
+        for k, dp in zip(blocks.block_sizes, blocks.d_primes):
             offsets.append((start, start + dp))
+            for poly in image_conditions(k, dp, rewritten.k, start):
+                nodes.append(FormulaNode("atom", atom=SignAtom(poly, ">=")))
             start += dp
         self.offsets = offsets
+        self.image = None
+        if nodes:
+            root = nodes[0] if len(nodes) == 1 else FormulaNode("and", children=tuple(nodes))
+            self.image = ClosedFormula(rewritten.k, root)
 
     def _block_membership(self, index: int, y: tuple[float, ...]) -> str:
         key = (index, y)
@@ -291,11 +287,11 @@ class _QuotientOracle:
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         mask = _formula_mask(self.rewritten, points, self.taus)
-        for k, (lo, hi) in zip(self.blocks.block_sizes, self.offsets):
-            if hi - lo >= 2:
-                mask &= _moment_mask(k, points[:, lo], points[:, lo + 1])
+        if self.image is not None:
+            passed = np.flatnonzero(mask)
+            mask[passed] = _formula_mask(self.image, points[passed], {})
         codes = mask.astype(np.int8)
-        solved = [(b, lo, hi) for b, (lo, hi) in enumerate(self.offsets) if hi - lo >= 3]
+        solved = [(b, lo, hi) for b, (lo, hi) in enumerate(self.offsets) if hi - lo >= 4]
         if solved:
             for idx in np.flatnonzero(mask):
                 row = points[idx]

@@ -554,21 +554,6 @@ class ClosedFormula:
 
         return walk(self.root, None)
 
-    def to_json_tree(self, var_prefix: str = "x") -> dict:
-        """Schema: {"k": int, "tree": node} with atom/and/or nodes."""
-
-        def walk(node: FormulaNode) -> dict:
-            if node.kind == "atom":
-                assert node.atom is not None
-                return {
-                    "type": "atom",
-                    "poly": node.atom.poly.to_text(var_prefix),
-                    "rel": node.atom.relation,
-                }
-            return {"type": node.kind, "children": [walk(c) for c in node.children]}
-
-        return {"k": self.k, "tree": walk(self.root)}
-
 
 def evaluate_formula(f: ClosedFormula, x: Sequence[RationalLike]) -> bool:
     """Exact truth value of the formula at a rational point."""

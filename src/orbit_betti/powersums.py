@@ -53,13 +53,6 @@ class PowerSumForm:
                 "power-sum polynomial variable count does not match block arities"
             )
 
-    def coordinates(self) -> list[tuple[int, int]]:
-        """(block_index, power) per variable, both 1-based."""
-        out = []
-        for i, a in enumerate(self.block_arities, start=1):
-            out.extend((i, m) for m in range(1, a + 1))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # symmetry check

@@ -165,11 +165,15 @@ def test_betti_job_directory_keeps_results_when_one_job_fails(tmp_path, capsys):
     assert "exceeds the limit" in doc["jobs"]["b"]["error"]
 
 
-def test_worker_env_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ORBIT_BETTI_THREADS", "1")
-    (tmp_path / "a.json").write_text(json.dumps(SPHERE_JOB))
+def test_job_directory_reports_every_job_under_any_jobs_count(tmp_path, capsys):
+    """--jobs is accepted and the jobs run one after another."""
+    for name in "abc":
+        (tmp_path / f"{name}.json").write_text(json.dumps(SPHERE_JOB))
     code, doc = run(capsys, "betti", "--job", str(tmp_path), "--jobs", "8")
-    assert code == EXIT_OK and "a" in doc["jobs"]
+    assert code == EXIT_OK
+    assert {name: job["betti"] for name, job in doc["jobs"].items()} == {
+        "a": [1, 0], "b": [1, 0], "c": [1, 0]
+    }
 
 
 def test_betti_oversized_grid_is_an_error_envelope(capsys):
@@ -253,6 +257,10 @@ MALFORMED_JOBS = {
     "box_edge_not_a_pair": dict(SPHERE_JOB, box=[["-2", "2"], ["0"]]),
     "not_an_object": [1, 2],
     "zero_denominator": dict(SPHERE_JOB, resolution="1/0"),
+    "k_a_list": dict(SPHERE_JOB, k=[3]),
+    "formula_a_number": dict(SPHERE_JOB, formula=5),
+    "constant_c_a_list": dict(SPHERE_JOB, constant_c=[1]),
+    "blocks_a_number": dict(SPHERE_JOB, blocks=5),
 }
 
 

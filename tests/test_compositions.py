@@ -23,7 +23,6 @@ from orbit_betti.compositions import (
     chains,
     comp_kd,
     comp_max,
-    hasse_edges,
     maximal_chains,
     meet,
     paper_chain_bound,
@@ -308,21 +307,30 @@ def test_maximal_chains_5_3():
     ]
 
 
+def brute_force_maximal_chains(k: int, d: int) -> list:
+    """Oracle: chains to which no other poset element can be added."""
+    elements = comp_kd(k, d)
+    out = []
+    for chain in chains(k, d)[0]:
+        members = set(chain.elements)
+        if not any(
+            all(precedes(nu, c) or precedes(c, nu) for c in chain.elements)
+            for nu in elements
+            if nu not in members
+        ):
+            out.append(chain)
+    return out
+
+
+def test_maximal_chains_match_brute_force():
+    for k in range(1, 8):
+        for d in range(1, k + 1):
+            assert maximal_chains(k, d) == brute_force_maximal_chains(k, d), (k, d)
+
+
 def test_paper_maximal_chain_formula_values():
     assert paper_maximal_chain_formula(5, 3) == 1
     assert paper_maximal_chain_formula(10, 4) == 7
-
-
-def test_hasse_edges_comp3():
-    elements = all_compositions(3)
-    edges = hasse_edges(elements)
-    as_parts = sorted((a.parts, b.parts) for a, b in edges)
-    assert as_parts == [
-        ((1, 2), (1, 1, 1)),
-        ((2, 1), (1, 1, 1)),
-        ((3,), (1, 2)),
-        ((3,), (2, 1)),
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from orbit_betti import fibres
 from orbit_betti.compositions import Composition, comp_kd, comp_max, precedes
 from orbit_betti.fibres import (
     _EMPTY,
@@ -26,13 +27,14 @@ from orbit_betti.fibres import (
     OUTSIDE,
     UNDECIDED,
     arnold_section,
+    image_conditions,
     image_membership,
     is_below_some_maximal,
     power_sum_vector,
     solve_fibre,
     weighted_power_sum,
 )
-from orbit_betti.polys import float_enclosure
+from orbit_betti.polys import evaluate_polynomial, float_enclosure, parse_polynomial
 
 C = Composition.from_parts
 
@@ -308,10 +310,22 @@ def _exact_membership_d3(k: int, y) -> bool:
     return False
 
 
+def _face_search_verdict(k: int, y) -> str:
+    """Membership by the face search alone: ``solve_fibre`` over comp_kd(k, d')."""
+    undecided = False
+    for lam in comp_kd(k, len(y)):
+        search = solve_fibre(lam, y)
+        if search.solutions:
+            return INSIDE
+        undecided = undecided or search.undecided_boxes > 0
+    return UNDECIDED if undecided else OUTSIDE
+
+
 def test_membership_matches_exact_oracle_d3():
-    """330 seeded points of (1/16)Z³ that pass the (p_1, p_2) tests, k = 4, 5,
-    6: every verdict is the exact one or undecided, at most 1% undecided.
-    The first point was undecided before the Krawczyk test."""
+    """330 seeded points of (1/16)Z³ that pass the (p_1, p_2) test, k = 4, 5,
+    6: ``image_membership`` gives the exact verdict every time.  The face
+    search gives it too, or undecided on at most 1% of the points; the first
+    point was undecided there before the Krawczyk test."""
     rng = random.Random(20261018)
     points = [(4, (Fraction(1, 16), Fraction(17, 16), Fraction(11, 16)))]
     while len(points) < 330:
@@ -322,13 +336,50 @@ def test_membership_matches_exact_oracle_d3():
         points.append((k, (y1, y2, Fraction(rng.randint(-bound, bound), 16))))
     undecided = 0
     for k, y in points:
-        verdict = image_membership(k, 3, y)
+        exact = _exact_membership_d3(k, y)
+        assert image_membership(k, 3, y) == (INSIDE if exact else OUTSIDE), (k, y)
+        verdict = _face_search_verdict(k, y)
         if verdict == UNDECIDED:
             undecided += 1
             continue
-        assert (verdict == INSIDE) == _exact_membership_d3(k, y), (k, y, verdict)
-    assert image_membership(4, 3, points[0][1]) == OUTSIDE
+        assert (verdict == INSIDE) == exact, (k, y, verdict)
+    assert _face_search_verdict(4, points[0][1]) == OUTSIDE
     assert undecided <= len(points) // 100
+
+
+def test_membership_searches_faces_only_beyond_d3(monkeypatch):
+    """d' ≤ 3 is decided by the image conditions alone; at d' = 4 a point
+    whose (p_1, p_2, p_3) fails them is outside before any search."""
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("solve_fibre called")
+
+    monkeypatch.setattr(fibres, "solve_fibre", no_search)
+    assert image_membership(4, 3, (Fraction(1, 16), Fraction(17, 16), Fraction(11, 16))) == OUTSIDE
+    assert image_membership(4, 3, power_sum_vector((0, 0, 1, 2), 3)) == INSIDE
+    assert image_membership(4, 3, power_sum_vector((0, 0, 0, 1), 3)) == INSIDE
+    assert image_membership(3, 2, (0, 1)) == INSIDE
+    # k = 5: V = 5 and T = 25 at (0, 1, 1), and 9·5³ < 4·25²
+    assert image_membership(5, 4, (0, 1, 1, 0)) == OUTSIDE
+    with pytest.raises(FibreError, match="outside"):
+        arnold_section(4, 3, (Fraction(1, 16), Fraction(17, 16), Fraction(11, 16)))
+
+
+def test_image_conditions_vanish_on_the_extreme_faces():
+    """|skewness| reaches (k−2)/√(k−1) where one value stands apart from the
+    other k − 1: there the d' = 3 polynomial is exactly 0, and it is ≥ 0 at
+    the power sums of every point."""
+    rng = random.Random(11)
+    for k in range(3, 8):
+        (condition,) = image_conditions(k, 3, 3, 0)
+        for x in ([0] * (k - 1) + [1], [0] + [1] * (k - 1)):
+            assert evaluate_polynomial(condition, power_sum_vector(x, 3)) == 0
+        for _ in range(20):
+            x = [Fraction(rng.randint(-16, 16), 8) for _ in range(k)]
+            assert evaluate_polynomial(condition, power_sum_vector(x, 3)) >= 0
+    assert image_conditions(5, 1, 1, 0) == ()
+    assert image_conditions(3, 2, 4, 2) == (parse_polynomial("3*x4 - x3^2", 4),)
+    assert image_conditions(5, 4, 4, 0) == image_conditions(5, 3, 4, 0)
 
 
 def test_exact_membership_oracle_says_inside_on_forward_images():

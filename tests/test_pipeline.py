@@ -11,10 +11,14 @@ The three golden regions were worked out by hand in image coordinates
   two horizontal rungs form exactly one cycle — (1, 1).
 """
 
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from orbit_betti import pipeline
 
 from orbit_betti.cubical import BettiVector, FIELD_Q
 from orbit_betti.pipeline import (
@@ -32,10 +36,16 @@ from orbit_betti.pipeline import (
     verify_report,
     _QuotientOracle,
     _formula_mask,
-    _moment_mask,
 )
-from orbit_betti.fibres import INSIDE, image_membership
-from orbit_betti.polys import BlockSpec, evaluate_formula, parse_formula
+from orbit_betti.fibres import image_conditions
+from orbit_betti.polys import (
+    BlockSpec,
+    ClosedFormula,
+    FormulaNode,
+    SignAtom,
+    evaluate_formula,
+    parse_formula,
+)
 from orbit_betti.powersums import SymmetryError, rewrite_formula
 
 
@@ -379,13 +389,17 @@ def test_formula_mask_matches_exact_evaluation():
 
 
 def test_moment_mask_matches_fractions():
+    """The d' = 2 image condition k·p2 − p1² ≥ 0 through ``_formula_mask``
+    against fractions, with ties, one ulp below a tie and p2 = −0.0."""
+    condition = image_conditions(3, 2, 2, 0)[0]
+    formula = ClosedFormula(2, FormulaNode("atom", atom=SignAtom(condition, ">=")))
     rng = np.random.default_rng(3)
     p1 = np.concatenate([rng.integers(-64, 65, 400) / 16, [0.75, 0.75, 0.0, -3.0]])
     p2 = np.concatenate([
         rng.integers(-8, 200, 400) / 64,
         [0.1875, np.nextafter(0.1875, 0.0), -0.0, 3.0],
     ])
-    mask = _moment_mask(3, p1, p2)
+    mask = _formula_mask(formula, np.stack([p1, p2], axis=-1), {})
     expected = [
         b >= 0 and a * a <= 3 * b
         for a, b in zip(map(Fraction, p1.tolist()), map(Fraction, p2.tolist()))
@@ -394,9 +408,10 @@ def test_moment_mask_matches_fractions():
     assert mask[-4:].tolist() == [True, False, True, True]
 
 
-def test_quotient_oracle_matches_image_membership_for_d2():
-    """The vectorised d' ≤ 2 oracle against image_membership per point, on
-    two blocks (d' = 2 and d' = 1) with points on the boundary p1² = k·p2."""
+def test_quotient_oracle_matches_exact_image_for_d2():
+    """The vectorised oracle against an inline fraction test of the image
+    p1² ≤ 3·p2, on two blocks (d' = 2 and d' = 1) with points on the
+    boundary p1² = 3·p2."""
     blocks = BlockSpec((3, 2), (2, 1))
     formula = parse_formula("x1^2 + x2^2 + x3^2 <= 4", 5)
     box = [(Fraction(-4), Fraction(4)), (Fraction(-1), Fraction(4)), (Fraction(-2), Fraction(2))]
@@ -407,5 +422,102 @@ def test_quotient_oracle_matches_image_membership_for_d2():
     points[::2, 1] += rng.integers(-2, 3, 150) / 64
     codes = oracle.batch(points)
     for row, code in zip(points.tolist(), codes.tolist()):
-        inside = row[1] <= 4 and image_membership(3, 2, row[:2]) == INSIDE
-        assert code == int(inside)
+        y1, y2 = Fraction(row[0]), Fraction(row[1])
+        assert code == int(y2 <= 4 and y1 * y1 <= 3 * y2)
+
+
+def test_quotient_oracle_searches_fibres_only_for_d4_blocks(monkeypatch):
+    """A d' = 4 block: points that fail the formula or the image condition
+    on (p1, p2, p3) are outside without a fibre search; the rest go to
+    image_membership once per point."""
+    blocks = BlockSpec.single(5, 4)
+    formula = parse_formula("x1 + x2 + x3 + x4 + x5 <= 2", 5)
+    box = [(Fraction(-4), Fraction(4))] * 4
+    oracle = _QuotientOracle(blocks, rewrite_formula(formula, blocks), box, Fraction(1, 4))
+    asked = []
+
+    def membership(k, d, y):
+        asked.append((k, d, tuple(y)))
+        return "undecided"
+
+    monkeypatch.setattr(pipeline, "image_membership", membership)
+    # power sums of (0, 0, 0, 0, 1), of (0, 0, 0, 1, 1); (0, 1, 1, 0) fails
+    # the condition (9·5³ < 4·25²); p1 = 3 fails the formula
+    points = np.array([[1.0, 1, 1, 1], [2, 2, 2, 2], [0, 1, 1, 0], [3, 3, 3, 3]])
+    assert oracle.batch(points).tolist() == [2, 2, 0, 0]
+    assert asked == [(5, 4, (1.0, 1.0, 1.0, 1.0)), (5, 4, (2.0, 2.0, 2.0, 2.0))]
+
+
+def test_formula_mask_frees_its_arrays_on_return():
+    """Nothing of a call on 10^6 points outlives it, even with the cyclic
+    garbage collector off: the per-polynomial value and error arrays
+    (8 MB each) are released by reference counting alone."""
+    formula = parse_formula("x1^2 + x2^2 <= 1 and x1 + x2 = 0 or x1*x2 >= 1/4", 2)
+    points = np.random.default_rng(1).uniform(-2, 2, (10**6, 2))
+    taus = {p: Fraction(1, 8) for p in formula.polynomial_set}
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _formula_mask(formula, points, taus)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert after - before < 2**20
+
+
+# ---------------------------------------------------------------------------
+# d' = 3 golden regions (k = 4, h = 1/4): the image test is exact, so the
+# grid never calls the fibre solver
+# ---------------------------------------------------------------------------
+
+BALL4 = "x1^2 + x2^2 + x3^2 + x4^2 <= 1"
+SHELL4 = "x1^2 + x2^2 + x3^2 + x4^2 >= 1/2 and x1^2 + x2^2 + x3^2 + x4^2 <= 3/2"
+SLABS4 = "(x1 + x2 + x3 + x4 = -1/2 or x1 + x2 + x3 + x4 = 1/2) and " + BALL4
+FOUR_LINES4 = (
+    "x1 + x2 + x3 + x4 = -1/2 or x1 + x2 + x3 + x4 = 1/2 "
+    "or x1^2 + x2^2 + x3^2 + x4^2 = 1/2 or x1^2 + x2^2 + x3^2 + x4^2 = 3/2"
+)
+
+
+def _no_membership(*args, **kwargs):
+    raise AssertionError("the d' = 3 grid called image_membership")
+
+
+@pytest.mark.parametrize(
+    "text, box",
+    [(BALL4, [(-2, 2), (0, 2), (-2, 2)]), (SHELL4, [(-3, 3), (0, 2), (-2, 2)])],
+    ids=["ball", "shell"],
+)
+def test_d3_golden_against_direct_oracle(monkeypatch, text, box):
+    monkeypatch.setattr(pipeline, "image_membership", _no_membership)
+    spec = make_spec(4, 3, text, box, "1/4")
+    report = quotient_betti(spec)
+    assert report.betti == (1, 0, 0)
+    assert report.stable
+    assert (report.undecided_cells, report.coarse_undecided_cells) == (0, 0)
+    direct = direct_quotient_betti(spec, x_box=[(-2, 2)] * 4, x_resolution=Fraction(1, 4))
+    assert direct.values[:3] == report.betti
+
+
+@pytest.mark.parametrize(
+    "text, box, expected",
+    [
+        (SLABS4, [(-1, 1), (0, 2), (-2, 2)], (2, 0)),
+        (FOUR_LINES4, [(-3, 3), (0, 2), (-3, 3)], (1, 1)),
+    ],
+    ids=["slabs", "four-lines"],
+)
+def test_d3_golden_against_the_d2_image(monkeypatch, text, box, expected):
+    """The formula uses p1 and p2 only, so its quotient is computed again in
+    the (p1, p2) image.  The direct x-space oracle is no check here: on
+    these thickened hyperplanes it gives lattice artefacts, (1, 62, 0, 0, 0)
+    for the slabs at x-resolution 1/8."""
+    monkeypatch.setattr(pipeline, "image_membership", _no_membership)
+    report = quotient_betti(make_spec(4, 3, text, box, "1/4"))
+    assert report.betti == expected + (0,)
+    assert report.stable
+    assert (report.undecided_cells, report.coarse_undecided_cells) == (0, 0)
+    assert quotient_betti(make_spec(4, 2, text, box[:2], "1/4")).betti == expected

@@ -250,16 +250,6 @@ def test_formula_evaluation_truth_table():
     assert evaluate_formula(f, (Fraction(3, 5), Fraction(4, 5)))  # exact circle point
 
 
-def test_formula_json_tree_schema():
-    f = parse_formula("x1 >= 0 and x2 = 0", 2)
-    doc = f.to_json_tree()
-    assert doc["k"] == 2
-    assert doc["tree"]["type"] == "and"
-    kinds = [child["type"] for child in doc["tree"]["children"]]
-    assert kinds == ["atom", "atom"]
-    assert doc["tree"]["children"][0] == {"type": "atom", "poly": "x1", "rel": ">="}
-
-
 def test_formula_text_round_trip():
     texts = [
         "x1 >= 0",

@@ -98,7 +98,6 @@ def test_multi_block_rewrite():
     p = parse_polynomial("x1^2 + x2^2 + 3*x3 + 3*x4", 4)
     form = power_sum_rewrite(p, BlockSpec((2, 2), (2, 1)))
     assert form.block_arities == (2, 1)
-    assert form.coordinates() == [(1, 1), (1, 2), (2, 1)]
     assert form.poly == parse_polynomial("x2 + 3*x3", 3)
 
 
