@@ -9,8 +9,8 @@ The package pipeline, bottom to top:
 * :mod:`orbit_betti.compositions` — the composition poset and chain counts;
 * :mod:`orbit_betti.fibres` — fibres of the power-sum map, image membership,
   the minimal-face section;
-* :mod:`orbit_betti.cubical` — cubical complexes from point oracles and their
-  homology over Q and Z/2;
+* :mod:`orbit_betti.cubical` — cubical complexes from batch grid oracles and
+  their homology over Q and Z/2;
 * :mod:`orbit_betti.pipeline` — end-to-end quotient Betti computations, the
   brute-force cross-check, and the bound calculators;
 * :mod:`orbit_betti.cli` — the ``orbit-betti`` command.

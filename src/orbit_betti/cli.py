@@ -25,7 +25,6 @@ from orbit_betti.compositions import (
     chains,
     comp_kd,
     comp_max,
-    paper_chain_bound,
 )
 from orbit_betti.cubical import FIELD_Q, FIELD_Z2
 from orbit_betti.fibres import INSIDE, arnold_section, image_membership
@@ -134,11 +133,11 @@ def compositions(k, d, list_chains, output) -> int:
         "count": len(elements),
         "maximal": sorted(_composition_doc(c) for c in comp_max(k, min(k, d))),
         "chain_count": report["chain_count"],
-        "paper_chain_bound": paper_chain_bound(k, d),
+        "paper_chain_bound": report["paper_chain_bound"],
     }
     doc["flags"] = {
         "bound_exceeded": report["bound_exceeded"],
-        "maximal_formula_mismatch": report.get("maximal_formula_mismatch"),
+        "maximal_formula_mismatch": report["maximal_formula_mismatch"],
     }
     if list_chains:
         chain_list, _ = chains(k, d)
@@ -367,9 +366,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         result = cli.main(args=argv, standalone_mode=False)
         return int(result) if isinstance(result, int) else EXIT_OK
-    except click.UsageError as exc:
-        click.echo(json.dumps({"error": exc.format_message()}, sort_keys=True))
-        return EXIT_ERROR
     except click.ClickException as exc:
         click.echo(json.dumps({"error": exc.format_message()}, sort_keys=True))
         return EXIT_ERROR

@@ -261,25 +261,6 @@ def chains(k: int, d: int) -> tuple[list[Chain], int]:
     return out, count
 
 
-def maximal_chains(k: int, d: int) -> list[Chain]:
-    """Chains not properly contained in any other chain.
-
-    comp_kd(k, d) is downward closed and its maximal elements are
-    comp_max(k, min(k, d)), so a chain is maximal exactly when it starts at
-    (k), adds one breakpoint per step and ends in comp_max: nothing fits
-    below, between or above it.  That is an O(length) test per chain.
-    """
-    all_chains, _ = chains(k, d)
-    tops = set(comp_max(k, min(k, d)))
-    return [
-        chain
-        for chain in all_chains
-        if not chain.elements[0].breakpoints
-        and chain.elements[-1] in tops
-        and all(b.length == a.length + 1 for a, b in zip(chain.elements, chain.elements[1:]))
-    ]
-
-
 def paper_chain_bound(k: int, d: int) -> int:
     """The closed-form chain bound F(d, k); informational, not asserted.
 
@@ -290,10 +271,7 @@ def paper_chain_bound(k: int, d: int) -> int:
         raise CompositionError("k and d must be positive")
     if d > k:
         return (2**k - 1) * factorial(k - 1)
-    product = 1
-    for i in range(1, d // 2):
-        product *= k - (d + 1) // 2 - i
-    return (2**d - 1) * product
+    return (2**d - 1) * paper_maximal_chain_formula(k, d)
 
 
 def paper_maximal_chain_formula(k: int, d: int) -> int:
@@ -311,15 +289,20 @@ def chain_report(k: int, d: int) -> dict:
     """Exact counts next to the closed-form numbers, with discrepancy flags.
 
     ``bound_exceeded`` / ``maximal_formula_mismatch`` are True on the inputs
-    where the quoted formulas fall short of enumeration; consumers should
-    treat the exact values as authoritative.  The maximal chains are counted
-    only when the chains number at most ENUMERATION_LIMIT.
+    where the quoted formulas fall short of the exact counts; consumers
+    should treat the exact values as authoritative.
+
+    comp_kd(k, d) is downward closed with maximal elements comp_max(k, d'),
+    d' = min(k, d), so a maximal chain starts at (k), adds one breakpoint
+    per step and ends in comp_max(k, d'): it is a top together with an order
+    on its d' − 1 breakpoints, and there are |comp_max(k, d')| · (d' − 1)!.
     """
     exact = chain_count(k, d)
     bound = paper_chain_bound(k, d)
-    maximal = len(maximal_chains(k, d)) if exact <= ENUMERATION_LIMIT else None
+    top_dim = min(k, d)
+    maximal = len(comp_max(k, top_dim)) * factorial(top_dim - 1)
     formula = paper_maximal_chain_formula(k, d)
-    report = {
+    return {
         "k": k,
         "d": d,
         "poset_size": len(comp_kd(k, d)),
@@ -327,8 +310,6 @@ def chain_report(k: int, d: int) -> dict:
         "paper_chain_bound": bound,
         "bound_exceeded": exact > bound,
         "paper_maximal_chain_formula": formula,
+        "maximal_chain_count": maximal,
+        "maximal_formula_mismatch": maximal != formula,
     }
-    if maximal is not None:
-        report["maximal_chain_count"] = maximal
-        report["maximal_formula_mismatch"] = maximal != formula
-    return report

@@ -1,12 +1,15 @@
 """Cubical complexes from membership oracles, and their Betti numbers.
 
-A complex is built by sampling a three-valued oracle (inside / outside /
-undecided) at the centers of a regular grid over a box: a top-dimensional
-cell enters iff its center is not outside (undecided counts as inside and is
-tallied), and the complex is the downward face closure.  Cells are encoded
-axis-wise by elementary-interval codes: 2i for the degenerate interval [i,i],
-2i+1 for [i, i+1]; the dimension of a cell is its number of odd codes.  A
-complex on a grid of m_1 × … × m_n cells is stored as one boolean bitmap of
+A complex is built by handing the centers of a regular grid over a box, as
+one (N, n) float array, to an oracle's ``batch`` method, which returns one
+integer code per center: 0 outside, 1 inside, 2 undecided.  A
+top-dimensional cell enters iff its code is not 0 (undecided counts as
+inside and is tallied), and the complex is the downward face closure;
+``stable_betti`` builds one at h and one at h/2, each from the oracle its
+factory makes for that resolution.  Cells are encoded axis-wise by
+elementary-interval codes: 2i for the degenerate interval [i,i], 2i+1 for
+[i, i+1]; the dimension of a cell is its number of odd codes.  A complex on
+a grid of m_1 × … × m_n cells is stored as one boolean bitmap of
 shape (2m_1+1, …, 2m_n+1) indexed by these codes (Wagner, Chen & Vuçini
 2011; Kaczynski, Mischaikow & Mrozek, *Computational Homology*, 2004).  On
 this doubled grid two cells are axis neighbours exactly when one is a
@@ -25,7 +28,9 @@ rank ∂_q − rank ∂_{q+1}, over Q (the exact sparse elimination of ``polys``
 or Z/2 (bitset elimination), after free-face collapses — removing a cell
 together with its unique coface is an elementary collapse, a homotopy
 equivalence — which shrink grid-scale complexes by orders of magnitude.
-That path also serves as the test oracle for the component counts.
+That path holds every cell as a tuple, so it refuses complexes of more than
+``MAX_RANK_CELLS`` cells; it also serves as the test oracle for the
+component counts.
 
 Over a field, cohomology and homology ranks of a finite complex agree, so
 the reported values serve for either reading.
@@ -38,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -51,6 +56,8 @@ MAX_AMBIENT_DIM = 6
 MAX_CELLS_PER_AXIS = 512
 # top cells in one grid, checked before any grid array is allocated
 MAX_TOP_CELLS = 2**21
+# cells of an n >= 4 complex, checked before they are listed as tuples
+MAX_RANK_CELLS = 2**21
 
 Cell = tuple[int, ...]
 
@@ -124,12 +131,16 @@ class CubicalComplex:
     """A face-closed set of cells: ``bitmap`` has shape (2m_i + 1)_i over a
     grid of (m_i)_i cells and is indexed by elementary-interval codes."""
 
-    ambient_dim: int
-    grid_shape: tuple[int, ...]
-    resolution: Fraction
-    origin: tuple[Fraction, ...]
     bitmap: np.ndarray
     undecided_cells: int = 0
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.bitmap.ndim
+
+    @property
+    def grid_shape(self) -> tuple[int, ...]:
+        return tuple(m // 2 for m in self.bitmap.shape)
 
     @property
     def cells(self) -> dict[int, set[Cell]]:
@@ -169,25 +180,17 @@ class CubicalComplex:
                 code.insert(axis, 2 * int(missing[0][0]) + 1)
                 raise CubicalError(f"a face of cell {tuple(code)} is missing")
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.ambient_dim,
-            "resolution": float(self.resolution),
-            "cells": np.argwhere(self.bitmap).tolist(),
-        }
+
+class GridOracle(Protocol):
+    def batch(self, points: np.ndarray) -> np.ndarray: ...
 
 
 def build_cubical(
-    oracle: Callable[[tuple[float, ...]], str],
+    oracle: GridOracle,
     box: Sequence[tuple[RationalLike, RationalLike]],
     resolution: RationalLike,
 ) -> CubicalComplex:
-    """Sample the oracle at grid-cell centers and take the face closure.
-
-    ``oracle`` maps a point to "inside" / "outside" / "undecided"; an object
-    with a ``batch`` method taking an (N, n) float array and returning an
-    integer array (0 outside, 1 inside, 2 undecided) is used vectorised.
-    """
+    """Sample the oracle at grid-cell centers and take the face closure."""
     n = len(box)
     if not 1 <= n <= MAX_AMBIENT_DIM:
         raise CubicalError(f"ambient dimension {n} outside 1..{MAX_AMBIENT_DIM}")
@@ -225,29 +228,16 @@ def build_cubical(
     mesh = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([m.ravel() for m in mesh], axis=-1)
 
-    if hasattr(oracle, "batch"):
-        codes = np.asarray(oracle.batch(centers))
-    else:
-        codes = np.empty(centers.shape[0], dtype=np.int8)
-        lookup = {"outside": 0, "inside": 1, "undecided": 2}
-        for idx in range(centers.shape[0]):
-            verdict = oracle(tuple(float(v) for v in centers[idx]))
-            try:
-                codes[idx] = lookup[verdict]
-            except KeyError:
-                raise CubicalError(f"oracle returned {verdict!r}") from None
+    codes = np.asarray(oracle.batch(centers))
+    if codes.shape != (len(centers),) or codes.dtype.kind not in "iu" or not (
+        0 <= codes.min() and codes.max() <= 2
+    ):
+        raise CubicalError(f"oracle must return {len(centers)} integer codes in 0..2")
 
     bitmap = np.zeros(tuple(2 * m + 1 for m in shape), dtype=bool)
     bitmap[(slice(1, None, 2),) * n] = (codes != 0).reshape(shape)
     close_bitmap(bitmap)
-    return CubicalComplex(
-        ambient_dim=n,
-        grid_shape=tuple(shape),
-        resolution=h,
-        origin=tuple(lows),
-        bitmap=bitmap,
-        undecided_cells=int(np.count_nonzero(codes == 2)),
-    )
+    return CubicalComplex(bitmap, int(np.count_nonzero(codes == 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +448,11 @@ def betti_numbers(complex_: CubicalComplex, field: str = FIELD_Q) -> BettiVector
     if complex_.ambient_dim <= 3:
         values = _betti_by_components(complex_)
     else:
+        if complex_.total_cells() > MAX_RANK_CELLS:
+            raise CubicalError(
+                f"{complex_.total_cells()} cells exceed the rank-path limit "
+                f"{MAX_RANK_CELLS}"
+            )
         values = rank_betti(complex_.cells, complex_.ambient_dim, field)
     euler = complex_.euler_characteristic()
     return BettiVector(field=field, values=values, euler=euler)
@@ -476,38 +471,24 @@ class StableBetti:
     undecided_cells: int
     coarse_undecided_cells: int
 
-    def to_json(self) -> dict:
-        doc = self.betti.to_json()
-        doc["stable"] = self.stable
-        doc["undecided_cells"] = self.undecided_cells
-        doc["coarse_undecided_cells"] = self.coarse_undecided_cells
-        return doc
-
 
 def stable_betti(
-    oracle: Callable[[tuple[float, ...]], str],
+    oracle_factory: Callable[[Fraction], GridOracle],
     box: Sequence[tuple[RationalLike, RationalLike]],
     resolution: RationalLike,
     field: str = FIELD_Q,
-    oracle_factory: Callable[[Fraction], object] | None = None,
 ) -> StableBetti:
     """Compute at the given resolution and at half of it; flag agreement.
 
-    ``oracle_factory``, when given, rebuilds the oracle per resolution —
-    needed when the oracle itself has resolution-dependent parameters (the
-    thickening of equality atoms does).
+    ``oracle_factory`` builds the oracle for each resolution, since the
+    oracle may depend on it (the thickening of equality atoms does).
     """
     h = as_rational(resolution)
-    resolutions = (h, h / 2)
-    vectors = []
-    undecided = []
-    for step in resolutions:
-        sampler = oracle_factory(step) if oracle_factory is not None else oracle
-        complex_ = build_cubical(sampler, box, step)
-        vectors.append(betti_numbers(complex_, field))
-        undecided.append(complex_.undecided_cells)
-    coarse, fine = vectors
-    coarse_undecided, fine_undecided = undecided
+    results = []
+    for step in (h, h / 2):
+        complex_ = build_cubical(oracle_factory(step), box, step)
+        results.append((betti_numbers(complex_, field), complex_.undecided_cells))
+    (coarse, coarse_undecided), (fine, fine_undecided) = results
     return StableBetti(
         betti=fine,
         stable=coarse.values == fine.values,

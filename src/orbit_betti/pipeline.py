@@ -262,7 +262,6 @@ class _QuotientOracle:
         self.blocks = blocks
         self.rewritten = rewritten
         self.taus = _equality_taus(rewritten, clip_box, h)
-        self._cache: dict[tuple[int, tuple[float, ...]], str] = {}
         offsets = []
         nodes = []
         start = 0
@@ -277,14 +276,6 @@ class _QuotientOracle:
             root = nodes[0] if len(nodes) == 1 else FormulaNode("and", children=tuple(nodes))
             self.image = ClosedFormula(rewritten.k, root)
 
-    def _block_membership(self, index: int, y: tuple[float, ...]) -> str:
-        key = (index, y)
-        if key not in self._cache:
-            self._cache[key] = image_membership(
-                self.blocks.block_sizes[index], self.blocks.degree_caps[index], list(y)
-            )
-        return self._cache[key]
-
     def batch(self, points: np.ndarray) -> np.ndarray:
         mask = _formula_mask(self.rewritten, points, self.taus)
         if self.image is not None:
@@ -296,8 +287,10 @@ class _QuotientOracle:
             for idx in np.flatnonzero(mask):
                 row = points[idx]
                 for b, lo, hi in solved:
-                    verdict = self._block_membership(
-                        b, tuple(float(v) for v in row[lo:hi])
+                    verdict = image_membership(
+                        self.blocks.block_sizes[b],
+                        self.blocks.degree_caps[b],
+                        [float(v) for v in row[lo:hi]],
                     )
                     if verdict == OUTSIDE:
                         codes[idx] = 0
@@ -479,13 +472,7 @@ def quotient_betti(spec: ProblemSpec, constant_c: float = 1.0) -> QuotientReport
     def factory(h: Fraction) -> _QuotientOracle:
         return _QuotientOracle(spec.blocks, rewritten, spec.clip_box, h)
 
-    result = stable_betti(
-        None,
-        spec.clip_box,
-        spec.resolution,
-        field=spec.field,
-        oracle_factory=factory,
-    )
+    result = stable_betti(factory, spec.clip_box, spec.resolution, field=spec.field)
     threshold = vanishing_threshold(spec.blocks)
     return QuotientReport(
         betti=tuple(result.betti.values[:threshold]),

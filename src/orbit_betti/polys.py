@@ -645,6 +645,9 @@ class ParseError(ValueError):
 
 
 _TWO_CHAR = (">=", "<=")
+# open "(" and unary "-" at any point of a parse; each level costs the
+# recursive descent at most four stack frames, far below Python's limit
+MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -702,14 +705,18 @@ class _Parser:
         poly     := signed term (("+"|"-") term)*
         term     := factor ("*" factor)*
         factor   := base ("^" nat)?
-        base     := "(" poly ")" | x<int> | literal
+        base     := "(" poly ")" | "-" base | x<int> | literal
         literal  := nat ("/" nat)?
+
+    ``depth`` counts the "(" and unary "-" open at the cursor; more than
+    MAX_NESTING is a ParseError at the token that opens one too many.
     """
 
     def __init__(self, tokens: list[tuple[str, str, int]], k: int, text_len: int):
         self.tokens = tokens
         self.k = k
         self.pos = 0
+        self.depth = 0
         self.text_len = text_len
 
     def _peek(self) -> tuple[str, str, int] | None:
@@ -726,6 +733,11 @@ class _Parser:
         tok = self._next()
         if tok[0] != "op" or tok[1] != value:
             raise ParseError(f"expected {value!r}, found {tok[1]!r}", tok[2])
+
+    def _open(self, tok: tuple[str, str, int]) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok[2])
 
     # formula level ----------------------------------------------------
 
@@ -765,14 +777,15 @@ class _Parser:
         if tok[0] == "op" and tok[1] == "(":
             # Could be a parenthesised formula or a parenthesised polynomial:
             # try the formula route first and fall back on failure.
-            save = self.pos
+            save = self.pos, self.depth
             try:
-                self._next()
+                self._open(self._next())
                 inner = self.parse_formula()
                 self._expect_op(")")
+                self.depth -= 1
                 return inner
             except ParseError:
-                self.pos = save
+                self.pos, self.depth = save
         return self.parse_atom()
 
     def parse_atom(self) -> FormulaNode:
@@ -835,12 +848,15 @@ class _Parser:
 
     def parse_base(self) -> Polynomial:
         tok = self._next()
-        if tok[0] == "op" and tok[1] == "(":
-            poly = self.parse_poly()
-            self._expect_op(")")
+        if tok[0] == "op" and tok[1] in "(-":
+            self._open(tok)
+            if tok[1] == "(":
+                poly = self.parse_poly()
+                self._expect_op(")")
+            else:
+                poly = -self.parse_base()
+            self.depth -= 1
             return poly
-        if tok[0] == "op" and tok[1] == "-":
-            return -self.parse_base()
         if tok[0] == "num":
             numerator = int(tok[1])
             nxt = self._peek()

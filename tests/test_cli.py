@@ -273,6 +273,17 @@ def test_inline_zero_denominator_is_an_error_envelope(capsys):
     assert "zero denominator" in doc["error"]
 
 
+@pytest.mark.parametrize(
+    "formula",
+    ["(" * 300 + "x1" + ")" * 300 + " >= 0", "x1*" + "-" * 1000 + "x1 >= 0"],
+    ids=["300_parentheses", "1000_minuses"],
+)
+def test_deep_nesting_is_an_error_envelope(capsys, formula):
+    code, doc = run(capsys, "rewrite", "--k", "1", "--d", "1", "--formula", formula)
+    assert code == EXIT_ERROR
+    assert "nesting deeper" in doc["error"]
+
+
 def test_box_beyond_the_float_range_is_an_error_envelope(capsys):
     big = "1" + "0" * 400
     code, doc = run(
@@ -342,7 +353,8 @@ def test_composition_commands_are_bounded(capsys, k):
     assert bounds_code == EXIT_OK
     if k <= 13:
         assert comp_code == EXIT_OK and comp_doc["count"] == 2 ** (k - 1)
-        assert comp_doc["flags"]["maximal_formula_mismatch"] is None
+        # (k − 1)! maximal chains against the product formula's ((k − 3)/2)!
+        assert comp_doc["flags"]["maximal_formula_mismatch"] is True
         assert bounds_doc["chain_count_exact"] == comp_doc["chain_count"]
     else:
         assert comp_code == EXIT_ERROR and "exceeds the limit" in comp_doc["error"]

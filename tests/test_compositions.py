@@ -23,7 +23,6 @@ from orbit_betti.compositions import (
     chains,
     comp_kd,
     comp_max,
-    maximal_chains,
     meet,
     paper_chain_bound,
     paper_maximal_chain_formula,
@@ -300,11 +299,12 @@ def test_chain_report_clean_case():
 
 
 def test_maximal_chains_5_3():
-    maxima = maximal_chains(5, 3)
+    maxima = brute_force_maximal_chains(5, 3)
     assert sorted(tuple(c.parts for c in m.elements) for m in maxima) == [
         ((5,), (1, 4), (1, 3, 1)),
         ((5,), (4, 1), (1, 3, 1)),
     ]
+    assert chain_report(5, 3)["maximal_chain_count"] == 2
 
 
 def brute_force_maximal_chains(k: int, d: int) -> list:
@@ -323,9 +323,12 @@ def brute_force_maximal_chains(k: int, d: int) -> list:
 
 
 def test_maximal_chains_match_brute_force():
+    """The closed-form maximal-chain count of chain_report, checked against
+    the brute-force definition."""
     for k in range(1, 8):
         for d in range(1, k + 1):
-            assert maximal_chains(k, d) == brute_force_maximal_chains(k, d), (k, d)
+            expected = len(brute_force_maximal_chains(k, d))
+            assert chain_report(k, d)["maximal_chain_count"] == expected, (k, d)
 
 
 def test_paper_maximal_chain_formula_values():
@@ -387,4 +390,6 @@ def test_chains_are_listed_only_below_the_limit():
         chains(9, 9)
     report = chain_report(9, 9)
     assert report["chain_count"] == chain_count(9, 9)
-    assert "maximal_chain_count" not in report
+    # comp_kd(9, 9) is all of Comp(9), subsets of 8 breakpoints: the
+    # maximal chains add them one at a time in each of the 8! orders
+    assert report["maximal_chain_count"] == factorial(8)

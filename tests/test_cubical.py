@@ -6,9 +6,12 @@ path computes the same homology as plain dense linear algebra, and that
 path in turn checks the component counts used for n ≤ 3.
 """
 
+import time
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from orbit_betti.cubical import (
     CubicalError,
     FIELD_Q,
     FIELD_Z2,
+    MAX_RANK_CELLS,
     boundary,
     build_cubical,
     cell_dim,
@@ -41,13 +45,26 @@ def complex_from_cells(ambient_dim: int, tops: list[tuple[int, ...]]) -> Cubical
     for cell in tops:
         bitmap[cell] = True
     close_bitmap(bitmap)
-    return CubicalComplex(
-        ambient_dim=ambient_dim,
-        grid_shape=(4,) * ambient_dim,
-        resolution=Fraction(1),
-        origin=(Fraction(0),) * ambient_dim,
-        bitmap=bitmap,
-    )
+    return CubicalComplex(bitmap)
+
+
+def codes_oracle(codes):
+    """A grid oracle whose batch is ``codes(points)`` on the (N, n) array."""
+    return SimpleNamespace(batch=codes)
+
+
+def mask_oracle(inside):
+    """A grid oracle: code 1 where the boolean array ``inside(points)`` holds."""
+    return codes_oracle(lambda points: inside(points).astype(np.int8))
+
+
+ALL = mask_oracle(lambda p: np.ones(len(p), dtype=bool))
+NONE = mask_oracle(lambda p: np.zeros(len(p), dtype=bool))
+
+
+def annulus(p):
+    r2 = p[:, 0] ** 2 + p[:, 1] ** 2
+    return (1.0 <= r2) & (r2 <= 4.0)
 
 
 def naive_betti_q(complex_: CubicalComplex) -> list[int]:
@@ -232,7 +249,7 @@ def random_complex(rng, n: int, pure: bool) -> CubicalComplex:
         return build_cubical(Tops(), [(0, m) for m in shape], Fraction(1))
     bitmap = rng.random(tuple(2 * m + 1 for m in shape)) < rng.uniform(0.02, 0.25)
     close_bitmap(bitmap)
-    return CubicalComplex(n, shape, Fraction(1), (Fraction(0),) * n, bitmap)
+    return CubicalComplex(bitmap)
 
 
 def test_component_betti_agrees_with_collapse_and_rank():
@@ -289,15 +306,32 @@ def test_four_dimensional_complexes_use_ranks():
     assert betti_numbers(c, FIELD_Q).values == (2, 0, 0, 0, 0)
     shell = np.ones((7,) * 4, dtype=bool)
     shell[(slice(1, 6),) * 4] = False  # the boundary of a 3^4 block of cells
-    c = CubicalComplex(4, (3,) * 4, Fraction(1), (Fraction(0),) * 4, shell)
+    c = CubicalComplex(shell)
+    assert (c.ambient_dim, c.grid_shape) == (4, (3,) * 4)
     c.validate_closure()
     assert betti_numbers(c, FIELD_Z2).values == (1, 0, 0, 1, 0)
+
+
+def test_rank_path_refuses_large_complexes_before_listing_cells():
+    """A full 20^4 box has 41^4 cells: refused before any cell tuple exists."""
+    c = build_cubical(ALL, [(0, 20)] * 4, Fraction(1))
+    assert c.total_cells() == 41**4 > MAX_RANK_CELLS
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(CubicalError, match="rank-path limit"):
+            betti_numbers(c, FIELD_Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2**20
 
 
 def test_validate_closure_names_the_open_cell():
     bitmap = np.zeros((3, 3), dtype=bool)
     bitmap[1, 1] = True
-    c = CubicalComplex(2, (1, 1), Fraction(1), (Fraction(0),) * 2, bitmap)
+    c = CubicalComplex(bitmap)
     with pytest.raises(CubicalError, match=r"\(1, 1\)"):
         c.validate_closure()
 
@@ -308,7 +342,8 @@ def test_validate_closure_names_the_open_cell():
 
 
 def test_always_inside_full_grid():
-    c = build_cubical(lambda p: "inside", [(0, 1), (0, 1)], Fraction(1, 4))
+    c = build_cubical(ALL, [(0, 1), (0, 1)], Fraction(1, 4))
+    assert (c.ambient_dim, c.grid_shape) == (2, (4, 4))
     vec = betti_numbers(c, FIELD_Q)
     assert vec.values == (1, 0, 0)
     assert c.cell_count(2) == 16
@@ -316,29 +351,21 @@ def test_always_inside_full_grid():
 
 
 def test_always_outside_empty_complex():
-    c = build_cubical(lambda p: "outside", [(0, 1), (0, 1)], Fraction(1, 4))
+    c = build_cubical(NONE, [(0, 1), (0, 1)], Fraction(1, 4))
     assert c.total_cells() == 0
     assert betti_numbers(c, FIELD_Q).values == (0, 0, 0)
     assert betti_numbers(c, FIELD_Q).euler == 0
 
 
 def test_annulus_betti():
-    def oracle(p):
-        r2 = p[0] ** 2 + p[1] ** 2
-        return "inside" if 1.0 <= r2 <= 4.0 else "outside"
-
-    c = build_cubical(oracle, [(-3, 3), (-3, 3)], Fraction(1, 32))
+    c = build_cubical(mask_oracle(annulus), [(-3, 3), (-3, 3)], Fraction(1, 32))
     vec = betti_numbers(c, FIELD_Q)
     assert vec.values == (1, 1, 0)
     assert betti_numbers(c, FIELD_Z2).values == (1, 1, 0)
 
 
 def test_undecided_counts_as_inside_and_is_tallied():
-    def oracle(p):
-        if p[0] < 0.5:
-            return "inside"
-        return "undecided"
-
+    oracle = codes_oracle(lambda p: np.where(p[:, 0] < 0.5, 1, 2))
     c = build_cubical(oracle, [(0, 1), (0, 1)], Fraction(1, 4))
     assert c.cell_count(2) == 16
     assert c.undecided_cells == 8
@@ -356,26 +383,34 @@ def test_batch_oracle_path():
 
 def test_build_validation_errors():
     with pytest.raises(CubicalError):
-        build_cubical(lambda p: "inside", [(0, 1)], Fraction(1, 3) * 2)  # no fit
+        build_cubical(ALL, [(0, 1)], Fraction(1, 3) * 2)  # no fit
     with pytest.raises(CubicalError):
-        build_cubical(lambda p: "inside", [(0, 1)] * 7, Fraction(1, 2))  # dim 7
+        build_cubical(ALL, [(0, 1)] * 7, Fraction(1, 2))  # dim 7
     with pytest.raises(CubicalError):
-        build_cubical(lambda p: "inside", [(0, 1025)], Fraction(1))  # too many
-    with pytest.raises(CubicalError):
-        build_cubical(lambda p: "maybe", [(0, 1)], Fraction(1, 2))
+        build_cubical(ALL, [(0, 1025)], Fraction(1))  # too many
+    # codes outside 0..2, float or boolean codes, one code short, one per axis
+    for codes in (
+        lambda p: np.full(len(p), 3),
+        lambda p: np.full(len(p), -1),
+        lambda p: np.ones(len(p)),
+        lambda p: np.ones(len(p), dtype=bool),
+        lambda p: np.ones(len(p) - 1, dtype=np.int8),
+        lambda p: np.ones(p.shape, dtype=np.int8),
+    ):
+        with pytest.raises(CubicalError, match="integer codes in 0..2"):
+            build_cubical(codes_oracle(codes), [(0, 1), (0, 1)], Fraction(1, 2))
 
 
 def test_total_grid_size_is_bounded_before_sampling():
     calls = []
+    oracle = codes_oracle(lambda p: calls.append(p) or np.ones(len(p), dtype=np.int8))
     with pytest.raises(CubicalError, match="exceeds the limit"):
-        build_cubical(lambda p: calls.append(p) or "inside", [(0, 512)] * 4, Fraction(1))
+        build_cubical(oracle, [(0, 512)] * 4, Fraction(1))
     assert calls == []
 
 
 def test_euler_matches_alternating_cell_count():
-    def oracle(p):
-        return "inside" if (p[0] * 7 + p[1] * 13) % 3 < 1.5 else "outside"
-
+    oracle = mask_oracle(lambda p: (p[:, 0] * 7 + p[:, 1] * 13) % 3 < 1.5)
     c = build_cubical(oracle, [(0, 2), (0, 2)], Fraction(1, 8))
     vec = betti_numbers(c, FIELD_Q)
     assert vec.euler == c.euler_characteristic()
@@ -383,20 +418,16 @@ def test_euler_matches_alternating_cell_count():
 
 
 def test_disjoint_union_additivity():
-    def left(p):
-        return "inside" if abs(p[0] - 1) + abs(p[1] - 1) <= 0.7 else "outside"
+    def diamond(cx):
+        return lambda p: np.abs(p[:, 0] - cx) + np.abs(p[:, 1] - 1) <= 0.7
 
-    def right(p):
-        return "inside" if abs(p[0] - 3) + abs(p[1] - 1) <= 0.7 else "outside"
-
-    def union(p):
-        return "inside" if (left(p) == "inside" or right(p) == "inside") else "outside"
-
+    left, right = diamond(1), diamond(3)
     box = [(0, 4), (0, 2)]
     h = Fraction(1, 16)
+    union = mask_oracle(lambda p: left(p) | right(p))
     bu = betti_numbers(build_cubical(union, box, h), FIELD_Q)
-    bl = betti_numbers(build_cubical(left, box, h), FIELD_Q)
-    br = betti_numbers(build_cubical(right, box, h), FIELD_Q)
+    bl = betti_numbers(build_cubical(mask_oracle(left), box, h), FIELD_Q)
+    br = betti_numbers(build_cubical(mask_oracle(right), box, h), FIELD_Q)
     assert bu.values == tuple(a + b for a, b in zip(bl.values, br.values))
 
 
@@ -406,18 +437,16 @@ def test_disjoint_union_additivity():
 
 
 def test_stable_betti_annulus():
-    def oracle(p):
-        r2 = p[0] ** 2 + p[1] ** 2
-        return "inside" if 1.0 <= r2 <= 4.0 else "outside"
-
-    result = stable_betti(oracle, [(-3, 3), (-3, 3)], Fraction(1, 32))
+    result = stable_betti(
+        lambda h: mask_oracle(annulus), [(-3, 3), (-3, 3)], Fraction(1, 32)
+    )
     assert result.stable
     assert result.betti.values == (1, 1, 0)
     assert result.coarse.values == (1, 1, 0)
 
 
 def test_stable_betti_full_box():
-    result = stable_betti(lambda p: "inside", [(0, 1), (0, 1)], Fraction(1, 4))
+    result = stable_betti(lambda h: ALL, [(0, 1), (0, 1)], Fraction(1, 4))
     assert result.stable
     assert result.betti.values == (1, 0, 0)
 
@@ -425,10 +454,8 @@ def test_stable_betti_full_box():
 def test_stable_betti_flags_thin_slab():
     """A slab thinner than the coarse grid is invisible at the coarse level
     and appears at the fine one: must be flagged unstable."""
-    def oracle(p):
-        return "inside" if 0.0 <= p[1] <= 1.0 / 16.0 else "outside"
-
-    result = stable_betti(oracle, [(0, 1), (0, 1)], Fraction(1, 4))
+    slab = mask_oracle(lambda p: (0.0 <= p[:, 1]) & (p[:, 1] <= 1.0 / 16.0))
+    result = stable_betti(lambda h: slab, [(0, 1), (0, 1)], Fraction(1, 4))
     assert not result.stable
     assert result.coarse.values == (0, 0, 0)
     assert result.betti.values == (1, 0, 0)
@@ -439,9 +466,9 @@ def test_stable_betti_oracle_factory_receives_resolution():
 
     def factory(h):
         seen.append(h)
-        return lambda p: "inside"
+        return ALL
 
-    result = stable_betti(None, [(0, 1)], Fraction(1, 2), oracle_factory=factory)
+    result = stable_betti(factory, [(0, 1)], Fraction(1, 2))
     assert result.stable
     assert seen == [Fraction(1, 2), Fraction(1, 4)]
 
@@ -450,15 +477,13 @@ def test_stable_betti_keeps_coarse_undecided_cells():
     """Undecided cells met only on the coarse grid must survive the fine pass."""
     def factory(h):
         if h == Fraction(1, 4):
-            return lambda p: "undecided" if p[0] < 0.5 else "inside"
-        return lambda p: "inside"
+            return codes_oracle(lambda p: np.where(p[:, 0] < 0.5, 2, 1))
+        return ALL
 
-    result = stable_betti(None, [(0, 1), (0, 1)], Fraction(1, 4), oracle_factory=factory)
+    result = stable_betti(factory, [(0, 1), (0, 1)], Fraction(1, 4))
     assert result.stable
     assert result.undecided_cells == 0
     assert result.coarse_undecided_cells == 8
-    doc = result.to_json()
-    assert (doc["undecided_cells"], doc["coarse_undecided_cells"]) == (0, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -520,22 +545,15 @@ def test_mv_bound_dominates_true_union_betti(data):
         y1 = data.draw(st.integers(y0 + 1, 8))
         rects.append((x0, x1, y0, y1))
 
+    def in_rects(p, chosen):
+        """(len(chosen), N): whether each point lies in each chosen rectangle."""
+        x0, x1, y0, y1 = np.array(chosen, dtype=float).T[:, :, None]
+        return (x0 <= p[:, 0]) & (p[:, 0] <= x1) & (y0 <= p[:, 1]) & (p[:, 1] <= y1)
+
     def rect_oracle(subset):
-        def oracle(p):
-            ok = all(
-                rects[i][0] <= p[0] <= rects[i][1]
-                and rects[i][2] <= p[1] <= rects[i][3]
-                for i in subset
-            )
-            return "inside" if ok else "outside"
+        return mask_oracle(lambda p: in_rects(p, [rects[i] for i in subset]).all(axis=0))
 
-        return oracle
-
-    def union_oracle(p):
-        ok = any(
-            r[0] <= p[0] <= r[1] and r[2] <= p[1] <= r[3] for r in rects
-        )
-        return "inside" if ok else "outside"
+    union_oracle = mask_oracle(lambda p: in_rects(p, rects).any(axis=0))
 
     box = [(0, 8), (0, 8)]
     h = Fraction(1, 2)
@@ -552,14 +570,6 @@ def test_mv_bound_dominates_true_union_betti(data):
 # ---------------------------------------------------------------------------
 # serialisation
 # ---------------------------------------------------------------------------
-
-
-def test_complex_json_schema():
-    c = build_cubical(lambda p: "inside", [(0, 1)], Fraction(1, 2))
-    doc = c.to_json()
-    assert doc["dim"] == 1
-    assert doc["resolution"] == 0.5
-    assert [1] in doc["cells"] and [0] in doc["cells"]
 
 
 def test_betti_json_schema():

@@ -15,6 +15,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 from orbit_betti.polys import (
+    MAX_NESTING,
     BlockSpec,
     ParseError,
     Polynomial,
@@ -240,6 +241,31 @@ def test_parse_error_carries_position():
         assert err.position == len("x1 >= 0 and ")
     else:  # pragma: no cover
         pytest.fail("expected ParseError")
+
+
+def test_nesting_limit_is_a_parse_error_at_the_extra_level():
+    """Up to MAX_NESTING open "(" and unary "-" parse, in polynomials and in
+    formulas; one more is a ParseError at the token that opens it."""
+    n = MAX_NESTING
+    at_limit = [
+        ("(" * n + "x1" + ")" * n + " >= 0", "x1 >= 0"),
+        ("(" * n + "x1 >= 0" + ")" * n, "x1 >= 0"),
+        ("(" * (n - 1) + "x1 * -x2 >= 0" + ")" * (n - 1), "x1 * x2 <= 0"),
+        ("x1 * " + "-" * n + "x2 >= 0", "x1 * x2 >= 0"),
+    ]
+    for text, plain in at_limit:
+        f, g = parse_formula(text, 2), parse_formula(plain, 2)
+        for point in [(1, 1), (1, -1), (-1, 1), (0, -1)]:
+            assert evaluate_formula(f, point) == evaluate_formula(g, point), text
+    cases = [
+        ("(" * (n + 1) + "x1" + ")" * (n + 1) + " >= 0", n),
+        ("(" * (n + 1) + "x1 >= 0" + ")" * (n + 1), n),
+        ("x1 * " + "-" * (n + 1) + "x2 >= 0", len("x1 * ") + n),
+    ]
+    for text, position in cases:
+        with pytest.raises(ParseError, match="nesting deeper") as err:
+            parse_formula(text, 2)
+        assert err.value.position == position
 
 
 def test_formula_evaluation_truth_table():
