@@ -4,7 +4,8 @@ Every command prints one JSON document (sorted keys, so byte-identical
 across runs — wall-clock goes under the single key "timing_seconds", which
 consumers strip before comparing).  Exit codes: 0 success, 1 input or usage
 error, 2 for results that computed but carry an uncertainty flag (undecided
-membership, ambiguous section, unstable grid pair).  Errors always come back
+membership, ambiguous section or one with undecided boxes, unstable grid
+pair).  Errors always come back
 as {"error": "..."} on stdout, never as a traceback.
 """
 
@@ -182,10 +183,11 @@ def section(k, d, point, tol, output) -> int:
             "value": result.value,
             "ambiguous": result.ambiguous,
             "candidates": result.candidates,
+            "undecided_boxes": result.undecided_boxes,
         },
         output,
     )
-    return EXIT_UNCERTAIN if result.ambiguous else EXIT_OK
+    return EXIT_UNCERTAIN if result.ambiguous or result.undecided_boxes else EXIT_OK
 
 
 # The types a job's scalar fields may have: int(), float() and the parser

@@ -25,10 +25,10 @@ interval subdivision in directed-rounding floats (a pruned box is
 subsystem m = 1..ℓ, which proves small boxes empty or holding a unique root
 (Krawczyk 1969; Rump, Acta Numerica 2010), and damped Gauss-Newton on the
 leaves neither can settle.  Undecided boxes are counted and reported, never
-dropped: membership answers beyond d' = 3 are three-valued.  An "outside"
-verdict is a proof; an "inside" verdict is a proof when its root came from a
-Krawczyk-proved box of a square face system (ℓ = d'), and otherwise rests on
-the float residual ≤ tol.
+dropped: membership answers beyond d' = 3 are three-valued, and the section
+reports the count.  An "outside" verdict is a proof; an "inside" verdict is
+a proof when its root came from a Krawczyk-proved box of a square face
+system (ℓ = d'), and otherwise rests on the float residual ≤ tol.
 
 The section routine collects the per-face fibre solutions over the whole
 face poset comp_kd(k, d'), deduplicates points that appear in several face
@@ -36,6 +36,10 @@ closures (a point with coarser grouping pattern lies in every finer face's
 closure -- it is reported in its minimal face), and returns the candidate
 maximizing the next power sum p_{d+1}.  Distinct candidates with values
 tied within tolerance are flagged as ambiguous rather than resolved by fiat.
+For d' ≤ 3 the faces are (k), (a, b) and (1, b, 1), and each face's fibre
+points are the real roots of an exact quadratic or cubic eliminant, counted
+by the sign of its discriminant and bracketed by exact sign changes.  For
+d' ≥ 4 the section searches the faces with ``solve_fibre``.
 """
 
 from __future__ import annotations
@@ -651,6 +655,190 @@ def image_membership(
 
 
 # ---------------------------------------------------------------------------
+# closed-form face fibres for d' ≤ 3
+# ---------------------------------------------------------------------------
+
+# Half-width of the rational bracket, relative to max(1, |r|), in which a
+# float root r must show an exact sign change.
+_BRACKET = 2.0**-40
+# Width, relative to max(1, |x|), to which exact bisection narrows a root.
+_ROOT_WIDTH = Fraction(1, 2**55)
+# Residual, relative to the largest weighted power sum at a float root,
+# that its rounding may cause.
+_ROUNDING = 2.0**-40
+
+
+def _horner(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
+    value = Fraction(0)
+    for c in coeffs:
+        value = value * x + c
+    return value
+
+
+def _sign(value: Fraction) -> int:
+    return (value > 0) - (value < 0)
+
+
+def _sturm_roots(coeffs: list[Fraction]) -> list[float]:
+    """The real roots of a square-free polynomial by exact bisection.
+
+    Sturm's chain counts the roots in (lo, hi] as V(lo) − V(hi); intervals
+    are halved until each holds one root, which is then narrowed to
+    _ROOT_WIDTH.  The start (−R, R] with Cauchy's R = 1 + max |c_i / c_0|
+    holds every root.
+    """
+    degree = len(coeffs) - 1
+    chain = [coeffs, [c * (degree - i) for i, c in enumerate(coeffs[:-1])]]
+    while True:
+        rem = list(chain[-2])
+        den = chain[-1]
+        while len(rem) >= len(den):
+            q = rem[0] / den[0]
+            rem = [r - q * dv for r, dv in zip(rem[1:], den[1:])] + rem[len(den):]
+        while rem and rem[0] == 0:
+            rem.pop(0)
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+
+    def variations(x: Fraction) -> int:
+        signs = [s for s in (_sign(_horner(p, x)) for p in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    bound = 1 + max(abs(c / coeffs[0]) for c in coeffs[1:])
+    pending = [(-bound, bound)]
+    roots = []
+    while pending:
+        lo, hi = pending.pop()
+        v_lo = variations(lo)
+        count = v_lo - variations(hi)
+        if count > 1:
+            mid = (lo + hi) / 2
+            pending += [(lo, mid), (mid, hi)]
+        elif count == 1:
+            while hi - lo > _ROOT_WIDTH * max(1, abs(lo), abs(hi)):
+                mid = (lo + hi) / 2
+                v_mid = variations(mid)
+                if v_lo > v_mid:
+                    hi = mid
+                else:
+                    lo, v_lo = mid, v_mid
+            roots.append(float((lo + hi) / 2))
+    return sorted(roots)
+
+
+def _real_roots(coeffs: list[Fraction]) -> list[float]:
+    """The real roots, ascending, of a quadratic or cubic with exact
+    coefficients (highest first, the leading one nonzero).
+
+    The sign of the discriminant Δ decides how many there are.  At Δ = 0 the
+    repeated root and its partner are rational and come from exact formulas.
+    Otherwise the roots are simple; each float root from numpy must lie in
+    its own rational bracket where the polynomial changes sign exactly, and
+    when brackets for all of them cannot be confirmed, Sturm bisection finds
+    them instead.  A root is never accepted or dropped on float evidence.
+    """
+    if len(coeffs) == 3:
+        a, b, c = coeffs
+        disc = b * b - 4 * a * c
+        if disc == 0:
+            return [float(-b / (2 * a))]
+        count = 2 if disc > 0 else 0
+    else:
+        a, b, c, d = coeffs
+        disc = 18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
+        if disc == 0:
+            shift = b * b - 3 * a * c
+            if shift == 0:
+                return [float(-b / (3 * a))]
+            double = (9 * a * d - b * c) / (2 * shift)
+            return sorted([float(double), float(-b / a - 2 * double)])
+        count = 3 if disc > 0 else 1
+    if count == 0:
+        return []
+    guesses = sorted(np.roots([float(c) for c in coeffs]), key=lambda r: abs(r.imag))
+    roots = sorted(float(r.real) for r in guesses[:count])
+    if _bracketed(coeffs, roots):
+        return roots
+    return _sturm_roots(coeffs)
+
+
+def _bracketed(coeffs: list[Fraction], roots: list[float]) -> bool:
+    """Does each ascending float root r lie in its own rational bracket
+    r ± _BRACKET·max(1, |r|), disjoint from the others, at whose ends the
+    polynomial has strictly opposite signs?"""
+    previous = None
+    for r in roots:
+        delta = Fraction(_BRACKET * max(1.0, abs(r)))
+        lo, hi = Fraction(r) - delta, Fraction(r) + delta
+        if previous is not None and lo <= previous:
+            return False
+        if _sign(_horner(coeffs, lo)) * _sign(_horner(coeffs, hi)) >= 0:
+            return False
+        previous = hi
+    return True
+
+
+def _eliminant_fibre(
+    lam: Composition, y: Sequence[Fraction], tol: float
+) -> tuple[FibreSolution, ...]:
+    """The chamber points of a face fibre for d' = len(y) ≤ 3, in closed form.
+
+    comp_kd(k, d') then holds only the faces (k), (a, b) and (1, b, 1):
+    - (k): t = y_1/k;
+    - (a, b) with values u > v: b(a+b)·v² − 2b·y_1·v + (y_1² − a·y_2) = 0
+      and u = (y_1 − b·v)/a;
+    - (1, b, 1) with values u ≥ s ≥ v: A = y_1 − b·s, B = y_2 − b·s² and
+      C = y_3 − b·s³ are the first three power sums of (u, v), so
+      A³ − 3AB + 2C = 0, a cubic in s with leading coefficient
+      −b(b+1)(b+2), and (u, v) = (A ± √(2B − A²))/2.
+    Every point must then pass ``FibreSolution.make``: residual ≤ tol on all
+    d' equations (the third is the test on a two-part face at d' = 3) and
+    the descending order within tol.  A point that misses tol by no more
+    than its rounding can explain (large |y|) is first polished by damped
+    Newton, as the subdivision's leaves are.
+    """
+    parts = lam.parts
+    y1 = y[0]
+    if len(parts) == 1:
+        points = [(float(y1 / parts[0]),)]
+    elif len(parts) == 2:
+        a, b = parts
+        quadratic = [Fraction(b * (a + b)), -2 * b * y1, y1 * y1 - a * y[1]]
+        points = [((float(y1) - b * v) / a, v) for v in _real_roots(quadratic)]
+    else:
+        b = parts[1]
+        y2, y3 = y[1], y[2]
+        cubic = [
+            Fraction(-b * (b + 1) * (b + 2)),
+            3 * b * (b + 1) * y1,
+            3 * b * (y2 - y1 * y1),
+            y1**3 - 3 * y1 * y2 + 2 * y3,
+        ]
+        points = []
+        for s in _real_roots(cubic):
+            pair_sum = float(y1) - b * s
+            pair_gap = math.sqrt(max(2 * (float(y2) - b * s * s) - pair_sum**2, 0.0))
+            points.append(((pair_sum + pair_gap) / 2, s, (pair_sum - pair_gap) / 2))
+    face = Face.of(lam)
+    y_float = [float(v) for v in y]
+    out = []
+    for t in points:
+        residual = max(abs(r) for r in _residual_vector(parts, t, y_float))
+        scale = max(sum(w * abs(v) ** m for w, v in zip(parts, t)) for m in range(1, len(y) + 1))
+        if tol < residual <= tol + _ROUNDING * scale:
+            # At large |y| the rounding of a float root alone can exceed tol;
+            # damped Newton from it looks for a neighbouring float point.
+            hit = _gauss_newton(parts, y_float, t, tol, max(map(abs, t)) + 1.0, _MAX_NEWTON_ITER)
+            t = tuple(hit[0]) if hit else t
+        try:
+            out.append(FibreSolution.make(face, t, y_float, tol))
+        except FibreError:
+            continue
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # the section: maximize p_{d+1} over the located fibre candidates
 # ---------------------------------------------------------------------------
 
@@ -662,6 +850,7 @@ class SectionResult:
     value: float
     ambiguous: bool
     candidates: int
+    undecided_boxes: int
 
 
 def arnold_section(
@@ -672,38 +861,54 @@ def arnold_section(
 ) -> SectionResult:
     """The distinguished fibre point: maximal p_{d+1} among face candidates.
 
-    Candidates are the fibre solutions over every face in comp_kd(k, d').  A
-    point whose grouping pattern is coarser than the face it was found in is
-    the same geometric point as its copy in the coarser face, so candidates
-    are deduplicated on their embedded coordinates (radius √tol — position
-    error scales like the square root of the residual at tangential double
-    roots) and reported in their minimal face.  Genuinely distinct candidates
-    tied in value within tolerance set the ``ambiguous`` flag.
+    Candidates are the fibre points over every face in comp_kd(k, d').  For
+    d' ≤ 3 each face's points come in closed form from an exact quadratic or
+    cubic eliminant (``_eliminant_fibre``); for d' ≥ 4 from ``solve_fibre``'s
+    subdivision.  A point whose grouping pattern is coarser than the face it
+    was found in is the same geometric point as its copy in the coarser face,
+    so candidates are deduplicated on their embedded coordinates (radius √tol
+    — position error scales like the square root of the residual at
+    tangential double roots) and reported in their minimal face.  Genuinely
+    distinct candidates tied in value within tolerance set the ``ambiguous``
+    flag.
 
     A point that fails ``image_conditions`` raises before any search, and
     so does one where no face yields a candidate; for d' ≥ 4 the error says
     "outside" when every face was certified empty by directed-rounding
-    intervals and "undecided" otherwise.  The candidates carry what
-    ``solve_fibre`` certifies: an exact root in a proved enclosure on square
-    faces where the Krawczyk test applied, else only the float residual ≤ tol.
+    intervals and "undecided" otherwise.  ``undecided_boxes`` counts the
+    boxes the d' ≥ 4 search could not settle: a face with any may hide a
+    larger value.  Every candidate passes the float residual ≤ tol; the
+    d' ≤ 3 eliminant roots are counted exactly and bracketed by exact sign
+    changes, and the d' ≥ 4 ones carry what ``solve_fibre`` certifies.
     """
     if not d < k:
         raise FibreError(f"section requires d < k, got d={d}, k={k}")
     y_exact, verdict = _moment_verdict(k, d, y, tol)
     if verdict == OUTSIDE:
         raise FibreError(f"image membership is {OUTSIDE}, not inside")
-    raw: list[FibreSolution] = []
-    any_undecided = False
-    for lam in comp_kd(k, len(y_exact)):
-        search = solve_fibre(lam, y_exact, tol=tol)
-        raw.extend(search.solutions)
-        any_undecided = any_undecided or search.undecided_boxes > 0
+    faces = comp_kd(k, len(y_exact))
+    undecided = 0
+    if len(y_exact) <= 3:
+        raw = [sol for lam in faces for sol in _eliminant_fibre(lam, y_exact, tol)]
+    else:
+        raw = []
+        for lam in faces:
+            search = solve_fibre(lam, y_exact, tol=tol)
+            raw.extend(search.solutions)
+            undecided += search.undecided_boxes
     if not raw:
         if verdict == INSIDE:
             raise FibreError("no fibre candidates located despite inside membership")
-        status = UNDECIDED if any_undecided else OUTSIDE
+        status = UNDECIDED if undecided else OUTSIDE
         raise FibreError(f"image membership is {status}, not inside")
+    return _section_of(raw, d, tol, undecided)
 
+
+def _section_of(
+    raw: Sequence[FibreSolution], d: int, tol: float, undecided_boxes: int
+) -> SectionResult:
+    """Group candidates by embedded point, keep each in its minimal face and
+    return the one of largest p_{d+1}, flagging near ties."""
     dedup_radius = max(_DEDUP_FACTOR * tol, math.sqrt(tol))
     groups: list[list[FibreSolution]] = []
     for sol in raw:
@@ -736,6 +941,7 @@ def arnold_section(
         value=top_value,
         ambiguous=ambiguous,
         candidates=len(candidates),
+        undecided_boxes=undecided_boxes,
     )
 
 

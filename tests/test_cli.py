@@ -7,8 +7,10 @@ import tracemalloc
 
 import pytest
 
-from orbit_betti import pipeline
+from orbit_betti import fibres, pipeline
 from orbit_betti.cli import EXIT_ERROR, EXIT_OK, EXIT_UNCERTAIN, main
+from orbit_betti.compositions import Composition
+from orbit_betti.fibres import Face, FibreSearch, FibreSolution, power_sum_vector
 
 SPHERE_JOB = {
     "k": 3,
@@ -76,6 +78,29 @@ def test_section_command(capsys):
     assert doc["face"] == [1, 2]
     assert doc["ambiguous"] is False
     assert doc["value"] == pytest.approx(1 / 6**0.5, abs=1e-6)
+    assert doc["undecided_boxes"] == 0
+
+
+def test_section_reports_undecided_boxes(monkeypatch, capsys):
+    """At d' ≥ 4 a face whose search leaves boxes undecided may hide a larger
+    value: the count reaches the result and the JSON, and the exit code is 2
+    even when another face gave a candidate."""
+    lam = Composition.from_parts((1, 3, 1))
+    y = power_sum_vector((0, 1, 1, 1, 2), 4)  # (5, 7, 11, 19)
+    found = FibreSolution.make(Face.of(lam), (2.0, 1.0, 0.0), y, 1e-9)
+
+    def one_solution_one_box(face, targets, tol=1e-9):
+        if face == lam:
+            return FibreSearch((found,), 1)
+        return FibreSearch((), 0)
+
+    monkeypatch.setattr(fibres, "solve_fibre", one_solution_one_box)
+    result = fibres.arnold_section(5, 4, y)
+    assert (result.solution, result.candidates, result.undecided_boxes) == (found, 1, 1)
+    code, doc = run(capsys, "section", "--k", "5", "--d", "4", "--point", "5,7,11,19")
+    assert code == EXIT_UNCERTAIN
+    assert doc["undecided_boxes"] == 1
+    assert doc["face"] == [1, 3, 1] and doc["ambiguous"] is False
 
 
 def test_betti_job_file(tmp_path, capsys):

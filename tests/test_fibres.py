@@ -19,7 +19,11 @@ from orbit_betti.compositions import Composition, comp_kd, comp_max, precedes
 from orbit_betti.fibres import (
     _EMPTY,
     _UNIQUE,
+    _bracketed,
     _krawczyk,
+    _real_roots,
+    _section_of,
+    _sturm_roots,
     Face,
     FibreError,
     FibreSolution,
@@ -503,6 +507,158 @@ def test_solver_recovers_constructed_fibre_points():
             x = Face.of(lam).embed(t)
             p4 = float(sum(v**4 for v in x))
             assert arnold_section(k, 3, y).value >= p4 - 1e-6
+
+
+# -- the closed-form section for d' ≤ 3 -----------------------------------------
+
+
+def _with_roots(roots, lead=1):
+    """Coefficients, highest first, of lead·Π (x − r)."""
+    coeffs = [Fraction(lead)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def test_real_roots_are_counted_exactly():
+    """Repeated roots come from exact formulas; simple ones from float roots
+    in exact sign-change brackets, or from Sturm bisection when the brackets
+    cannot separate them."""
+    seven_eighths, other = Fraction(7, 8), Fraction(109, 128)
+    assert _real_roots(_with_roots([Fraction(1, 3)] * 3, lead=-5)) == [1 / 3]
+    assert _real_roots(_with_roots([seven_eighths, seven_eighths, other], lead=-15)) == [
+        109 / 128, 7 / 8]
+    assert _real_roots(_with_roots([seven_eighths] * 2, lead=3)) == [7 / 8]
+    assert _real_roots(_with_roots([Fraction(-1, 4), Fraction(5, 2)], lead=2)) == [-0.25, 2.5]
+    assert _real_roots([Fraction(1), Fraction(0), Fraction(1)]) == []
+    # x³ + x + 1 has one real root
+    (root,) = _real_roots([Fraction(1), Fraction(0), Fraction(1), Fraction(1)])
+    assert root**3 + root + 1 == pytest.approx(0, abs=1e-15)
+    close = _with_roots([Fraction(1), 1 + Fraction(1, 10**13), Fraction(2)])
+    assert not _bracketed(close, [1.0, 1.0 + 1e-13, 2.0])
+    for roots in (_real_roots(close), _sturm_roots(close)):
+        assert roots == pytest.approx([1.0, 1.0 + 1e-13, 2.0], abs=1e-15)
+        assert roots[0] < roots[1]
+
+
+def test_cubic_eliminant_has_a_double_root_on_two_part_faces():
+    """On (1, b, 1), a point of the two-part face (5, 1) makes the cubic
+    A³ − 3AB + 2C in the middle parameter s have a double root (discriminant
+    0), and a diagonal point a triple one: the cases the closed form answers
+    by exact formulas."""
+    s = sympy.Symbol("s")
+
+    def cubic(b, y):
+        y1, y2, y3 = (sympy.Rational(v.numerator, v.denominator) for v in y)
+        a, q, c = y1 - b * s, y2 - b * s**2, y3 - b * s**3
+        return sympy.Poly(a**3 - 3 * a * q + 2 * c, s, domain="QQ")
+
+    lam, t = C((5, 1)), [Fraction(7, 8), Fraction(53, 64)]
+    f = cubic(4, [weighted_power_sum(lam, m, t) for m in (1, 2, 3)])
+    assert f.LC() == -4 * 5 * 6
+    assert sympy.discriminant(f) == 0
+    assert f.rem(sympy.Poly((8 * s - 7) ** 2, s)).is_zero
+    g = cubic(2, power_sum_vector([Fraction(1, 3)] * 4, 3))
+    assert g.rem(sympy.Poly((3 * s - 1) ** 3, s)).is_zero
+
+
+def _searched_section(k, d, y, tol=1e-9):
+    """The section over ``solve_fibre``'s candidates: the subdivision oracle."""
+    searches = [solve_fibre(lam, y, tol=tol) for lam in comp_kd(k, d)]
+    raw = [sol for search in searches for sol in search.solutions]
+    return _section_of(raw, d, tol, sum(search.undecided_boxes for search in searches))
+
+
+def _oracle_points():
+    """1012 seeded chamber points: 170 for each k = 3…7 at d' = 2 and 40 for
+    each k = 4…7 at d' = 3, where subdivision costs about 25 times as much.
+    Coordinates are in (1/16)ℤ ∩ [−3/2, 3/2]; one point in ten
+    repeats a coordinate (a boundary face), one in twenty lies on a two-part
+    face (a double root of the (1, k−2, 1) cubic) and one in twenty on the
+    diagonal (a triple root)."""
+    rng = random.Random(20261018)
+    cases = [(k, d, 170 if d == 2 else 40) for k in range(3, 8) for d in (2, 3) if d < k]
+    for k, d, count in cases:
+        for i in range(count):
+            x = [Fraction(rng.randint(-24, 24), 16) for _ in range(k)]
+            if i % 20 == 0:
+                x = [x[0]] * k
+            elif i % 20 == 1:
+                x = [x[0]] * (k - 1) + [x[1]]
+            elif i % 10 == 2:
+                x[1] = x[0]
+            yield k, d, power_sum_vector(sorted(x), d)
+    lam, t = C((5, 1)), [Fraction(7, 8), Fraction(53, 64)]
+    yield 6, 3, [weighted_power_sum(lam, m, t) for m in (1, 2, 3)]
+    yield 3, 2, (3, 3)
+
+
+def test_closed_form_section_matches_solve_fibre():
+    """Where subdivision settles every box, the closed-form section and the
+    one over ``solve_fibre``'s candidates agree on face, candidate count and
+    ambiguity, and on the value within 1e-6·max(1, |value|).  A search that
+    leaves boxes undecided can report a degenerate root twice, so at those
+    points the closed form need only reach every located value."""
+    compared = unsettled = 0
+    for k, d, y in _oracle_points():
+        closed = arnold_section(k, d, y)
+        searched = _searched_section(k, d, y)
+        assert closed.undecided_boxes == 0
+        tolerance = 1e-6 * max(1.0, abs(searched.value))
+        if searched.undecided_boxes:
+            unsettled += 1
+            assert closed.value >= searched.value - tolerance, (k, d, y)
+            continue
+        compared += 1
+        assert closed.solution.face == searched.solution.face, (k, d, y)
+        assert closed.candidates == searched.candidates, (k, d, y)
+        assert closed.ambiguous == searched.ambiguous, (k, d, y)
+        assert closed.value == pytest.approx(searched.value, abs=tolerance), (k, d, y)
+    assert compared >= 1000 - 10
+    assert unsettled <= 10
+
+
+def test_section_reports_a_boundary_point_once_in_its_minimal_face():
+    """x = (19/16, 5/4, 5/4, 5/4) lies on the face (3, 1).  Subdivision of the
+    (1, 2, 1) fibre left 11 boxes undecided and a Newton limit 4e-5 from x,
+    outside the √tol dedup radius, so the section came out as (1, 2, 1) with
+    two candidates and flagged ambiguous."""
+    x = (Fraction(19, 16), Fraction(5, 4), Fraction(5, 4), Fraction(5, 4))
+    result = arnold_section(4, 3, power_sum_vector(x, 3))
+    assert result.solution.face.lam.parts == (3, 1)
+    assert (result.candidates, result.ambiguous) == (1, False)
+    assert result.x == pytest.approx([float(v) for v in x], abs=1e-12)
+
+
+def test_section_at_large_scale_polishes_rounded_roots():
+    """At x = (1000, 2000, 3000) the float rounding of p_2 ≈ 1.4e7 alone
+    exceeds tol = 1e-9, so the closed-form root must be polished to a float
+    point that meets the residual rule."""
+    result = arnold_section(3, 2, power_sum_vector((1000, 2000, 3000), 2))
+    assert result.solution.face.lam.parts == (1, 2)
+    # V = 3·p_2 − p_1² = 6e6, u = 2000 + √(2V)/3 and v = 2000 − √(V/2)/3
+    u, v = 2000 + math.sqrt(12e6) / 3, 2000 - math.sqrt(3e6) / 3
+    assert result.value == pytest.approx(u**3 + 2 * v**3, rel=1e-12)
+    x = (Fraction(1001, 7), Fraction(2002, 3), 3000, 3000)
+    result = arnold_section(4, 3, power_sum_vector(x, 3))
+    assert result.solution.face.lam.parts == (1, 2, 1)
+    assert result.value >= sum(float(v) ** 4 for v in x)
+
+
+def test_section_searches_faces_only_beyond_d3(monkeypatch):
+    """d' ≤ 3 sections come from the eliminants alone; d' = 4 still searches."""
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("solve_fibre called")
+
+    monkeypatch.setattr(fibres, "solve_fibre", no_search)
+    assert arnold_section(3, 2, (0, 1)).solution.face.lam.parts == (1, 2)
+    x = (0, 0, 1, 2)
+    result = arnold_section(4, 3, power_sum_vector(x, 3))
+    assert result.undecided_boxes == 0
+    assert result.value >= sum(v**4 for v in x) - 1e-9
+    with pytest.raises(AssertionError, match="solve_fibre called"):
+        arnold_section(5, 4, power_sum_vector((0, 0, 1, 2, 3), 4))
 
 
 def test_comp_max_faces_are_maximal_in_comp_kd():
