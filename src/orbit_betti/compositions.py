@@ -129,19 +129,6 @@ def _check_poset_size(size: int) -> None:
         )
 
 
-def all_compositions(k: int) -> list[Composition]:
-    """All 2^{k−1} compositions of k, sorted by (length, parts)."""
-    if k < 1:
-        raise CompositionError("k must be a positive integer")
-    _check_poset_size(2 ** (k - 1))
-    out = []
-    for mask in range(2 ** (k - 1)):
-        breaks = frozenset(i + 1 for i in range(k - 1) if mask >> i & 1)
-        out.append(Composition(k, breaks))
-    out.sort(key=Composition.sort_key)
-    return out
-
-
 def comp_max(k: int, d: int) -> list[Composition]:
     """Compositions of k of length exactly d with 1's at odd positions.
 
@@ -177,18 +164,16 @@ def comp_max(k: int, d: int) -> list[Composition]:
 
 
 def comp_kd(k: int, d: int) -> list[Composition]:
-    """The face poset used at degree d: closure of comp_max, or everything.
-
-    For d ≤ k this is the downward closure of comp_max(k, d) under ≺ (subset
-    enumeration on breakpoints); for d > k it is all of Comp(k).  Sorted by
-    (length, parts).  More than POSET_LIMIT elements raise CompositionError.
+    """The face poset used at degree d: the downward closure of
+    comp_max(k, d') under ≺, d' = min(k, d), by subset enumeration on
+    breakpoints.  comp_max(k, k) is (1, ..., 1), so for d ≥ k this is all of
+    Comp(k).  Sorted by (length, parts).  More than POSET_LIMIT elements
+    raise CompositionError.
     """
     if k < 1 or d < 1:
         raise CompositionError("k and d must be positive")
-    if d > k:
-        return all_compositions(k)
     seen: set[frozenset[int]] = set()
-    for top in comp_max(k, d):
+    for top in comp_max(k, min(k, d)):
         points = sorted(top.breakpoints)
         _check_poset_size(2 ** len(points))
         for mask in range(2 ** len(points)):

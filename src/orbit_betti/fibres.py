@@ -142,6 +142,11 @@ def power_sum_vector(x: Sequence[RationalLike], m_max: int) -> tuple[Fraction, .
 # ---------------------------------------------------------------------------
 
 
+# Residual, relative to the weighted power sum Σ λ_i|t_i|^m at a float point,
+# that the rounding of that point alone may cause.
+_ROUNDING = 2.0**-40
+
+
 @dataclass(frozen=True)
 class FibreSolution:
     """A certified-residual point of a face fibre."""
@@ -155,13 +160,17 @@ class FibreSolution:
 
     @staticmethod
     def make(face: Face, t: Sequence[float], y: Sequence[float], tol: float) -> "FibreSolution":
+        """Accept t when equation m's residual is at most tol + _ROUNDING·Σ λ_i|t_i|^m:
+        at large |y| the rounding of the float point alone exceeds any
+        absolute tol, and only that rounding is forgiven."""
         parts = face.lam.parts
-        residual = max(
-            abs(sum(w * tv**m for w, tv in zip(parts, t)) - float(ym))
-            for m, ym in enumerate(y, start=1)
-        )
-        if residual > tol:
-            raise FibreError(f"residual {residual} exceeds tolerance {tol}")
+        residual = 0.0
+        for m, ym in enumerate(y, start=1):
+            error = abs(sum(w * tv**m for w, tv in zip(parts, t)) - float(ym))
+            scale = sum(w * abs(tv) ** m for w, tv in zip(parts, t))
+            if error > tol + _ROUNDING * scale:
+                raise FibreError(f"residual {error} of equation {m} exceeds tolerance {tol}")
+            residual = max(residual, error)
         if any(b - a > tol for a, b in zip(t, t[1:])):
             raise FibreError(f"parameters {t} violate the descending ordering beyond {tol}")
         return FibreSolution(face, tuple(float(v) for v in t), residual)
@@ -398,15 +407,15 @@ def solve_fibre(
     lam: Composition,
     y: Sequence[RationalLike],
     tol: float = 1e-9,
-    box_radius: float | None = None,
 ) -> FibreSearch:
     """All chamber solutions of Σ λ_i t_i^m = y_m, m = 1..len(y), t_1 ≥ ... ≥ t_ℓ.
 
-    Interval subdivision over [-R, R]^ℓ intersected with the descending
-    region; boxes certified empty by directed-rounding float intervals are
-    pruned.  When ℓ ≤ d', boxes at most 2R·_KRAWCZYK_WIDTH wide also get the
-    Krawczyk test on the square subsystem m = 1..ℓ: a box it proves empty is
-    pruned; a box it proves to hold a unique root is finished when Newton
+    Interval subdivision over [-R, R]^ℓ, R = √y_2 + 1 (so y_2 is required
+    when ℓ > 1), intersected with the descending region; boxes certified
+    empty by directed-rounding float intervals are pruned.  When ℓ ≤ d',
+    boxes at most 2R·_KRAWCZYK_WIDTH wide also get the Krawczyk test on the
+    square subsystem m = 1..ℓ: a box it proves empty is pruned; a box it
+    proves to hold a unique root is finished when Newton
     from the centre lands in the proved enclosure (for ℓ < d' the enclosure
     is first tested against the extra equations); any other box shrinks to
     the enclosure.  Damped Newton runs on the leaf boxes that survive (width
@@ -451,14 +460,9 @@ def solve_fibre(
             )
         return FibreSearch((), 0)
 
-    if box_radius is None:
-        if d_prime >= 2:
-            box_radius = math.sqrt(max(y_float[1], 0.0)) + 1.0
-        else:
-            raise FibreError(
-                "box_radius is required when y_2 is not prescribed and ℓ > 1"
-            )
-    radius = float(box_radius)
+    if d_prime < 2:
+        raise FibreError("a search over ℓ > 1 parameters needs y_2 to bound the box")
+    radius = math.sqrt(max(y_float[1], 0.0)) + 1.0
     min_width = max(radius / 2**_MAX_DEPTH, tol)
     rng = np.random.default_rng(_SEED)
 
@@ -663,9 +667,6 @@ def image_membership(
 _BRACKET = 2.0**-40
 # Width, relative to max(1, |x|), to which exact bisection narrows a root.
 _ROOT_WIDTH = Fraction(1, 2**55)
-# Residual, relative to the largest weighted power sum at a float root,
-# that its rounding may cause.
-_ROUNDING = 2.0**-40
 
 
 def _horner(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
@@ -792,11 +793,9 @@ def _eliminant_fibre(
       C = y_3 − b·s³ are the first three power sums of (u, v), so
       A³ − 3AB + 2C = 0, a cubic in s with leading coefficient
       −b(b+1)(b+2), and (u, v) = (A ± √(2B − A²))/2.
-    Every point must then pass ``FibreSolution.make``: residual ≤ tol on all
-    d' equations (the third is the test on a two-part face at d' = 3) and
-    the descending order within tol.  A point that misses tol by no more
-    than its rounding can explain (large |y|) is first polished by damped
-    Newton, as the subdivision's leaves are.
+    Every point must then pass ``FibreSolution.make``: residual of equation
+    m ≤ tol + _ROUNDING·Σ λ_i|t_i|^m on all d' equations (the third is the test
+    on a two-part face at d' = 3) and the descending order within tol.
     """
     parts = lam.parts
     y1 = y[0]
@@ -824,13 +823,6 @@ def _eliminant_fibre(
     y_float = [float(v) for v in y]
     out = []
     for t in points:
-        residual = max(abs(r) for r in _residual_vector(parts, t, y_float))
-        scale = max(sum(w * abs(v) ** m for w, v in zip(parts, t)) for m in range(1, len(y) + 1))
-        if tol < residual <= tol + _ROUNDING * scale:
-            # At large |y| the rounding of a float root alone can exceed tol;
-            # damped Newton from it looks for a neighbouring float point.
-            hit = _gauss_newton(parts, y_float, t, tol, max(map(abs, t)) + 1.0, _MAX_NEWTON_ITER)
-            t = tuple(hit[0]) if hit else t
         try:
             out.append(FibreSolution.make(face, t, y_float, tol))
         except FibreError:
@@ -877,9 +869,9 @@ def arnold_section(
     "outside" when every face was certified empty by directed-rounding
     intervals and "undecided" otherwise.  ``undecided_boxes`` counts the
     boxes the d' ≥ 4 search could not settle: a face with any may hide a
-    larger value.  Every candidate passes the float residual ≤ tol; the
-    d' ≤ 3 eliminant roots are counted exactly and bracketed by exact sign
-    changes, and the d' ≥ 4 ones carry what ``solve_fibre`` certifies.
+    larger value.  The d' ≤ 3 eliminant roots are counted exactly, bracketed
+    by exact sign changes and pass ``FibreSolution.make``'s residual rule;
+    the d' ≥ 4 ones carry what ``solve_fibre`` certifies.
     """
     if not d < k:
         raise FibreError(f"section requires d < k, got d={d}, k={k}")

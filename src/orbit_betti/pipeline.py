@@ -18,14 +18,15 @@ counts orbits of finite configurations two ways.
 
 Equality atoms are sampled by thickening: |P| ≤ τ with τ = (h/2) · L where L
 bounds the ℓ¹-norm of ∇P on the box, so every grid cell meeting {P = 0}
-contributes its center.  The image of the chamber is the conjunction of the
-per-block ``fibres.image_conditions``, which define it for d' ≤ 3.  Every
-atom of the rewritten formula and of that conjunction is decided exactly at
-the (float) grid centers: in float outside an a-priori rounding band, with
-fractions inside.  Only a block with d' ≥ 4 sends the points that pass both
-to the fibre solver.  The reported homology is that of the clipped,
-thickened set; callers pick clip boxes large enough to contain the region of
-interest.
+contributes its center.  Both grids sample one closed formula, the region:
+in image space the rewritten formula ∧ the per-block
+``fibres.image_conditions``, which define the image of the chamber for
+d' ≤ 3; in x-space the formula ∧ the chamber order x_{i+1} − x_i ≥ 0.  Every
+atom of the region is decided exactly at the (float) grid centers: in float
+outside an a-priori rounding band, with fractions inside.  Only a block with
+d' ≥ 4 sends the points in the region to the fibre solver.  The reported
+homology is that of the clipped, thickened set; callers pick clip boxes
+large enough to contain the region of interest.
 """
 
 from __future__ import annotations
@@ -157,6 +158,13 @@ def _equality_taus(
 
 _UNIT_ROUNDOFF = 2.0**-53
 
+# Points per block of the formula walk (128 KiB per float column), so the
+# allocator reuses the walk's temporaries from block to block.  Walking a
+# 2^17-point grid whole, whether glibc handed the heap back to the OS between
+# batches, and faulted it in again, hung on the atom order and the heap
+# layout: 2k to 23k page faults a quotient-d2 pass, against 9k to 11k here.
+_WALK_ROWS = 2**14
+
 
 def _float_error_bound(poly: Polynomial, points: np.ndarray) -> np.ndarray:
     """A-priori bound on |evaluate_float − exact value| at float points.
@@ -198,8 +206,9 @@ def _exact_truth(
     return out
 
 
-def _atom_mask(atom: SignAtom, points: np.ndarray, values: dict, taus: dict) -> np.ndarray:
-    vals, err = values[atom.poly]
+def _atom_mask(atom: SignAtom, points: np.ndarray, taus: dict) -> np.ndarray:
+    vals = atom.poly.evaluate_float(points)
+    err = _float_error_bound(atom.poly, points)
     if atom.relation == "=":
         tau = taus[atom.poly]
         tau_f = float(tau)
@@ -214,13 +223,17 @@ def _atom_mask(atom: SignAtom, points: np.ndarray, values: dict, taus: dict) -> 
     return mask
 
 
-def _node_mask(node: FormulaNode, points: np.ndarray, values: dict, taus: dict) -> np.ndarray:
+def _node_mask(node: FormulaNode, points: np.ndarray, taus: dict) -> np.ndarray:
+    """Truth values of a subtree; each later child of an ``and`` is decided
+    only where the earlier ones hold, of an ``or`` only where they fail."""
     if node.kind == "atom":
-        return _atom_mask(node.atom, points, values, taus)
-    masks = [_node_mask(child, points, values, taus) for child in node.children]
-    out = masks[0]
-    for m in masks[1:]:
-        out = (out & m) if node.kind == "and" else (out | m)
+        return _atom_mask(node.atom, points, taus)
+    out = _node_mask(node.children[0], points, taus)
+    for child in node.children[1:]:
+        open_ = np.flatnonzero(out if node.kind == "and" else ~out)
+        if open_.size:
+            # np.take gathers rows several times faster than points[open_]
+            out[open_] = _node_mask(child, np.take(points, open_, axis=0), taus)
     return out
 
 
@@ -233,65 +246,75 @@ def _formula_mask(
 
     Each atom is decided in float wherever its value lies farther than the
     a-priori error bound from the threshold (0, or ±τ for a thickened
-    equality); the points inside that band are evaluated exactly.  The
-    per-polynomial arrays are freed on return: no closure cycle holds them.
+    equality); the points inside that band are evaluated exactly.  The walk
+    short-circuits: an atom is evaluated only at the points where it can
+    still change the answer, and its arrays are freed once it is decided.
+    It takes the points ``_WALK_ROWS`` at a time, so its temporaries have
+    one size whatever the grid.
     """
-    values: dict[Polynomial, tuple[np.ndarray, np.ndarray]] = {
-        poly: (poly.evaluate_float(points), _float_error_bound(poly, points))
-        for poly in formula.polynomial_set
-    }
-    return _node_mask(formula.root, points, values, taus)
+    out = np.empty(len(points), dtype=bool)
+    for start in range(0, len(points), _WALK_ROWS):
+        rows = points[start : start + _WALK_ROWS]
+        out[start : start + len(rows)] = _node_mask(formula.root, rows, taus)
+    return out
+
+
+def _image_region(
+    blocks: BlockSpec,
+) -> tuple[list[Polynomial], list[tuple[int, int, int, int]]]:
+    """Every block's ``image_conditions`` in the image coordinates, and the
+    blocks with d' ≥ 4, whose conditions are only necessary, as (k, d, first
+    coordinate, end) for the fibre search."""
+    var_count = sum(blocks.d_primes)
+    conditions: list[Polynomial] = []
+    searched = []
+    start = 0
+    for k, d, dp in zip(blocks.block_sizes, blocks.degree_caps, blocks.d_primes):
+        conditions += image_conditions(k, dp, var_count, start)
+        if dp >= 4:
+            searched.append((k, d, start, start + dp))
+        start += dp
+    return conditions, searched
+
+
+def _chamber_order(k: int) -> list[Polynomial]:
+    """x_{i+1} − x_i for i < k: nonnegative on the sorted chamber."""
+    x = [Polynomial.variable(i, k) for i in range(1, k + 1)]
+    return [b - a for a, b in zip(x, x[1:])]
 
 
 class _QuotientOracle:
-    """Grid oracle in image space: thickened rewritten formula ∧ image.
+    """Grid oracle: one region, the thickened formula ∧ conditions P ≥ 0.
 
-    ``_formula_mask`` decides the rewritten formula, then, on the points that
-    pass it, ``image``: the conjunction of every block's ``image_conditions``,
-    which decides every block with d' ≤ 3 exactly.  Points that pass both go
-    through ``image_membership`` for each block with d' ≥ 4.
+    One ``_formula_mask`` call per batch decides the region, and its walk
+    tests the conditions only at points where the formula holds.  In image
+    space the conditions are ``_image_region``'s, which decide each block
+    with d' ≤ 3 exactly, and the points in the region go through
+    ``image_membership`` for each ``searched`` block (d' ≥ 4).  In x-space
+    they are ``_chamber_order``'s.
     """
 
     def __init__(
         self,
-        blocks: BlockSpec,
-        rewritten: ClosedFormula,
-        clip_box: Sequence[tuple[Fraction, Fraction]],
+        formula: ClosedFormula,
+        box: Sequence[tuple[Fraction, Fraction]],
         h: Fraction,
+        conditions: Sequence[Polynomial],
+        searched: Sequence[tuple[int, int, int, int]] = (),
     ) -> None:
-        self.blocks = blocks
-        self.rewritten = rewritten
-        self.taus = _equality_taus(rewritten, clip_box, h)
-        offsets = []
-        nodes = []
-        start = 0
-        for k, dp in zip(blocks.block_sizes, blocks.d_primes):
-            offsets.append((start, start + dp))
-            for poly in image_conditions(k, dp, rewritten.k, start):
-                nodes.append(FormulaNode("atom", atom=SignAtom(poly, ">=")))
-            start += dp
-        self.offsets = offsets
-        self.image = None
-        if nodes:
-            root = nodes[0] if len(nodes) == 1 else FormulaNode("and", children=tuple(nodes))
-            self.image = ClosedFormula(rewritten.k, root)
+        nodes = [FormulaNode("atom", atom=SignAtom(p, ">=")) for p in conditions]
+        root = FormulaNode("and", children=(formula.root, *nodes)) if nodes else formula.root
+        self.region = ClosedFormula(formula.k, root)
+        self.taus = _equality_taus(formula, box, h)
+        self.searched = searched
 
     def batch(self, points: np.ndarray) -> np.ndarray:
-        mask = _formula_mask(self.rewritten, points, self.taus)
-        if self.image is not None:
-            passed = np.flatnonzero(mask)
-            mask[passed] = _formula_mask(self.image, points[passed], {})
-        codes = mask.astype(np.int8)
-        solved = [(b, lo, hi) for b, (lo, hi) in enumerate(self.offsets) if hi - lo >= 4]
-        if solved:
-            for idx in np.flatnonzero(mask):
+        codes = _formula_mask(self.region, points, self.taus).astype(np.int8)
+        if self.searched:
+            for idx in np.flatnonzero(codes):
                 row = points[idx]
-                for b, lo, hi in solved:
-                    verdict = image_membership(
-                        self.blocks.block_sizes[b],
-                        self.blocks.degree_caps[b],
-                        [float(v) for v in row[lo:hi]],
-                    )
+                for k, d, lo, hi in self.searched:
+                    verdict = image_membership(k, d, [float(v) for v in row[lo:hi]])
                     if verdict == OUTSIDE:
                         codes[idx] = 0
                         break
@@ -468,9 +491,10 @@ def quotient_betti(spec: ProblemSpec, constant_c: float = 1.0) -> QuotientReport
             f"image dimension {image_dim} exceeds the grid limit {MAX_IMAGE_DIM}"
         )
     rewritten = rewrite_formula(spec.formula, spec.blocks)
+    region = _image_region(spec.blocks)
 
     def factory(h: Fraction) -> _QuotientOracle:
-        return _QuotientOracle(spec.blocks, rewritten, spec.clip_box, h)
+        return _QuotientOracle(rewritten, spec.clip_box, h, *region)
 
     result = stable_betti(factory, spec.clip_box, spec.resolution, field=spec.field)
     threshold = vanishing_threshold(spec.blocks)
@@ -486,25 +510,6 @@ def quotient_betti(spec: ProblemSpec, constant_c: float = 1.0) -> QuotientReport
         full_betti=result.betti,
         coarse_betti=result.coarse,
     )
-
-
-class _ChamberOracle:
-    """x-space oracle: thickened Φ on the sorted chamber x_1 ≤ … ≤ x_k."""
-
-    def __init__(
-        self,
-        formula: ClosedFormula,
-        box: Sequence[tuple[Fraction, Fraction]],
-        h: Fraction,
-    ) -> None:
-        self.formula = formula
-        self.taus = _equality_taus(formula, box, h)
-
-    def batch(self, points: np.ndarray) -> np.ndarray:
-        mask = _formula_mask(self.formula, points, self.taus)
-        if points.shape[1] > 1:
-            mask &= np.all(np.diff(points, axis=1) >= 0.0, axis=1)
-        return mask.astype(np.int8)
 
 
 def direct_quotient_betti(
@@ -543,7 +548,8 @@ def direct_quotient_betti(
         if len(box) != k:
             raise PipelineError(f"x-box needs {k} edges")
     h = as_rational(x_resolution) if x_resolution is not None else spec.resolution
-    complex_ = build_cubical(_ChamberOracle(spec.formula, box, h), box, h)
+    oracle = _QuotientOracle(spec.formula, box, h, _chamber_order(k))
+    complex_ = build_cubical(oracle, box, h)
     return betti_numbers(complex_, spec.field)
 
 

@@ -81,6 +81,22 @@ def test_section_command(capsys):
     assert doc["undecided_boxes"] == 0
 
 
+def test_large_scale_points_of_the_image_answer(capsys):
+    """Far from the origin the float rounding of a fibre point alone exceeds
+    an absolute tol: both commands once answered with an error envelope."""
+    code, doc = run(
+        capsys, "section", "--k", "4", "--d", "3",
+        "--point", "5001/3,225000001/9,1250000000001/27",
+    )
+    assert code == EXIT_OK
+    assert doc["candidates"] >= 1 and sum(doc["x"]) == pytest.approx(1667, rel=1e-12)
+    code, doc = run(
+        capsys, "membership", "--k", "4", "--d", "4",
+        "--point", "20000/3,100000000/9,500000000000/27,2500000000000000/81",
+    )
+    assert code == EXIT_OK and doc["verdict"] == "inside"
+
+
 def test_section_reports_undecided_boxes(monkeypatch, capsys):
     """At d' ≥ 4 a face whose search leaves boxes undecided may hide a larger
     value: the count reaches the result and the JSON, and the exit code is 2

@@ -17,7 +17,6 @@ from orbit_betti.compositions import (
     Chain,
     Composition,
     CompositionError,
-    all_compositions,
     chain_count,
     chain_report,
     chains,
@@ -110,7 +109,7 @@ def test_meet_examples():
 def test_meet_is_lattice_meet_exhaustive():
     """For k <= 5 the meet is the greatest lower bound, checked directly."""
     for k in range(1, 6):
-        elements = all_compositions(k)
+        elements = comp_kd(k, k)
         for lam in elements:
             for mu in elements:
                 nu = meet(lam, mu)
@@ -186,14 +185,16 @@ def test_comp_kd_downward_closed():
         elements = comp_kd(k, d)
         universe = {c.breakpoints for c in elements}
         for lam in elements:
-            for mu in all_compositions(k):
+            for mu in comp_kd(k, k):
                 if precedes(mu, lam):
                     assert mu.breakpoints in universe
 
 
 def test_all_compositions_count():
+    """From d = k on, comp_kd is all of Comp(k): d' = min(k, d)."""
     for k in range(1, 8):
-        assert len(all_compositions(k)) == 2 ** (k - 1)
+        assert len(comp_kd(k, k)) == 2 ** (k - 1)
+        assert comp_kd(k, k + 1) == comp_kd(k, k + 2) == comp_kd(k, k)
 
 
 # ---------------------------------------------------------------------------

@@ -162,10 +162,9 @@ def test_solve_fibre_tangential_double_root():
 
 
 def test_solve_fibre_radius_requirement():
-    with pytest.raises(FibreError):
+    """The search box comes from y_2: without it an ℓ > 1 search refuses."""
+    with pytest.raises(FibreError, match="needs y_2"):
         solve_fibre(C((1, 1)), (0,), tol=1e-9)  # ℓ=2 but only y1 given
-    search = solve_fibre(C((1, 1)), (0,), tol=1e-9, box_radius=2.0)
-    assert search.solutions  # a one-dimensional solution family, sampled
 
 
 def test_solve_fibre_returns_a_degenerate_root_once():
@@ -632,8 +631,8 @@ def test_section_reports_a_boundary_point_once_in_its_minimal_face():
 
 def test_section_at_large_scale_polishes_rounded_roots():
     """At x = (1000, 2000, 3000) the float rounding of p_2 ≈ 1.4e7 alone
-    exceeds tol = 1e-9, so the closed-form root must be polished to a float
-    point that meets the residual rule."""
+    exceeds tol = 1e-9, so the closed-form root must meet the residual rule
+    relative to the size of the power sums."""
     result = arnold_section(3, 2, power_sum_vector((1000, 2000, 3000), 2))
     assert result.solution.face.lam.parts == (1, 2)
     # V = 3·p_2 − p_1² = 6e6, u = 2000 + √(2V)/3 and v = 2000 − √(V/2)/3
@@ -643,6 +642,34 @@ def test_section_at_large_scale_polishes_rounded_roots():
     result = arnold_section(4, 3, power_sum_vector(x, 3))
     assert result.solution.face.lam.parts == (1, 2, 1)
     assert result.value >= sum(float(v) ** 4 for v in x)
+
+
+def test_fibre_residual_forgives_the_rounding_of_large_power_sums():
+    """x = (0, 0, 1/3, 5000): p_3 ≈ 1.25e11 has a float spacing of 1.5e-5, so
+    no float fibre point meets an absolute tol = 1e-9.  The section found no
+    candidate, and the exact one-part fibre of the diagonal x_i = 5000/3 at
+    d = 4 was refused with a residual of 2^-8."""
+    x = (0, 0, Fraction(1, 3), 5000)
+    result = arnold_section(4, 3, power_sum_vector(x, 3))
+    assert result.solution.face.lam.parts == (1, 2, 1)
+    assert result.value >= sum(float(v) ** 4 for v in x)
+    assert image_membership(4, 4, power_sum_vector([Fraction(5000, 3)] * 4, 4)) == "inside"
+    # the scale only loosens large sums: near the origin tol stays absolute
+    with pytest.raises(FibreError):
+        FibreSolution.make(Face.of(C((1, 2))), (0.5, 0.25), (1.0, 0.375 + 2e-9), 1e-9)
+
+
+def test_fibre_residual_stays_absolute_near_a_face_boundary():
+    """x = (1, 5, 5, 5.0001) lies 1e-4 from the face (3, 1), whose eliminant
+    point misses p_3 ≈ 376 by about 4e-8: above tol = 1e-9 plus the rounding
+    of p_3, so it is no candidate.  A residual rule of tol·max(1, p_3)
+    accepted it, 6.7e-5 from x (beyond the √tol merge radius), and the two
+    candidates' p_4 within 1e-6 of each other made the section ambiguous."""
+    x = (1, 5, 5, Fraction(50001, 10000))
+    result = arnold_section(4, 3, power_sum_vector(x, 3))
+    assert result.candidates == 1 and not result.ambiguous
+    assert result.solution.face.lam.parts == (1, 2, 1)
+    assert result.x == pytest.approx([float(v) for v in x], abs=1e-9)
 
 
 def test_section_searches_faces_only_beyond_d3(monkeypatch):

@@ -12,6 +12,7 @@ The three golden regions were worked out by hand in image coordinates
 """
 
 import gc
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -35,7 +36,9 @@ from orbit_betti.pipeline import (
     vanishing_threshold,
     verify_report,
     _QuotientOracle,
+    _chamber_order,
     _formula_mask,
+    _image_region,
 )
 from orbit_betti.fibres import image_conditions
 from orbit_betti.polys import (
@@ -45,6 +48,7 @@ from orbit_betti.polys import (
     SignAtom,
     evaluate_formula,
     parse_formula,
+    parse_polynomial,
 )
 from orbit_betti.powersums import SymmetryError, rewrite_formula
 
@@ -388,6 +392,111 @@ def test_formula_mask_matches_exact_evaluation():
     assert mask.tolist() == expected
 
 
+# Polynomials with exact zeros at dyadic points where float evaluation is
+# off (inexact coefficients), with zeros on lines, and with a square.
+_WALK_POOL = (
+    "1/10*x1^2 - 3/10*x2",
+    "x1*x2 - 1/4",
+    "x1 + x2 - 1",
+    "1/3*x1 - 1/3*x2",
+    "x1^2 + x2^2 - 5/4",
+)
+
+
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        atom = SignAtom(
+            parse_polynomial(rng.choice(_WALK_POOL), 2), rng.choice(["<=", ">=", "="])
+        )
+        return FormulaNode("atom", atom=atom)
+    children = tuple(_random_tree(rng, depth - 1) for _ in range(rng.randint(2, 4)))
+    return FormulaNode(rng.choice(["and", "or"]), children=children)
+
+
+def _thickened(node, taus):
+    """The same tree with each equality P = 0 spelled −τ ≤ P ≤ τ."""
+    if node.kind != "atom":
+        return FormulaNode(node.kind, children=tuple(_thickened(c, taus) for c in node.children))
+    if node.atom.relation != "=":
+        return node
+    tau = taus[node.atom.poly]
+    return FormulaNode("and", children=(
+        FormulaNode("atom", atom=SignAtom(node.atom.poly - tau, "<=")),
+        FormulaNode("atom", atom=SignAtom(node.atom.poly + tau, ">=")),
+    ))
+
+
+def test_short_circuit_walk_matches_exact_evaluation_on_nested_trees():
+    """Seeded random and/or trees (nested both ways, 2–4 children, one
+    polynomial in several atoms, equalities thickened by τ ∈ {0, 1/8, 1/10})
+    at dyadic points, which hit exact ties, and at their one-ulp neighbours."""
+    rng = random.Random(11)
+    grid = np.arange(-8, 9) / 4
+    base = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+    ties = np.array([[0.75, 0.1875], [0.5, 0.5], [1.0, 0.25], [0.5, 1.0], [0.125, 0.875]])
+    misses = np.concatenate([
+        np.stack([ties[:, 0], np.nextafter(ties[:, 1], -np.inf)], axis=-1),
+        np.stack([ties[:, 0], np.nextafter(ties[:, 1], np.inf)], axis=-1),
+        np.stack([np.full(3, 0.5), 0.5 + np.array([0.1, -0.1, 0.125])], axis=-1),
+    ])
+    points = np.concatenate([base, ties, misses])
+    exact_points = [[Fraction(v) for v in row] for row in points.tolist()]
+    fixed = [
+        "(x1 + x2 - 1 = 0 or x1*x2 - 1/4 >= 0) and 1/10*x1^2 - 3/10*x2 <= 0",
+        "x1*x2 - 1/4 >= 0 and x1 + x2 - 1 <= 0 or 1/3*x1 - 1/3*x2 = 0 and x1 >= 0",
+        "x1 + x2 - 1 >= 0 and x1 + x2 - 1 <= 0 and 1/10*x1^2 - 3/10*x2 >= 0",
+    ]
+    formulas = [parse_formula(text, 2) for text in fixed]
+    while len(formulas) < 40:
+        root = _random_tree(rng, 3)
+        if root.kind != "atom":
+            formulas.append(ClosedFormula(2, root))
+    for formula in formulas:
+        taus = {p: rng.choice([Fraction(0), Fraction(1, 8), Fraction(1, 10)])
+                for p in formula.polynomial_set}
+        expected_formula = ClosedFormula(2, _thickened(formula.root, taus))
+        expected = [evaluate_formula(expected_formula, row) for row in exact_points]
+        assert _formula_mask(formula, points, taus).tolist() == expected, formula.to_text()
+
+
+def test_formula_walk_in_blocks_matches_one_walk(monkeypatch):
+    """Blocks of ``_WALK_ROWS`` points, the last one short, give the truth
+    values of a single walk over every point."""
+    formula = parse_formula(
+        "(x1 + x2 - 1 = 0 or x1*x2 - 1/4 >= 0) and 1/10*x1^2 - 3/10*x2 <= 0", 2
+    )
+    taus = {p: Fraction(1, 8) for p in formula.polynomial_set}
+    points = np.random.default_rng(5).integers(-16, 17, (100, 2)) / 8
+    whole = pipeline._node_mask(formula.root, points, taus)
+    monkeypatch.setattr(pipeline, "_WALK_ROWS", 7)
+    assert _formula_mask(formula, points, taus).tolist() == whole.tolist()
+    assert _formula_mask(formula, points[:0], taus).shape == (0,)
+
+
+def test_chamber_oracle_keeps_the_diagonal_and_drops_one_ulp_below():
+    """The x-space region's order atoms x_{i+1} − x_i ≥ 0 decide exactly as
+    ``np.diff(points) >= 0`` does: ties on the diagonal are inside, one ulp
+    below them outside."""
+    formula = parse_formula("x1^2 + x2^2 + x3^2 <= 100", 3)
+    box = [(Fraction(-4), Fraction(4))] * 3
+    oracle = _QuotientOracle(formula, box, Fraction(1, 4), _chamber_order(3))
+    rng = np.random.default_rng(2)
+    values = np.concatenate([rng.integers(-16, 17, 60) / 8, [0.1, 1 / 3, -0.0, 0.0]])
+    a, b = rng.choice(values, 400), rng.choice(values, 400)
+    below = np.nextafter(a, -np.inf)
+    points = np.concatenate([
+        np.stack([a, a, np.maximum(a, b)], axis=-1),
+        np.stack([np.minimum(a, b), a, a], axis=-1),
+        np.stack([a, below, np.maximum(a, b)], axis=-1),
+        np.stack([below, a, below], axis=-1),
+        rng.choice(values, (400, 3)),
+    ])
+    codes = oracle.batch(points)
+    assert codes[:800].tolist() == [1] * 800
+    assert codes[800:1600].tolist() == [0] * 800
+    assert codes.tolist() == np.all(np.diff(points, axis=1) >= 0.0, axis=1).astype(int).tolist()
+
+
 def test_moment_mask_matches_fractions():
     """The d' = 2 image condition k·p2 − p1² ≥ 0 through ``_formula_mask``
     against fractions, with ties, one ulp below a tie and p2 = −0.0."""
@@ -415,7 +524,7 @@ def test_quotient_oracle_matches_exact_image_for_d2():
     blocks = BlockSpec((3, 2), (2, 1))
     formula = parse_formula("x1^2 + x2^2 + x3^2 <= 4", 5)
     box = [(Fraction(-4), Fraction(4)), (Fraction(-1), Fraction(4)), (Fraction(-2), Fraction(2))]
-    oracle = _QuotientOracle(blocks, rewrite_formula(formula, blocks), box, Fraction(1, 8))
+    oracle = _QuotientOracle(rewrite_formula(formula, blocks), box, Fraction(1, 8), *_image_region(blocks))
     rng = np.random.default_rng(5)
     p1 = rng.integers(-32, 33, 300) / 8
     points = np.stack([p1, p1 * p1 / 3, rng.integers(-16, 17, 300) / 8], axis=-1)
@@ -433,7 +542,7 @@ def test_quotient_oracle_searches_fibres_only_for_d4_blocks(monkeypatch):
     blocks = BlockSpec.single(5, 4)
     formula = parse_formula("x1 + x2 + x3 + x4 + x5 <= 2", 5)
     box = [(Fraction(-4), Fraction(4))] * 4
-    oracle = _QuotientOracle(blocks, rewrite_formula(formula, blocks), box, Fraction(1, 4))
+    oracle = _QuotientOracle(rewrite_formula(formula, blocks), box, Fraction(1, 4), *_image_region(blocks))
     asked = []
 
     def membership(k, d, y):
