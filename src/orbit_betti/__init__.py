@@ -59,7 +59,6 @@ from orbit_betti.cubical import (
     FIELD_Z2,
     betti_numbers,
     build_cubical,
-    mv_union_bound,
     stable_betti,
 )
 from orbit_betti.pipeline import (
@@ -110,7 +109,6 @@ __all__ = [
     "image_membership",
     "interval_evaluate",
     "multidegree",
-    "mv_union_bound",
     "orbit_count_finite",
     "paper_chain_bound",
     "parse_formula",

@@ -28,7 +28,7 @@ from orbit_betti.compositions import (
     comp_max,
 )
 from orbit_betti.cubical import FIELD_Q, FIELD_Z2
-from orbit_betti.fibres import INSIDE, arnold_section, image_membership
+from orbit_betti.fibres import UNDECIDED, arnold_section, image_membership
 from orbit_betti.pipeline import (
     PipelineError,
     ProblemSpec,
@@ -160,7 +160,7 @@ def membership(k, d, point, tol, output) -> int:
     y = _rational_list(point)
     verdict = image_membership(k, d, y, tol=tol)
     _emit({"k": k, "d": d, "point": [str(v) for v in y], "verdict": verdict}, output)
-    return EXIT_OK if verdict != "undecided" else EXIT_UNCERTAIN
+    return EXIT_UNCERTAIN if verdict == UNDECIDED else EXIT_OK
 
 
 @cli.command()
@@ -198,7 +198,11 @@ _JOB_TYPES = {"k": (int, str), "d": (int, str), "formula": str, "constant_c": (i
 def _spec_from_job(doc: dict) -> tuple[ProblemSpec, float]:
     if not isinstance(doc, dict):
         raise PipelineError("a job must be a JSON object")
-    edges = doc.get("box")
+    required = ["formula", "box", "resolution"] + (["degrees"] if "blocks" in doc else ["k", "d"])
+    for key in required:
+        if key not in doc:
+            raise PipelineError(f"a job needs {key!r}")
+    edges = doc["box"]
     if not isinstance(edges, list) or not all(
         isinstance(edge, list) and len(edge) == 2 for edge in edges
     ):

@@ -85,13 +85,6 @@ def precedes(lam: Composition, mu: Composition) -> bool:
     return lam.breakpoints <= mu.breakpoints
 
 
-def meet(lam: Composition, mu: Composition) -> Composition:
-    """Greatest lower bound; closures of the two faces intersect in this one."""
-    if lam.k != mu.k:
-        raise CompositionError(f"k mismatch: {lam.k} vs {mu.k}")
-    return Composition(lam.k, lam.breakpoints & mu.breakpoints)
-
-
 @dataclass(frozen=True)
 class Chain:
     """A strictly increasing sequence of compositions over a common k."""

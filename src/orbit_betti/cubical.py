@@ -42,8 +42,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Callable, Mapping, Protocol, Sequence
+from itertools import product
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -496,36 +496,3 @@ def stable_betti(
         undecided_cells=fine_undecided,
         coarse_undecided_cells=coarse_undecided,
     )
-
-
-# ---------------------------------------------------------------------------
-# Mayer-Vietoris union bound
-# ---------------------------------------------------------------------------
-
-
-def mv_union_bound(
-    intersection_bettis: Mapping[frozenset[int] | tuple[int, ...], BettiVector],
-    i: int,
-) -> int:
-    """Upper bound for b^i of a union from the Betti numbers of the
-    intersections: Σ_{j=1}^{i+1} Σ_{card(J)=j} b^{i−j+1}(S_J)."""
-    if i < 0:
-        raise CubicalError("index must be nonnegative")
-    table: dict[frozenset[int], BettiVector] = {}
-    for key, vec in intersection_bettis.items():
-        table[frozenset(key)] = vec
-    indices = sorted({idx for key in table for idx in key})
-    if not indices:
-        raise CubicalError("no intersection data supplied")
-    total = 0
-    for j in range(1, i + 2):
-        for subset in combinations(indices, j):
-            key = frozenset(subset)
-            if key not in table:
-                raise CubicalError(
-                    f"missing Betti data for intersection {sorted(subset)}"
-                )
-            vec = table[key]
-            degree = i - j + 1
-            total += vec.values[degree] if degree < len(vec.values) else 0
-    return total

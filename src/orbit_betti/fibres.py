@@ -30,16 +30,17 @@ reports the count.  An "outside" verdict is a proof; an "inside" verdict is
 a proof when its root came from a Krawczyk-proved box of a square face
 system (ℓ = d'), and otherwise rests on the float residual ≤ tol.
 
-The section routine collects the per-face fibre solutions over the whole
-face poset comp_kd(k, d'), deduplicates points that appear in several face
-closures (a point with coarser grouping pattern lies in every finer face's
-closure -- it is reported in its minimal face), and returns the candidate
-maximizing the next power sum p_{d+1}.  Distinct candidates with values
-tied within tolerance are flagged as ambiguous rather than resolved by fiat.
-For d' ≤ 3 the faces are (k), (a, b) and (1, b, 1), and each face's fibre
-points are the real roots of an exact quadratic or cubic eliminant, counted
-by the sign of its discriminant and bracketed by exact sign changes.  For
-d' ≥ 4 the section searches the faces with ``solve_fibre``.
+One routine, ``_face_fibre``, gives the fibre points over a face to both
+membership and the section.  For d' ≤ 3 the faces are (k), (a, b) and
+(1, b, 1), and their fibre points are the real roots of an exact quadratic
+or cubic eliminant, counted by the sign of its discriminant and bracketed
+by exact sign changes; for d' ≥ 4 ``solve_fibre`` searches the face.  The
+section collects the points over the whole face poset comp_kd(k, d'),
+merges points that appear in several face closures (a point with coarser
+grouping pattern lies in every finer face's closure -- it is reported in
+its minimal face), and returns the candidate maximizing the next power sum
+p_{d+1}.  Distinct candidates with values tied within tolerance are flagged
+as ambiguous rather than resolved by fiat.
 """
 
 from __future__ import annotations
@@ -80,20 +81,9 @@ class FibreError(ValueError):
 
 @dataclass(frozen=True)
 class Face:
-    """The chamber face labelled by a composition of the ambient k."""
+    """The chamber face labelled by a composition of k."""
 
     lam: Composition
-    ambient_k: int
-
-    def __post_init__(self) -> None:
-        if self.lam.k != self.ambient_k:
-            raise FibreError(
-                f"composition of {self.lam.k} cannot label a face in ambient k={self.ambient_k}"
-            )
-
-    @staticmethod
-    def of(lam: Composition) -> "Face":
-        return Face(lam, lam.k)
 
     @property
     def length(self) -> int:
@@ -185,16 +175,19 @@ _MAX_NEWTON_ITER = 60
 _SEED = 20260814
 
 
+def _dedup_radius(tol: float) -> float:
+    """The distance within which two fibre points are one: at a tangential
+    double root the position error scales like the square root of the
+    residual, so converged Newton limits spread like √tol."""
+    return max(_DEDUP_FACTOR * tol, math.sqrt(tol))
+
+
 @dataclass(frozen=True)
 class FibreSearch:
     """Solutions plus the honest count of boxes the search could not settle."""
 
     solutions: tuple[FibreSolution, ...]
     undecided_boxes: int
-
-    @property
-    def certified_empty(self) -> bool:
-        return not self.solutions and self.undecided_boxes == 0
 
 
 # -- tiny dense linear algebra (ℓ ≤ 6, so hand-rolled beats array overhead) --
@@ -427,7 +420,9 @@ def solve_fibre(
     (ℓ = d') has an exact root in its enclosure; for ℓ < d', and for
     solutions found on leaf boxes (singular Jacobians, as at coincident
     parameters), only the float residual ≤ tol stands behind it.  Solutions
-    closer than max(_DEDUP_FACTOR·tol, √tol) are merged.
+    closer than ``_dedup_radius(tol)`` are merged.  A one-part face (ℓ = 1)
+    keeps the point of ``_eliminant_fibre`` when k·t^m = y_m holds exactly
+    or its float residual is ≤ tol, not on ``make``'s rounding allowance.
     """
     _check_tol(tol)
     parts = lam.parts
@@ -438,27 +433,11 @@ def solve_fibre(
     if d_prime < 1:
         raise FibreError("need at least one prescribed power sum")
 
-    # exact one-parameter linear case: k t = y_1
-    if ell == 1 and d_prime >= 1:
+    if ell == 1:
         t_exact = y_exact[0] / parts[0]
-        ok = all(
-            parts[0] * t_exact**m == target for m, target in enumerate(y_exact, 1)
-        )
-        if ok:
-            sol = FibreSolution.make(
-                Face.of(lam), (float(t_exact),), y_float, max(tol, 1e-300)
-            )
-            return FibreSearch((sol,), 0)
-        # fall through to interval logic only to certify emptiness honestly
-        t_float = float(t_exact)
-        residual = max(
-            abs(parts[0] * t_float**m - ym) for m, ym in enumerate(y_float, 1)
-        )
-        if residual <= tol:
-            return FibreSearch(
-                (FibreSolution(Face.of(lam), (t_float,), residual),), 0
-            )
-        return FibreSearch((), 0)
+        exact = all(parts[0] * t_exact**m == ym for m, ym in enumerate(y_exact, 1))
+        points = _eliminant_fibre(lam, y_exact, tol)
+        return FibreSearch(tuple(s for s in points if exact or s.residual <= tol), 0)
 
     if d_prime < 2:
         raise FibreError("a search over ℓ > 1 parameters needs y_2 to bound the box")
@@ -467,36 +446,36 @@ def solve_fibre(
     rng = np.random.default_rng(_SEED)
 
     y_bounds = [float_enclosure(v) for v in y_exact]
-    face = Face.of(lam)
-    solutions: list[tuple[list[float], float]] = []
-    # the radius arnold_section groups at: converged Newton limits along a
-    # degenerate fibre spread like √tol, far beyond _DEDUP_FACTOR·tol
-    dedup_radius = max(_DEDUP_FACTOR * tol, math.sqrt(tol))
+    face = Face(lam)
+    solutions: list[FibreSolution] = []
+    dedup_radius = _dedup_radius(tol)
 
-    def record(t: list[float], residual: float) -> None:
-        if any(b - a > tol for a, b in zip(t, t[1:])):
-            return
-        if max(abs(v) for v in t) > radius + max(1e-9, 1e-6 * radius):
-            return
-        for idx, (old_t, old_res) in enumerate(solutions):
-            if max(abs(a - b) for a, b in zip(t, old_t)) <= dedup_radius:
-                if residual < old_res:
-                    solutions[idx] = (t, residual)
+    def record(sol: FibreSolution) -> None:
+        for idx, old in enumerate(solutions):
+            if max(abs(a - b) for a, b in zip(sol.t, old.t)) <= dedup_radius:
+                if sol.residual < old.residual:
+                    solutions[idx] = sol
                 return
-        solutions.append((t, residual))
+        solutions.append(sol)
 
-    def try_newton(start: Sequence[float]) -> list[float] | None:
-        """Run damped Newton; record and return the limit (or None)."""
+    def try_newton(start: Sequence[float], enclosure=None) -> bool:
+        """Does damped Newton from start land (in the enclosure, if given)?
+        A landing point in the search box is recorded if it passes
+        ``FibreSolution.make``, which refuses it out of chamber order."""
         hit = _gauss_newton(parts, y_float, start, tol, radius, _MAX_NEWTON_ITER)
-        if hit is None:
-            return None
-        record(*hit)
-        return hit[0]
+        if hit is None or (enclosure is not None and not all(
+            lo <= v <= hi for v, (lo, hi) in zip(hit[0], enclosure)
+        )):
+            return False
+        if max(abs(v) for v in hit[0]) <= radius + max(1e-9, 1e-6 * radius):
+            try:
+                record(FibreSolution.make(face, hit[0], y_float, tol))
+            except FibreError:
+                pass
+        return True
 
-    queue: deque[list[tuple[float, float]]] = deque()
-    queue.append([(-radius, radius) for _ in range(ell)])
-    undecided = 0
-    processed = 0
+    queue = deque([[(-radius, radius) for _ in range(ell)]])
+    undecided = processed = 0
     # the square subsystem m = 1..ℓ has isolated roots only when ℓ ≤ d'
     krawczyk_width = 2 * radius * _KRAWCZYK_WIDTH if ell <= d_prime else -1.0
 
@@ -506,9 +485,7 @@ def solve_fibre(
             break
         processed += 1
         box = queue.popleft()
-        if not _chamber_feasible(box):
-            continue
-        if _box_excludes_fibre(parts, box, y_bounds):
+        if not _chamber_feasible(box) or _box_excludes_fibre(parts, box, y_bounds):
             continue
         widths = [hi - lo for lo, hi in box]
         widest = max(range(ell), key=widths.__getitem__)
@@ -523,11 +500,7 @@ def solve_fibre(
                     continue
                 if verdict == _UNIQUE:
                     center = [0.5 * (lo + hi) for lo, hi in box]
-                    hit = _gauss_newton(parts, y_float, center, tol, radius, _MAX_NEWTON_ITER)
-                    if hit is not None and all(
-                        lo <= v <= hi for v, (lo, hi) in zip(hit[0], narrowed)
-                    ):
-                        record(*hit)
+                    if try_newton(center, narrowed):
                         continue
                 box = narrowed
                 widths = [hi - lo for lo, hi in box]
@@ -537,34 +510,25 @@ def solve_fibre(
             # interior converges: its residual flow drains to a located
             # solution, so the box owes its interval-arithmetic survival to
             # that solution (per-equation enclosures cannot separate nearby
-            # level sets of the different moments).  Otherwise multistart;
-            # only a box where every start diverges stays unresolved.
-            # Interior boxes need no Newton: every unpruned root reaches a leaf.
+            # level sets of the different moments).  Otherwise multistart, one
+            # seeded start at a time up to the first that lands; only a box
+            # where every start diverges stays unresolved.  Interior boxes
+            # need no Newton: every unpruned root reaches a leaf.
             center = [0.5 * (lo + hi) for lo, hi in box]
-            if try_newton(center) is not None:
+            if try_newton(center):
                 continue
-            landed = False
-            for _ in range(_MULTISTARTS):
-                start = [rng.uniform(lo, hi) for lo, hi in box]
-                if try_newton(start) is not None:
-                    landed = True
-                    break
-            if not landed:
+            if not any(
+                try_newton([rng.uniform(lo, hi) for lo, hi in box])
+                for _ in range(_MULTISTARTS)
+            ):
                 undecided += 1
             continue
-        mid = 0.5 * (box[widest][0] + box[widest][1])
-        left = box[:]
-        right = box[:]
-        left[widest] = (box[widest][0], mid)
-        right[widest] = (mid, box[widest][1])
-        queue.append(left)
-        queue.append(right)
+        lo, hi = box[widest]
+        mid = 0.5 * (lo + hi)
+        for half in ((lo, mid), (mid, hi)):
+            queue.append(box[:widest] + [half] + box[widest + 1 :])
 
-    out = [
-        FibreSolution(face, tuple(t), res)
-        for t, res in sorted(solutions, key=lambda s: s[0])
-    ]
-    return FibreSearch(tuple(out), undecided)
+    return FibreSearch(tuple(sorted(solutions, key=lambda s: s.t)), undecided)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +599,7 @@ def image_membership(
     """Is y in the image of the chamber under the truncated power-sum map?
 
     For d' ≤ 3 ``image_conditions`` decide exactly.  For d' ≥ 4 a point that
-    fails them is "outside"; otherwise ``solve_fibre`` runs on the faces of
+    fails them is "outside"; otherwise ``_face_fibre`` searches the faces of
     comp_kd(k, d') shortest first (a boundary point is found on its lower
     face before the top face's degenerate fibre is searched) and stops at
     the first face with a solution: "inside".  "outside" then needs every
@@ -651,7 +615,7 @@ def image_membership(
         return verdict
     any_undecided = False
     for lam in comp_kd(k, len(y_exact)):
-        search = solve_fibre(lam, y_exact, tol=tol)
+        search = _face_fibre(lam, y_exact, tol)
         if search.solutions:
             return INSIDE
         any_undecided = any_undecided or search.undecided_boxes > 0
@@ -786,7 +750,7 @@ def _eliminant_fibre(
     """The chamber points of a face fibre for d' = len(y) ≤ 3, in closed form.
 
     comp_kd(k, d') then holds only the faces (k), (a, b) and (1, b, 1):
-    - (k): t = y_1/k;
+    - (k): t = y_1/k (at any d', which is how ``solve_fibre`` takes it);
     - (a, b) with values u > v: b(a+b)·v² − 2b·y_1·v + (y_1² − a·y_2) = 0
       and u = (y_1 − b·v)/a;
     - (1, b, 1) with values u ≥ s ≥ v: A = y_1 − b·s, B = y_2 − b·s² and
@@ -819,7 +783,7 @@ def _eliminant_fibre(
             pair_sum = float(y1) - b * s
             pair_gap = math.sqrt(max(2 * (float(y2) - b * s * s) - pair_sum**2, 0.0))
             points.append(((pair_sum + pair_gap) / 2, s, (pair_sum - pair_gap) / 2))
-    face = Face.of(lam)
+    face = Face(lam)
     y_float = [float(v) for v in y]
     out = []
     for t in points:
@@ -828,6 +792,14 @@ def _eliminant_fibre(
         except FibreError:
             continue
     return tuple(out)
+
+
+def _face_fibre(lam: Composition, y: Sequence[Fraction], tol: float) -> FibreSearch:
+    """The fibre points over one face: in closed form for d' = len(y) ≤ 3,
+    with no undecided boxes, and from ``solve_fibre`` otherwise."""
+    if len(y) <= 3:
+        return FibreSearch(_eliminant_fibre(lam, y, tol), 0)
+    return solve_fibre(lam, y, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -853,41 +825,31 @@ def arnold_section(
 ) -> SectionResult:
     """The distinguished fibre point: maximal p_{d+1} among face candidates.
 
-    Candidates are the fibre points over every face in comp_kd(k, d').  For
-    d' ≤ 3 each face's points come in closed form from an exact quadratic or
-    cubic eliminant (``_eliminant_fibre``); for d' ≥ 4 from ``solve_fibre``'s
-    subdivision.  A point whose grouping pattern is coarser than the face it
-    was found in is the same geometric point as its copy in the coarser face,
-    so candidates are deduplicated on their embedded coordinates (radius √tol
-    — position error scales like the square root of the residual at
-    tangential double roots) and reported in their minimal face.  Genuinely
-    distinct candidates tied in value within tolerance set the ``ambiguous``
-    flag.
+    Candidates are the fibre points over every face in comp_kd(k, d'), from
+    ``_face_fibre``.  A point whose grouping pattern is coarser than the face
+    it was found in is the same geometric point as its copy in the coarser
+    face, so candidates within ``_dedup_radius(tol)`` of each other are
+    merged and reported in their minimal face.  Distinct candidates tied in
+    value within tolerance set the ``ambiguous`` flag.
 
     A point that fails ``image_conditions`` raises before any search, and
     so does one where no face yields a candidate; for d' ≥ 4 the error says
     "outside" when every face was certified empty by directed-rounding
     intervals and "undecided" otherwise.  ``undecided_boxes`` counts the
     boxes the d' ≥ 4 search could not settle: a face with any may hide a
-    larger value.  The d' ≤ 3 eliminant roots are counted exactly, bracketed
-    by exact sign changes and pass ``FibreSolution.make``'s residual rule;
-    the d' ≥ 4 ones carry what ``solve_fibre`` certifies.
+    larger value.
     """
     if not d < k:
         raise FibreError(f"section requires d < k, got d={d}, k={k}")
     y_exact, verdict = _moment_verdict(k, d, y, tol)
     if verdict == OUTSIDE:
         raise FibreError(f"image membership is {OUTSIDE}, not inside")
-    faces = comp_kd(k, len(y_exact))
+    raw: list[FibreSolution] = []
     undecided = 0
-    if len(y_exact) <= 3:
-        raw = [sol for lam in faces for sol in _eliminant_fibre(lam, y_exact, tol)]
-    else:
-        raw = []
-        for lam in faces:
-            search = solve_fibre(lam, y_exact, tol=tol)
-            raw.extend(search.solutions)
-            undecided += search.undecided_boxes
+    for lam in comp_kd(k, len(y_exact)):
+        search = _face_fibre(lam, y_exact, tol)
+        raw.extend(search.solutions)
+        undecided += search.undecided_boxes
     if not raw:
         if verdict == INSIDE:
             raise FibreError("no fibre candidates located despite inside membership")
@@ -901,7 +863,7 @@ def _section_of(
 ) -> SectionResult:
     """Group candidates by embedded point, keep each in its minimal face and
     return the one of largest p_{d+1}, flagging near ties."""
-    dedup_radius = max(_DEDUP_FACTOR * tol, math.sqrt(tol))
+    dedup_radius = _dedup_radius(tol)
     groups: list[list[FibreSolution]] = []
     for sol in raw:
         x = sol.embedded()

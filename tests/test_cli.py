@@ -103,7 +103,7 @@ def test_section_reports_undecided_boxes(monkeypatch, capsys):
     even when another face gave a candidate."""
     lam = Composition.from_parts((1, 3, 1))
     y = power_sum_vector((0, 1, 1, 1, 2), 4)  # (5, 7, 11, 19)
-    found = FibreSolution.make(Face.of(lam), (2.0, 1.0, 0.0), y, 1e-9)
+    found = FibreSolution.make(Face(lam), (2.0, 1.0, 0.0), y, 1e-9)
 
     def one_solution_one_box(face, targets, tol=1e-9):
         if face == lam:
@@ -340,6 +340,39 @@ def test_malformed_job_is_an_error_envelope(tmp_path, capsys, name):
     code, doc = run(capsys, "betti", "--job", _job_file(tmp_path, name, MALFORMED_JOBS[name]))
     assert code == EXIT_ERROR
     assert set(doc) == {"error"}
+
+
+def _without(job, key):
+    return {name: value for name, value in job.items() if name != key}
+
+
+# A job missing a required key, by the key the error must name.
+MISSING_KEY_JOBS = {
+    "formula": _without(SPHERE_JOB, "formula"),
+    "box": _without(SPHERE_JOB, "box"),
+    "resolution": _without(SPHERE_JOB, "resolution"),
+    "k": _without(SPHERE_JOB, "k"),
+    "d": _without(SPHERE_JOB, "d"),
+    "degrees": dict(_without(_without(SPHERE_JOB, "k"), "d"), blocks=[3]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(MISSING_KEY_JOBS))
+def test_job_missing_a_key_names_it(tmp_path, capsys, key):
+    code, doc = run(capsys, "betti", "--job", _job_file(tmp_path, key, MISSING_KEY_JOBS[key]))
+    assert code == EXIT_ERROR
+    assert doc == {"error": f"a job needs '{key}'"}
+
+
+def test_betti_job_directory_names_each_missing_key(tmp_path, capsys):
+    _job_file(tmp_path, "sphere", SPHERE_JOB)
+    for key, job in MISSING_KEY_JOBS.items():
+        _job_file(tmp_path, f"no_{key}", job)
+    code, doc = run(capsys, "betti", "--job", str(tmp_path))
+    assert code == EXIT_ERROR
+    assert doc["jobs"]["sphere"]["betti"] == [1, 0]
+    for key in MISSING_KEY_JOBS:
+        assert doc["jobs"][f"no_{key}"] == {"error": f"a job needs '{key}'"}
 
 
 def test_betti_job_directory_reports_each_malformed_job(tmp_path, capsys):

@@ -22,7 +22,6 @@ from orbit_betti.compositions import (
     chains,
     comp_kd,
     comp_max,
-    meet,
     paper_chain_bound,
     paper_maximal_chain_formula,
     precedes,
@@ -93,30 +92,6 @@ def test_precedes_hasse_examples():
 def test_precedes_k_mismatch():
     with pytest.raises(CompositionError):
         precedes(Composition.from_parts((2,)), Composition.from_parts((3,)))
-
-
-def test_meet_examples():
-    c12 = Composition.from_parts((1, 2))
-    c21 = Composition.from_parts((2, 1))
-    assert meet(c12, c21).parts == (3,)
-    assert meet(c12, c12) == c12
-    # over k = 5: {1,4} ∩ {1} = {1}
-    assert meet(
-        Composition.from_parts((1, 3, 1)), Composition.from_parts((1, 4))
-    ).parts == (1, 4)
-
-
-def test_meet_is_lattice_meet_exhaustive():
-    """For k <= 5 the meet is the greatest lower bound, checked directly."""
-    for k in range(1, 6):
-        elements = comp_kd(k, k)
-        for lam in elements:
-            for mu in elements:
-                nu = meet(lam, mu)
-                assert precedes(nu, lam) and precedes(nu, mu)
-                for other in elements:
-                    if precedes(other, lam) and precedes(other, mu):
-                        assert precedes(other, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +324,7 @@ def test_comp_kd_closed_under_meet(k, data):
     universe = {c.breakpoints for c in elements}
     lam = data.draw(st.sampled_from(elements))
     mu = data.draw(st.sampled_from(elements))
-    assert meet(lam, mu).breakpoints in universe
+    assert lam.breakpoints & mu.breakpoints in universe
 
 
 @given(st.integers(min_value=1, max_value=8))

@@ -10,13 +10,12 @@ import time
 import tracemalloc
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from orbit_betti.cubical import (
     BettiVector,
@@ -33,7 +32,6 @@ from orbit_betti.cubical import (
     close_bitmap,
     collapsed_cells,
     count_components,
-    mv_union_bound,
     rank_betti,
     stable_betti,
 )
@@ -484,87 +482,6 @@ def test_stable_betti_keeps_coarse_undecided_cells():
     assert result.stable
     assert result.undecided_cells == 0
     assert result.coarse_undecided_cells == 8
-
-
-# ---------------------------------------------------------------------------
-# Mayer-Vietoris bound
-# ---------------------------------------------------------------------------
-
-
-def zero_vec(n, field=FIELD_Q):
-    return BettiVector(field, (0,) * (n + 1), 0)
-
-
-def point_vec(n, b0=1, b1=0, field=FIELD_Q):
-    values = [b0, b1] + [0] * (n - 1)
-    return BettiVector(field, tuple(values), b0 - b1)
-
-
-def test_mv_bound_single_set():
-    vec = point_vec(2)
-    assert mv_union_bound({frozenset({1}): vec}, 0) == 1
-
-
-def test_mv_bound_two_disjoint_contractibles():
-    data = {
-        frozenset({1}): point_vec(2),
-        frozenset({2}): point_vec(2),
-        frozenset({1, 2}): zero_vec(2),
-    }
-    assert mv_union_bound(data, 0) == 2
-
-
-def test_mv_bound_two_arcs_circle():
-    # two arcs, each contractible, intersecting in two points
-    two_points = BettiVector(FIELD_Q, (2, 0, 0), 2)
-    data = {
-        frozenset({1}): point_vec(2),
-        frozenset({2}): point_vec(2),
-        frozenset({1, 2}): two_points,
-    }
-    # i=1: b^1(S1) + b^1(S2) + b^0(S12) = 0 + 0 + 2
-    assert mv_union_bound(data, 1) == 2
-
-
-def test_mv_bound_missing_data():
-    with pytest.raises(CubicalError):
-        mv_union_bound({frozenset({1}): point_vec(2), frozenset({2}): point_vec(2)}, 1)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_mv_bound_dominates_true_union_betti(data):
-    """Random two- and three-box arrangements on a coarse 2D grid: the
-    Mayer-Vietoris expression must bound every union Betti number."""
-    n_sets = data.draw(st.integers(min_value=2, max_value=3))
-    rects = []
-    for _ in range(n_sets):
-        x0 = data.draw(st.integers(0, 5))
-        y0 = data.draw(st.integers(0, 5))
-        x1 = data.draw(st.integers(x0 + 1, 8))
-        y1 = data.draw(st.integers(y0 + 1, 8))
-        rects.append((x0, x1, y0, y1))
-
-    def in_rects(p, chosen):
-        """(len(chosen), N): whether each point lies in each chosen rectangle."""
-        x0, x1, y0, y1 = np.array(chosen, dtype=float).T[:, :, None]
-        return (x0 <= p[:, 0]) & (p[:, 0] <= x1) & (y0 <= p[:, 1]) & (p[:, 1] <= y1)
-
-    def rect_oracle(subset):
-        return mask_oracle(lambda p: in_rects(p, [rects[i] for i in subset]).all(axis=0))
-
-    union_oracle = mask_oracle(lambda p: in_rects(p, rects).any(axis=0))
-
-    box = [(0, 8), (0, 8)]
-    h = Fraction(1, 2)
-    table = {}
-    for size in range(1, n_sets + 1):
-        for subset in combinations(range(n_sets), size):
-            c = build_cubical(rect_oracle(subset), box, h)
-            table[frozenset(i + 1 for i in subset)] = betti_numbers(c, FIELD_Q)
-    union_betti = betti_numbers(build_cubical(union_oracle, box, h), FIELD_Q)
-    for i in range(2):
-        assert mv_union_bound(table, i) >= union_betti.values[i]
 
 
 # ---------------------------------------------------------------------------

@@ -80,19 +80,14 @@ def test_face_embed_and_contains():
     # parts count groups from the largest value: (1,2) is "top value alone,
     # bottom pair tied", embedded ascending
     lam = C((1, 2))
-    assert Face.of(lam).embed((1, 0)) == (0, 0, 1)
+    assert Face(lam).embed((1, 0)) == (0, 0, 1)
     assert in_closed_face(lam, (0, 0, 1))
     assert not in_closed_face(lam, (0, 1, 1))  # bottom singleton: that is (2,1)
     assert not in_closed_face(lam, (0, 1, 2))  # group not constant
     assert not in_closed_face(lam, (1, 0, 0))  # not sorted
-    assert in_closed_face(C((2, 1)), Face.of(C((2, 1))).embed((1, 0)))
-    assert in_closed_face(C((3,)), Face.of(C((3,))).embed((5,)))
-    assert in_closed_face(lam, Face.of(lam).embed((5, 5)))  # diagonal lies in every closed face
-
-
-def test_face_ambient_mismatch():
-    with pytest.raises(FibreError):
-        Face(C((1, 2)), 4)
+    assert in_closed_face(C((2, 1)), Face(C((2, 1))).embed((1, 0)))
+    assert in_closed_face(C((3,)), Face(C((3,))).embed((5,)))
+    assert in_closed_face(lam, Face(lam).embed((5, 5)))  # diagonal lies in every closed face
 
 
 def test_face_sampling_respects_order_relation():
@@ -100,7 +95,7 @@ def test_face_sampling_respects_order_relation():
     of the smaller face must pass the bigger face's pattern check."""
     rng = np.random.default_rng(7)
     for k in range(2, 6):
-        faces = [Face.of(c) for c in comp_kd(k, k)]
+        faces = [Face(c) for c in comp_kd(k, k)]
         for fa in faces:
             for fb in faces:
                 if not precedes(fa.lam, fb.lam):
@@ -133,7 +128,7 @@ def test_solve_fibre_12_at_01():
 
 def test_solve_fibre_vertex_face_inconsistent():
     search = solve_fibre(C((3,)), (0, 1), tol=1e-9)
-    assert search.certified_empty
+    assert (search.solutions, search.undecided_boxes) == ((), 0)
 
 
 def test_solve_fibre_distinct_point():
@@ -234,9 +229,9 @@ def test_solve_fibre_skips_krawczyk_on_positive_dimensional_fibres():
 def test_fibre_solution_invariants_enforced():
     with pytest.raises(FibreError):
         # residual-exact point but ascending parameters
-        FibreSolution.make(Face.of(C((1, 2))), (0.2, 0.5), (1.2, 0.54), 1e-9)
+        FibreSolution.make(Face(C((1, 2))), (0.2, 0.5), (1.2, 0.54), 1e-9)
     with pytest.raises(FibreError):
-        FibreSolution.make(Face.of(C((1, 2))), (0.0, 0.0), (0, 1), 1e-9)  # residual 1
+        FibreSolution.make(Face(C((1, 2))), (0.0, 0.0), (0, 1), 1e-9)  # residual 1
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +498,7 @@ def test_solver_recovers_constructed_fibre_points():
                 for sol in search.solutions
             ), (lam, t, search)
             assert image_membership(k, 3, y) == INSIDE
-            x = Face.of(lam).embed(t)
+            x = Face(lam).embed(t)
             p4 = float(sum(v**4 for v in x))
             assert arnold_section(k, 3, y).value >= p4 - 1e-6
 
@@ -656,7 +651,7 @@ def test_fibre_residual_forgives_the_rounding_of_large_power_sums():
     assert image_membership(4, 4, power_sum_vector([Fraction(5000, 3)] * 4, 4)) == "inside"
     # the scale only loosens large sums: near the origin tol stays absolute
     with pytest.raises(FibreError):
-        FibreSolution.make(Face.of(C((1, 2))), (0.5, 0.25), (1.0, 0.375 + 2e-9), 1e-9)
+        FibreSolution.make(Face(C((1, 2))), (0.5, 0.25), (1.0, 0.375 + 2e-9), 1e-9)
 
 
 def test_fibre_residual_stays_absolute_near_a_face_boundary():
@@ -670,6 +665,27 @@ def test_fibre_residual_stays_absolute_near_a_face_boundary():
     assert result.candidates == 1 and not result.ambiguous
     assert result.solution.face.lam.parts == (1, 2, 1)
     assert result.x == pytest.approx([float(v) for v in x], abs=1e-9)
+
+
+def test_one_part_face_beyond_d3_keeps_an_absolute_residual(monkeypatch):
+    """y = (5000, 5e6, 5e9, 5e12 − 1): p_1 and p_2 force x = (1000, ..., 1000),
+    whose p_4 is 5e12, so y is outside the image.  The (5) point t = 1000
+    misses equation 4 by 1, inside the rounding allowance of ``make``
+    (≈ 4.5 at that scale) but far above tol, and must not be a fibre point:
+    it made membership "inside" and gave the section a candidate."""
+    y = (5000, 5 * 10**6, 5 * 10**9, 5 * 10**12 - 1)
+    assert solve_fibre(C((5,)), y) == fibres.FibreSearch((), 0)
+    # the faces with ℓ ≥ 2 take minutes to search this close to the diagonal:
+    # they answer "undecided" here, so that only the (5) face is searched
+    search = fibres.solve_fibre
+
+    def one_part_only(lam, y, tol=1e-9):
+        return search(lam, y, tol=tol) if lam.length == 1 else fibres.FibreSearch((), 1)
+
+    monkeypatch.setattr(fibres, "solve_fibre", one_part_only)
+    assert image_membership(5, 4, y) == UNDECIDED
+    with pytest.raises(FibreError, match="undecided"):
+        arnold_section(5, 4, y)
 
 
 def test_section_searches_faces_only_beyond_d3(monkeypatch):
@@ -686,6 +702,34 @@ def test_section_searches_faces_only_beyond_d3(monkeypatch):
     assert result.value >= sum(v**4 for v in x) - 1e-9
     with pytest.raises(AssertionError, match="solve_fibre called"):
         arnold_section(5, 4, power_sum_vector((0, 0, 1, 2, 3), 4))
+
+
+# Chamber points x ∈ ((1/32)ℤ ∩ [−2, 2])^k drawn with random.Random(7), three
+# of them with a repeated coordinate, and the membership verdict and section
+# (face, candidates, ambiguous, undecided boxes, repr of p_5) the face search
+# gave for them; points that took over a second were left out.
+_GOLDEN_D4 = [
+    ((-13/8, -23/16, -13/16, 9/16, 37/32), (1, 1, 1, 2), 1, '-15.520633007340408'),
+    ((-47/32, -21/16, -3/32, 43/32, 47/32), (1, 1, 1, 2), 1, '0.7967648929336946'),
+    ((-49/32, -41/32, -33/32, -7/32, 11/8), (1, 1, 1, 2), 1, '-8.021024496062912'),
+    ((-49/32, -5/4, -5/4, -3/8, 63/32), (1, 1, 1, 2), 1, '15.107464119805948'),
+    ((-11/8, -1/16, -1/32, -1/32, 3/8, 31/16), (1, 3, 1, 1), 1, '22.644397128713347'),
+    ((-23/16, -17/16, 9/32, 23/32, 43/32, 25/16), (1, 2, 1, 2), 1, '8.587867117110797'),
+    ((-45/32, -45/32, 23/32, 25/32, 13/8, 63/32), (1, 2, 1, 2), 1, '31.286618437833233'),
+    ((-49/32, -3/2, -47/32, -41/32, 5/32, 57/32), (1, 1, 1, 3), 1, '-8.36219133006897'),
+]
+
+
+@pytest.mark.parametrize("x, face, candidates, value", _GOLDEN_D4)
+def test_d4_answers_are_pinned(x, face, candidates, value):
+    """d' = 4 membership and sections search the faces; their answers at
+    these points must not move when the search is restructured."""
+    y = power_sum_vector([Fraction(v) for v in x], 4)
+    assert image_membership(len(x), 4, y) == INSIDE
+    result = arnold_section(len(x), 4, y)
+    assert result.solution.face.lam.parts == face
+    assert (result.candidates, result.ambiguous, result.undecided_boxes) == (candidates, False, 0)
+    assert repr(result.value) == value
 
 
 def test_comp_max_faces_are_maximal_in_comp_kd():
