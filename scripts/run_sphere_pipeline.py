@@ -21,7 +21,6 @@ import sys
 import time
 from fractions import Fraction
 
-from orbit_betti.cubical import FIELD_Q, FIELD_Z2
 from orbit_betti.pipeline import (
     ProblemSpec,
     direct_quotient_betti,
@@ -47,14 +46,13 @@ INSTANCES = {
 }
 
 
-def run_instance(name: str, resolution: Fraction, field: str, skip_direct: bool) -> bool:
+def run_instance(name: str, resolution: Fraction, skip_direct: bool) -> bool:
     text, box = INSTANCES[name]
     spec = ProblemSpec(
         blocks=BlockSpec.single(3, 2),
         formula=parse_formula(text, 3),
         clip_box=box,
         resolution=resolution,
-        field=field,
     )
     t0 = time.perf_counter()
     report = quotient_betti(spec)
@@ -88,7 +86,6 @@ def main(argv=None) -> int:
         default="all",
     )
     ap.add_argument("--resolution", default="1/16", help="grid step, e.g. 1/16")
-    ap.add_argument("--field", choices=[FIELD_Q, FIELD_Z2], default=FIELD_Q)
     ap.add_argument(
         "--skip-direct",
         action="store_true",
@@ -100,7 +97,7 @@ def main(argv=None) -> int:
     resolution = Fraction(args.resolution)
     ok = True
     for name in names:
-        ok = run_instance(name, resolution, args.field, args.skip_direct) and ok
+        ok = run_instance(name, resolution, args.skip_direct) and ok
     return 0 if ok else 1
 
 

@@ -10,7 +10,7 @@ The package pipeline, bottom to top:
 * :mod:`orbit_betti.fibres` — fibres of the power-sum map, image membership,
   the minimal-face section;
 * :mod:`orbit_betti.cubical` — cubical complexes from batch grid oracles and
-  their homology over Q and Z/2;
+  their rational homology;
 * :mod:`orbit_betti.pipeline` — end-to-end quotient Betti computations, the
   brute-force cross-check, and the bound calculators;
 * :mod:`orbit_betti.cli` — the ``orbit-betti`` command.
@@ -55,8 +55,6 @@ from orbit_betti.fibres import (
 )
 from orbit_betti.cubical import (
     BettiVector,
-    FIELD_Q,
-    FIELD_Z2,
     betti_numbers,
     build_cubical,
     stable_betti,
@@ -80,8 +78,6 @@ __all__ = [
     "BoundsReport",
     "ClosedFormula",
     "Composition",
-    "FIELD_Q",
-    "FIELD_Z2",
     "OrbitCount",
     "ParseError",
     "Polynomial",

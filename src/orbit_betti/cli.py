@@ -27,7 +27,6 @@ from orbit_betti.compositions import (
     comp_kd,
     comp_max,
 )
-from orbit_betti.cubical import FIELD_Q, FIELD_Z2
 from orbit_betti.fibres import UNDECIDED, arnold_section, image_membership
 from orbit_betti.pipeline import (
     PipelineError,
@@ -190,9 +189,11 @@ def section(k, d, point, tol, output) -> int:
     return EXIT_UNCERTAIN if result.ambiguous or result.undecided_boxes else EXIT_OK
 
 
-# The types a job's scalar fields may have: int(), float() and the parser
-# raise TypeError, not ValueError, on any other.
-_JOB_TYPES = {"k": (int, str), "d": (int, str), "formula": str, "constant_c": (int, float, str)}
+# The exact types a job's scalar keys may have: int(), float() and the
+# parser raise TypeError, not ValueError, on any other, and a bool, an int
+# subclass, would pass as 0 or 1.
+_JOB_TYPES = {"k": (int, str), "d": (int, str), "formula": (str,), "resolution": (int, float, str),
+              "constant_c": (int, float, str)}
 
 
 def _spec_from_job(doc: dict) -> tuple[ProblemSpec, float]:
@@ -204,17 +205,20 @@ def _spec_from_job(doc: dict) -> tuple[ProblemSpec, float]:
             raise PipelineError(f"a job needs {key!r}")
     edges = doc["box"]
     if not isinstance(edges, list) or not all(
-        isinstance(edge, list) and len(edge) == 2 for edge in edges
+        isinstance(edge, list) and len(edge) == 2 and all(type(v) in (int, float, str) for v in edge)
+        for edge in edges
     ):
         raise PipelineError("a job's box must be a list of [lo, hi] pairs")
     for key, kinds in _JOB_TYPES.items():
-        if key in doc and not isinstance(doc[key], kinds):
+        if key in doc and type(doc[key]) not in kinds:
             raise PipelineError(f"a job's {key} must not be a {type(doc[key]).__name__}")
     for key in ("blocks", "degrees"):
         if key in doc and not (
-            isinstance(doc[key], list) and all(isinstance(v, (int, str)) for v in doc[key])
+            isinstance(doc[key], list) and all(type(v) in (int, str) for v in doc[key])
         ):
             raise PipelineError(f"a job's {key} must be a list of integers")
+    if doc.get("field", "Q") != "Q":
+        raise PipelineError(f"unknown field {doc['field']!r}: Betti numbers are over Q only")
     if "blocks" in doc:
         blocks = BlockSpec(tuple(doc["blocks"]), tuple(doc["degrees"]))
     else:
@@ -226,14 +230,13 @@ def _spec_from_job(doc: dict) -> tuple[ProblemSpec, float]:
         formula=formula,
         clip_box=box,
         resolution=as_rational(doc["resolution"]),
-        field=doc.get("field", FIELD_Q),
     )
     return spec, float(doc.get("constant_c", 1.0))
 
 
-def _job_options_to_doc(k, d, blocks, degrees, formula_text, box, resolution, field, constant_c) -> dict:
+def _job_options_to_doc(k, d, blocks, degrees, formula_text, box, resolution, constant_c) -> dict:
     doc: dict = {"formula": formula_text, "box": [[str(lo), str(hi)] for lo, hi in _parse_box(box)],
-                 "resolution": resolution, "field": field, "constant_c": constant_c}
+                 "resolution": resolution, "constant_c": constant_c}
     if blocks:
         doc["blocks"] = [int(v) for v in blocks.split(",") if v.strip()]
         doc["degrees"] = [int(v) for v in (degrees or "").split(",") if v.strip()]
@@ -256,19 +259,20 @@ def _run_betti_job(doc: dict) -> tuple[dict, int]:
     return out, code
 
 
-def _run_betti_job_caught(doc: dict) -> tuple[dict, int]:
-    """One job of a directory: a failure becomes that job's error envelope."""
-    try:
-        return _run_betti_job(doc)
-    except (ValueError, KeyError, OSError, OverflowError) as exc:
-        return {"error": str(exc)}, EXIT_ERROR
-
-
-def _load_job(path: str) -> dict:
+def _load_job(path: Path | str) -> dict:
     try:
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise click.UsageError(f"malformed job JSON in {path}: {exc}")
+        raise PipelineError(f"malformed job JSON in {path}: {exc}")
+
+
+def _run_betti_file(path: Path) -> tuple[dict, int]:
+    """One job of a directory: a failure, unparsable JSON included, becomes
+    that job's error envelope."""
+    try:
+        return _run_betti_job(_load_job(path))
+    except (ValueError, KeyError, OSError, OverflowError) as exc:
+        return {"error": str(exc)}, EXIT_ERROR
 
 
 @cli.command()
@@ -280,19 +284,17 @@ def _load_job(path: str) -> dict:
 @click.option("--formula", "formula_text", type=str, default=None)
 @click.option("--box", type=str, default=None, help="lo:hi,lo:hi,… in image space")
 @click.option("--resolution", type=str, default=None)
-@click.option("--field", type=click.Choice([FIELD_Q, FIELD_Z2]), default=FIELD_Q)
 @click.option("--constant-c", type=float, default=1.0)
 @click.option("--jobs", type=int, default=1,
               help="accepted for compatibility: the jobs of a directory run one after another")
 @click.option("--json", "output", type=str, default=None)
-def betti(job, k, d, blocks, degrees, formula_text, box, resolution, field, constant_c, jobs, output) -> int:
+def betti(job, k, d, blocks, degrees, formula_text, box, resolution, constant_c, jobs, output) -> int:
     """Quotient Betti numbers b^0..b^{t−1} from a job file or inline flags."""
     if job and Path(job).is_dir():
         paths = sorted(Path(job).glob("*.json"))
         if not paths:
             raise click.UsageError(f"no *.json jobs under {job}")
-        docs = [_load_job(str(p)) for p in paths]
-        results = [_run_betti_job_caught(doc) for doc in docs]
+        results = [_run_betti_file(p) for p in paths]
         out = {"jobs": {p.stem: r for p, (r, _) in zip(paths, results)}}
         _emit(out, output)
         codes = [code for _, code in results]
@@ -302,7 +304,7 @@ def betti(job, k, d, blocks, degrees, formula_text, box, resolution, field, cons
     else:
         if not formula_text or not box or not resolution:
             raise click.UsageError("--formula, --box and --resolution are required without --job")
-        doc = _job_options_to_doc(k, d, blocks, degrees, formula_text, box, resolution, field, constant_c)
+        doc = _job_options_to_doc(k, d, blocks, degrees, formula_text, box, resolution, constant_c)
     result, code = _run_betti_job(doc)
     _emit(result, output)
     return code

@@ -20,20 +20,18 @@ matrix work: b_0 is the number of components of the bitmap under axis
 adjacency; for n ≥ 2, b_{n−1} is the number of bounded components of the
 complement (Alexander duality — the open cells outside K, joined through
 shared faces, are the components of R^n minus K); for n = 3, b_1 follows
-from the Euler characteristic.  Compact subsets of R^n with n ≤ 3 have
-torsion-free homology, so the values hold over Q and Z/2 alike.
+from the Euler characteristic.  These are the rational Betti numbers.
 
-For n ≥ 4 the Betti numbers come from boundary-matrix ranks, b_q = dim C_q −
-rank ∂_q − rank ∂_{q+1}, over Q (the exact sparse elimination of ``polys``)
-or Z/2 (bitset elimination), after free-face collapses — removing a cell
-together with its unique coface is an elementary collapse, a homotopy
-equivalence — which shrink grid-scale complexes by orders of magnitude.
-That path holds every cell as a tuple, so it refuses complexes of more than
-``MAX_RANK_CELLS`` cells; it also serves as the test oracle for the
-component counts.
+For n ≥ 4 the Betti numbers come from boundary-matrix ranks over Q,
+b_q = dim C_q − rank ∂_q − rank ∂_{q+1} (the exact sparse elimination of
+``polys``), after free-face collapses — removing a cell together with its
+unique coface is an elementary collapse, a homotopy equivalence — which
+shrink grid-scale complexes by orders of magnitude.  That path holds every
+cell as a tuple, so it refuses complexes of more than ``MAX_RANK_CELLS``
+cells; it also serves as the test oracle for the component counts.
 
-Over a field, cohomology and homology ranks of a finite complex agree, so
-the reported values serve for either reading.
+Over Q, cohomology and homology ranks of a finite complex agree, so the
+reported values serve for either reading.
 """
 
 from __future__ import annotations
@@ -48,9 +46,6 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from orbit_betti.polys import RationalLike, as_rational, column_pivots
-
-FIELD_Q = "Q"
-FIELD_Z2 = "Z2"
 
 MAX_AMBIENT_DIM = 6
 MAX_CELLS_PER_AXIS = 512
@@ -356,33 +351,14 @@ def collapsed_cells(cells: dict[int, set[Cell]]) -> dict[int, list[Cell]]:
 # ---------------------------------------------------------------------------
 
 
-def _rank_z2(columns: list[int]) -> int:
-    """Rank over GF(2) of a matrix given as bitmask columns."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in columns:
-        while col:
-            low = col.bit_length() - 1
-            if low in pivots:
-                col ^= pivots[low]
-            else:
-                pivots[low] = col
-                rank += 1
-                break
-    return rank
-
-
 @dataclass(frozen=True)
 class BettiVector:
-    """Betti numbers b^0..b^n over a field, with the Euler characteristic."""
+    """Betti numbers b^0..b^n over Q, with the Euler characteristic."""
 
-    field: str
     values: tuple[int, ...]
     euler: int
 
     def __post_init__(self) -> None:
-        if self.field not in (FIELD_Q, FIELD_Z2):
-            raise CubicalError(f"unknown field {self.field!r}")
         if any(v < 0 for v in self.values):
             raise CubicalError("negative Betti number")
         alternating = sum((-1) ** i * v for i, v in enumerate(self.values))
@@ -392,17 +368,11 @@ class BettiVector:
             )
 
     def to_json(self) -> dict:
-        return {
-            "field": self.field,
-            "betti": list(self.values),
-            "euler": self.euler,
-        }
+        return {"betti": list(self.values), "euler": self.euler}
 
 
-def rank_betti(
-    cells: dict[int, set[Cell]], ambient_dim: int, field: str = FIELD_Q
-) -> tuple[int, ...]:
-    """b_0..b_n from boundary-matrix ranks of the collapsed core."""
+def rank_betti(cells: dict[int, set[Cell]], ambient_dim: int) -> tuple[int, ...]:
+    """b_0..b_n from boundary-matrix ranks over Q of the collapsed core."""
     core = collapsed_cells(cells)
     dims = sorted(core)
     index: dict[int, dict[Cell, int]] = {
@@ -414,24 +384,14 @@ def rank_betti(
             ranks[q] = 0
             continue
         rows = index[q - 1]
-        if field == FIELD_Z2:
-            columns = []
-            for cell in core[q]:
-                mask = 0
-                for f, _sign in boundary(cell):
-                    if f in rows:
-                        mask ^= 1 << rows[f]
-                columns.append(mask)
-            ranks[q] = _rank_z2(columns)
-        else:
-            columns_q: list[dict[int, Fraction]] = []
-            for cell in core[q]:
-                col: dict[int, Fraction] = {}
-                for f, sign in boundary(cell):
-                    if f in rows:
-                        col[rows[f]] = col.get(rows[f], Fraction(0)) + sign
-                columns_q.append({r: v for r, v in col.items() if v != 0})
-            ranks[q] = len(column_pivots(columns_q))
+        columns: list[dict[int, Fraction]] = []
+        for cell in core[q]:
+            col: dict[int, Fraction] = {}
+            for f, sign in boundary(cell):
+                if f in rows:
+                    col[rows[f]] = col.get(rows[f], Fraction(0)) + sign
+            columns.append({r: v for r, v in col.items() if v != 0})
+        ranks[q] = len(column_pivots(columns))
     values = []
     for q in range(ambient_dim + 1):
         if q in index:
@@ -441,10 +401,8 @@ def rank_betti(
     return tuple(values)
 
 
-def betti_numbers(complex_: CubicalComplex, field: str = FIELD_Q) -> BettiVector:
+def betti_numbers(complex_: CubicalComplex) -> BettiVector:
     """Betti numbers: component counts for n ≤ 3, ranks after collapse above."""
-    if field not in (FIELD_Q, FIELD_Z2):
-        raise CubicalError(f"unknown field {field!r}")
     if complex_.ambient_dim <= 3:
         values = _betti_by_components(complex_)
     else:
@@ -453,9 +411,8 @@ def betti_numbers(complex_: CubicalComplex, field: str = FIELD_Q) -> BettiVector
                 f"{complex_.total_cells()} cells exceed the rank-path limit "
                 f"{MAX_RANK_CELLS}"
             )
-        values = rank_betti(complex_.cells, complex_.ambient_dim, field)
-    euler = complex_.euler_characteristic()
-    return BettiVector(field=field, values=values, euler=euler)
+        values = rank_betti(complex_.cells, complex_.ambient_dim)
+    return BettiVector(values=values, euler=complex_.euler_characteristic())
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +433,6 @@ def stable_betti(
     oracle_factory: Callable[[Fraction], GridOracle],
     box: Sequence[tuple[RationalLike, RationalLike]],
     resolution: RationalLike,
-    field: str = FIELD_Q,
 ) -> StableBetti:
     """Compute at the given resolution and at half of it; flag agreement.
 
@@ -487,7 +443,7 @@ def stable_betti(
     results = []
     for step in (h, h / 2):
         complex_ = build_cubical(oracle_factory(step), box, step)
-        results.append((betti_numbers(complex_, field), complex_.undecided_cells))
+        results.append((betti_numbers(complex_), complex_.undecided_cells))
     (coarse, coarse_undecided), (fine, fine_undecided) = results
     return StableBetti(
         betti=fine,

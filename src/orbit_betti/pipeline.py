@@ -40,14 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from orbit_betti.compositions import CompositionError, chain_count, paper_chain_bound
-from orbit_betti.cubical import (
-    BettiVector,
-    FIELD_Q,
-    FIELD_Z2,
-    build_cubical,
-    betti_numbers,
-    stable_betti,
-)
+from orbit_betti.cubical import BettiVector, build_cubical, betti_numbers, stable_betti
 from orbit_betti.fibres import INSIDE, OUTSIDE, image_conditions, image_membership
 from orbit_betti.polys import (
     BlockSpec,
@@ -91,7 +84,6 @@ class ProblemSpec:
     formula: ClosedFormula
     clip_box: tuple[tuple[Fraction, Fraction], ...]
     resolution: Fraction
-    field: str = FIELD_Q
 
     def __post_init__(self) -> None:
         if self.formula.k != self.blocks.total_vars:
@@ -114,8 +106,6 @@ class ProblemSpec:
         object.__setattr__(self, "resolution", as_rational(self.resolution))
         if self.resolution <= 0:
             raise PipelineError("resolution must be positive")
-        if self.field not in (FIELD_Q, FIELD_Z2):
-            raise PipelineError(f"unknown field {self.field!r}")
         for poly in self.formula.polynomial_set:
             degrees = multidegree(poly, self.blocks)
             for deg, cap in zip(degrees, self.blocks.degree_caps):
@@ -382,8 +372,8 @@ def bounds_report(blocks: BlockSpec, s: int, constant_c: float = 1.0) -> BoundsR
     """
     if s < 1:
         raise PipelineError("s must be at least 1")
-    if constant_c <= 0:
-        raise PipelineError("constant must be positive")
+    if not (math.isfinite(constant_c) and constant_c > 0):
+        raise PipelineError("constant must be finite and positive")
     c = as_rational(constant_c)
     k_total = blocks.total_vars
     d_max = max(blocks.degree_caps)
@@ -453,7 +443,6 @@ class QuotientReport:
     """
 
     betti: tuple[int, ...]
-    field: str
     vanishing_threshold: int
     bounds: BoundsReport
     stable: bool
@@ -466,7 +455,6 @@ class QuotientReport:
     def to_json(self) -> dict:
         return {
             "betti": list(self.betti),
-            "field": self.field,
             "vanishing_threshold": self.vanishing_threshold,
             "bounds": self.bounds.to_json(),
             "stable": self.stable,
@@ -490,19 +478,20 @@ def quotient_betti(spec: ProblemSpec, constant_c: float = 1.0) -> QuotientReport
         raise PipelineError(
             f"image dimension {image_dim} exceeds the grid limit {MAX_IMAGE_DIM}"
         )
+    # bad input to the bound calculators fails before the grid is sampled
+    bounds = bounds_report(spec.blocks, spec.formula.s, constant_c)
     rewritten = rewrite_formula(spec.formula, spec.blocks)
     region = _image_region(spec.blocks)
 
     def factory(h: Fraction) -> _QuotientOracle:
         return _QuotientOracle(rewritten, spec.clip_box, h, *region)
 
-    result = stable_betti(factory, spec.clip_box, spec.resolution, field=spec.field)
+    result = stable_betti(factory, spec.clip_box, spec.resolution)
     threshold = vanishing_threshold(spec.blocks)
     return QuotientReport(
         betti=tuple(result.betti.values[:threshold]),
-        field=spec.field,
         vanishing_threshold=threshold,
-        bounds=bounds_report(spec.blocks, spec.formula.s, constant_c),
+        bounds=bounds,
         stable=result.stable,
         resolutions=(spec.resolution, spec.resolution / 2),
         undecided_cells=result.undecided_cells,
@@ -550,7 +539,7 @@ def direct_quotient_betti(
     h = as_rational(x_resolution) if x_resolution is not None else spec.resolution
     oracle = _QuotientOracle(spec.formula, box, h, _chamber_order(k))
     complex_ = build_cubical(oracle, box, h)
-    return betti_numbers(complex_, spec.field)
+    return betti_numbers(complex_)
 
 
 # ---------------------------------------------------------------------------

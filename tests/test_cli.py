@@ -302,7 +302,25 @@ MALFORMED_JOBS = {
     "formula_a_number": dict(SPHERE_JOB, formula=5),
     "constant_c_a_list": dict(SPHERE_JOB, constant_c=[1]),
     "blocks_a_number": dict(SPHERE_JOB, blocks=5),
+    "k_a_bool": dict(SPHERE_JOB, k=True),
+    "blocks_a_bool": dict(SPHERE_JOB, blocks=[True], degrees=[2]),
+    "resolution_a_bool": dict(SPHERE_JOB, resolution=True),
+    "box_edge_a_bool": dict(SPHERE_JOB, box=[[False, 2], [0, 2]]),
 }
+
+
+def test_job_booleans_are_not_integers(tmp_path, capsys):
+    """bool subclasses int: a JSON true once ran as k = 1 and failed later
+    on the formula's variable x2, and as a resolution or box end it ran as 1."""
+    expected = {
+        "k_a_bool": "a job's k must not be a bool",
+        "blocks_a_bool": "a job's blocks must be a list of integers",
+        "resolution_a_bool": "a job's resolution must not be a bool",
+        "box_edge_a_bool": "a job's box must be a list of [lo, hi] pairs",
+    }
+    for name, message in expected.items():
+        code, doc = run(capsys, "betti", "--job", _job_file(tmp_path, name, MALFORMED_JOBS[name]))
+        assert (code, doc) == (EXIT_ERROR, {"error": message})
 
 
 def test_inline_zero_denominator_is_an_error_envelope(capsys):
@@ -379,11 +397,62 @@ def test_betti_job_directory_reports_each_malformed_job(tmp_path, capsys):
     _job_file(tmp_path, "sphere", SPHERE_JOB)
     for name, job in MALFORMED_JOBS.items():
         _job_file(tmp_path, name, job)
+    (tmp_path / "unparsable.json").write_text('{"k": 3,')
     code, doc = run(capsys, "betti", "--job", str(tmp_path))
     assert code == EXIT_ERROR
     assert doc["jobs"]["sphere"]["betti"] == [1, 0]
     for name in MALFORMED_JOBS:
         assert set(doc["jobs"][name]) == {"error"}
+    assert doc["jobs"]["unparsable"]["error"].startswith("malformed job JSON")
+
+
+def test_job_field_q_is_accepted_and_changes_nothing(tmp_path, capsys):
+    """Betti numbers are over Q only; a job may still say so."""
+    reports = []
+    for name, job in (("with_field", SPHERE_JOB), ("without_field", _without(SPHERE_JOB, "field"))):
+        code, doc = run(capsys, "betti", "--job", _job_file(tmp_path, name, job))
+        assert code == EXIT_OK
+        del doc["timing_seconds"]
+        reports.append(doc)
+    assert reports[0] == reports[1]
+    assert reports[0]["betti"] == [1, 0] and "field" not in reports[0]
+
+
+def test_job_field_other_than_q_is_an_error_envelope(tmp_path, capsys):
+    """Any other field is refused by name, never computed over Q instead."""
+    _job_file(tmp_path, "z2", dict(SPHERE_JOB, field="Z2"))
+    code, doc = run(capsys, "betti", "--job", str(tmp_path / "z2.json"))
+    assert code == EXIT_ERROR
+    assert set(doc) == {"error"} and "'Z2'" in doc["error"]
+    _job_file(tmp_path, "sphere", SPHERE_JOB)
+    code, doc = run(capsys, "betti", "--job", str(tmp_path))
+    assert code == EXIT_ERROR
+    assert doc["jobs"]["sphere"]["betti"] == [1, 0]
+    assert set(doc["jobs"]["z2"]) == {"error"} and "'Z2'" in doc["jobs"]["z2"]["error"]
+
+
+def test_betti_has_no_field_option(capsys):
+    code, doc = run(
+        capsys, "betti", "--k", "3", "--d", "2", "--formula", SPHERE_JOB["formula"],
+        "--box", "-2:2,0:2", "--resolution", "1/16", "--field", "Q",
+    )
+    assert code == EXIT_ERROR
+    assert set(doc) == {"error"} and "--field" in doc["error"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_constant_c_must_be_finite_and_positive(tmp_path, capsys, value):
+    """A non-finite constant once failed deep in the bound calculators with
+    "cannot convert NaN to integer ratio"."""
+    inline = ("--k", "3", "--d", "2", "--constant-c", value)
+    for argv in (
+        ("bounds", *inline, "--s", "1"),
+        ("betti", *inline, "--formula", SPHERE_JOB["formula"], "--box", "-2:2,0:2",
+         "--resolution", "1/16"),
+        ("betti", "--job", _job_file(tmp_path, "c", dict(SPHERE_JOB, constant_c=value))),
+    ):
+        code, doc = run(capsys, *argv)
+        assert (code, doc) == (EXIT_ERROR, {"error": "constant must be finite and positive"})
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])

@@ -21,8 +21,6 @@ from orbit_betti.cubical import (
     BettiVector,
     CubicalComplex,
     CubicalError,
-    FIELD_Q,
-    FIELD_Z2,
     MAX_RANK_CELLS,
     boundary,
     build_cubical,
@@ -126,7 +124,7 @@ def test_boundary_squares_to_zero(codes):
 
 def test_single_vertex():
     c = complex_from_cells(1, [(0,)])
-    assert betti_numbers(c, FIELD_Q).values == (1, 0)
+    assert betti_numbers(c).values == (1, 0)
 
 
 def test_hollow_square_is_a_circle():
@@ -137,20 +135,20 @@ def test_hollow_square_is_a_circle():
         (0, 1), (0, 3), (4, 1), (4, 3),
     ]
     c = complex_from_cells(2, tops)
-    vec = betti_numbers(c, FIELD_Q)
+    vec = betti_numbers(c)
     assert vec.values == (1, 1, 0)
     assert vec.euler == 0
 
 
 def test_filled_square_is_contractible():
     c = complex_from_cells(2, [(1, 1)])
-    assert betti_numbers(c, FIELD_Q).values == (1, 0, 0)
-    assert betti_numbers(c, FIELD_Z2).values == (1, 0, 0)
+    assert betti_numbers(c).values == (1, 0, 0)
+    assert rank_betti(c.cells, 2) == (1, 0, 0)
 
 
 def test_two_disjoint_filled_squares():
     c = complex_from_cells(2, [(1, 1), (5, 5)])
-    assert betti_numbers(c, FIELD_Q).values == (2, 0, 0)
+    assert betti_numbers(c).values == (2, 0, 0)
 
 
 def test_torus_from_identifications_is_out_of_scope_but_s1xinterval_works():
@@ -162,8 +160,8 @@ def test_torus_from_identifications_is_out_of_scope_but_s1xinterval_works():
         (1, 5), (3, 5), (5, 5),
     ]
     c = complex_from_cells(2, tops)
-    for field in (FIELD_Q, FIELD_Z2):
-        assert betti_numbers(c, field).values == (1, 1, 0)
+    assert betti_numbers(c).values == (1, 1, 0)
+    assert rank_betti(c.cells, 2) == (1, 1, 0)
 
 
 def test_hollow_cube_surface_is_a_sphere():
@@ -176,10 +174,10 @@ def test_hollow_cube_surface_is_a_sphere():
                     code.insert(axis, side)
                     tops.append(tuple(code))
     c = complex_from_cells(3, tops)
-    vec = betti_numbers(c, FIELD_Q)
+    vec = betti_numbers(c)
     assert vec.values == (1, 0, 1, 0)
     assert vec.euler == 2
-    assert betti_numbers(c, FIELD_Z2).values == (1, 0, 1, 0)
+    assert rank_betti(c.cells, 3) == (1, 0, 1, 0)
 
 
 def test_collapse_preserves_homology_against_naive_ranks():
@@ -190,7 +188,7 @@ def test_collapse_preserves_homology_against_naive_ranks():
             for a, b in zip(rng.integers(0, 4, size=8), rng.integers(0, 4, size=8))
         }
         c = complex_from_cells(2, sorted(tops))
-        assert list(betti_numbers(c, FIELD_Q).values) == naive_betti_q(c)
+        assert list(betti_numbers(c).values) == naive_betti_q(c)
 
 
 def test_collapsed_core_is_small():
@@ -257,13 +255,12 @@ def test_component_betti_agrees_with_collapse_and_rank():
         n = 1 + trial % 3
         c = random_complex(rng, n, pure=trial % 2 == 0)
         c.validate_closure()
-        for field in (FIELD_Q, FIELD_Z2):
-            vec = betti_numbers(c, field)
-            assert vec.values == rank_betti(c.cells, n, field)
-            assert vec.euler == c.euler_characteristic()
+        vec = betti_numbers(c)
+        assert vec.values == rank_betti(c.cells, n)
+        assert vec.euler == c.euler_characteristic()
         if c.total_cells() <= 120:
             small += 1
-            assert list(betti_numbers(c, FIELD_Q).values) == naive_betti_q(c)
+            assert list(betti_numbers(c).values) == naive_betti_q(c)
     assert small >= 20
 
 
@@ -285,29 +282,28 @@ TORUS_BOX = [(Fraction(-7, 2), Fraction(7, 2))] * 2 + [(Fraction(-3, 2), Fractio
 def test_solid_torus_has_one_loop():
     """n = 3 with b_1 > 0: b_1 comes from b_0 + b_2 − χ."""
     c = build_cubical(_TorusOracle(0.0, 1.0), TORUS_BOX, Fraction(1, 4))
-    for field in (FIELD_Q, FIELD_Z2):
-        assert betti_numbers(c, field).values == (1, 1, 0, 0)
-    assert rank_betti(c.cells, 3, FIELD_Z2) == (1, 1, 0, 0)
+    assert betti_numbers(c).values == (1, 1, 0, 0)
+    assert rank_betti(c.cells, 3) == (1, 1, 0, 0)
 
 
 def test_thickened_torus_surface():
     c = build_cubical(_TorusOracle(0.5, 1.25), TORUS_BOX, Fraction(1, 4))
-    vec = betti_numbers(c, FIELD_Q)
+    vec = betti_numbers(c)
     assert vec.values == (1, 2, 1, 0)
     assert vec.euler == 0
-    assert rank_betti(c.cells, 3, FIELD_Q) == (1, 2, 1, 0)
+    assert rank_betti(c.cells, 3) == (1, 2, 1, 0)
 
 
 def test_four_dimensional_complexes_use_ranks():
     tops = [(1, 1, 1, 1), (5, 1, 1, 1)]
     c = complex_from_cells(4, tops)
-    assert betti_numbers(c, FIELD_Q).values == (2, 0, 0, 0, 0)
+    assert betti_numbers(c).values == (2, 0, 0, 0, 0)
     shell = np.ones((7,) * 4, dtype=bool)
     shell[(slice(1, 6),) * 4] = False  # the boundary of a 3^4 block of cells
     c = CubicalComplex(shell)
     assert (c.ambient_dim, c.grid_shape) == (4, (3,) * 4)
     c.validate_closure()
-    assert betti_numbers(c, FIELD_Z2).values == (1, 0, 0, 1, 0)
+    assert betti_numbers(c).values == (1, 0, 0, 1, 0)
 
 
 def test_rank_path_refuses_large_complexes_before_listing_cells():
@@ -318,7 +314,7 @@ def test_rank_path_refuses_large_complexes_before_listing_cells():
     start = time.perf_counter()
     try:
         with pytest.raises(CubicalError, match="rank-path limit"):
-            betti_numbers(c, FIELD_Q)
+            betti_numbers(c)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -342,7 +338,7 @@ def test_validate_closure_names_the_open_cell():
 def test_always_inside_full_grid():
     c = build_cubical(ALL, [(0, 1), (0, 1)], Fraction(1, 4))
     assert (c.ambient_dim, c.grid_shape) == (2, (4, 4))
-    vec = betti_numbers(c, FIELD_Q)
+    vec = betti_numbers(c)
     assert vec.values == (1, 0, 0)
     assert c.cell_count(2) == 16
     c.validate_closure()
@@ -351,15 +347,15 @@ def test_always_inside_full_grid():
 def test_always_outside_empty_complex():
     c = build_cubical(NONE, [(0, 1), (0, 1)], Fraction(1, 4))
     assert c.total_cells() == 0
-    assert betti_numbers(c, FIELD_Q).values == (0, 0, 0)
-    assert betti_numbers(c, FIELD_Q).euler == 0
+    assert betti_numbers(c).values == (0, 0, 0)
+    assert betti_numbers(c).euler == 0
 
 
 def test_annulus_betti():
     c = build_cubical(mask_oracle(annulus), [(-3, 3), (-3, 3)], Fraction(1, 32))
-    vec = betti_numbers(c, FIELD_Q)
+    vec = betti_numbers(c)
     assert vec.values == (1, 1, 0)
-    assert betti_numbers(c, FIELD_Z2).values == (1, 1, 0)
+    assert rank_betti(c.cells, 2) == (1, 1, 0)
 
 
 def test_undecided_counts_as_inside_and_is_tallied():
@@ -376,7 +372,7 @@ def test_batch_oracle_path():
 
     c = build_cubical(Batched(), [(0, 1)], Fraction(1, 8))
     assert c.cell_count(1) == 4  # left half only
-    assert betti_numbers(c, FIELD_Q).values == (1, 0)
+    assert betti_numbers(c).values == (1, 0)
 
 
 def test_build_validation_errors():
@@ -410,7 +406,7 @@ def test_total_grid_size_is_bounded_before_sampling():
 def test_euler_matches_alternating_cell_count():
     oracle = mask_oracle(lambda p: (p[:, 0] * 7 + p[:, 1] * 13) % 3 < 1.5)
     c = build_cubical(oracle, [(0, 2), (0, 2)], Fraction(1, 8))
-    vec = betti_numbers(c, FIELD_Q)
+    vec = betti_numbers(c)
     assert vec.euler == c.euler_characteristic()
     assert sum((-1) ** i * v for i, v in enumerate(vec.values)) == vec.euler
 
@@ -423,9 +419,9 @@ def test_disjoint_union_additivity():
     box = [(0, 4), (0, 2)]
     h = Fraction(1, 16)
     union = mask_oracle(lambda p: left(p) | right(p))
-    bu = betti_numbers(build_cubical(union, box, h), FIELD_Q)
-    bl = betti_numbers(build_cubical(mask_oracle(left), box, h), FIELD_Q)
-    br = betti_numbers(build_cubical(mask_oracle(right), box, h), FIELD_Q)
+    bu = betti_numbers(build_cubical(union, box, h))
+    bl = betti_numbers(build_cubical(mask_oracle(left), box, h))
+    br = betti_numbers(build_cubical(mask_oracle(right), box, h))
     assert bu.values == tuple(a + b for a, b in zip(bl.values, br.values))
 
 
@@ -490,12 +486,12 @@ def test_stable_betti_keeps_coarse_undecided_cells():
 
 
 def test_betti_json_schema():
-    vec = BettiVector(FIELD_Z2, (1, 2, 0), -1)
-    assert vec.to_json() == {"field": "Z2", "betti": [1, 2, 0], "euler": -1}
+    vec = BettiVector((1, 2, 0), -1)
+    assert vec.to_json() == {"betti": [1, 2, 0], "euler": -1}
 
 
 def test_betti_vector_validation():
     with pytest.raises(CubicalError):
-        BettiVector(FIELD_Q, (1, 0), 5)
-    with pytest.raises(CubicalError):
-        BettiVector("GF9", (1, 0), 1)
+        BettiVector((1, 0), 5)
+    with pytest.raises(CubicalError, match="negative"):
+        BettiVector((1, -1), 2)

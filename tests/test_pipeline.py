@@ -12,6 +12,7 @@ The three golden regions were worked out by hand in image coordinates
 """
 
 import gc
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -21,7 +22,7 @@ import pytest
 
 from orbit_betti import pipeline
 
-from orbit_betti.cubical import BettiVector, FIELD_Q
+from orbit_betti.cubical import BettiVector
 from orbit_betti.pipeline import (
     BoundsReport,
     CheckResult,
@@ -53,13 +54,12 @@ from orbit_betti.polys import (
 from orbit_betti.powersums import SymmetryError, rewrite_formula
 
 
-def make_spec(k, d, text, box, h, field=FIELD_Q):
+def make_spec(k, d, text, box, h):
     return ProblemSpec(
         blocks=BlockSpec.single(k, d),
         formula=parse_formula(text, k),
         clip_box=tuple(box),
         resolution=Fraction(h),
-        field=field,
     )
 
 
@@ -90,8 +90,6 @@ def test_problem_spec_validation():
         make_spec(3, 2, "x1 + x2 + x3 >= 0", [(1, 1), (0, 1)], "1/4")  # empty edge
     with pytest.raises(PipelineError):
         make_spec(3, 2, "x1 + x2 + x3 >= 0", [(-1, 1), (0, 1)], "0")
-    with pytest.raises(PipelineError):
-        make_spec(3, 2, "x1 + x2 + x3 >= 0", [(-1, 1), (0, 1)], "1/4", field="R")
     with pytest.raises(PipelineError):
         # degree 3 polynomial under a degree-2 cap
         make_spec(3, 2, "x1^3 + x2^3 + x3^3 >= 0", [(-1, 1), (0, 1)], "1/4")
@@ -307,6 +305,9 @@ def test_bounds_report_validation():
         bounds_report(BlockSpec.single(3, 2), s=0)
     with pytest.raises(PipelineError):
         bounds_report(BlockSpec.single(3, 2), s=1, constant_c=-1)
+    for c in (math.nan, math.inf):
+        with pytest.raises(PipelineError, match="finite and positive"):
+            bounds_report(BlockSpec.single(3, 2), s=1, constant_c=c)
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +331,13 @@ def test_verify_report_catches_fabricated_tail():
     good = quotient_betti(spec)
     bad = QuotientReport(
         betti=good.betti,
-        field=good.field,
         vanishing_threshold=good.vanishing_threshold,
         bounds=good.bounds,
         stable=good.stable,
         resolutions=good.resolutions,
         undecided_cells=good.undecided_cells,
         coarse_undecided_cells=good.coarse_undecided_cells,
-        full_betti=BettiVector(FIELD_Q, (1, 0, 1), 2),
+        full_betti=BettiVector((1, 0, 1), 2),
         coarse_betti=good.coarse_betti,
     )
     results = {c.name: c.passed for c in verify_report(bad)}
@@ -350,7 +350,8 @@ def test_report_json_round_trip_shape():
     assert doc["betti"] == [1, 0]
     assert doc["stable"] is True
     assert doc["bounds"]["optm_algebraic"] == 18
-    assert doc["full_betti"]["field"] == "Q"
+    assert "field" not in doc
+    assert doc["full_betti"] == {"betti": [1, 0, 0], "euler": 1}
     assert doc["resolutions"] == [0.0625, 0.03125]
 
 
