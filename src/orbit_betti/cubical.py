@@ -17,10 +17,11 @@ facet of the other.
 
 For n ≤ 3 the Betti numbers are counts of connected components, with no
 matrix work: b_0 is the number of components of the bitmap under axis
-adjacency; for n ≥ 2, b_{n−1} is the number of bounded components of the
+adjacency; for n = 3, b_2 is the number of bounded components of the
 complement (Alexander duality — the open cells outside K, joined through
-shared faces, are the components of R^n minus K); for n = 3, b_1 follows
-from the Euler characteristic.  These are the rational Betti numbers.
+shared faces, are the components of R^n minus K); b_1 follows from the
+Euler characteristic, since b_n = 0, so n = 2 labels no complement
+(b_1 = b_0 − χ).  These are the rational Betti numbers.
 
 For n ≥ 4 the Betti numbers come from boundary-matrix ranks over Q,
 b_q = dim C_q − rank ∂_q − rank ∂_{q+1} (the exact sparse elimination of
@@ -244,30 +245,34 @@ def count_components(mask: np.ndarray) -> int:
     """Number of connected components of the true voxels of ``mask`` under
     axis (2n-neighbour) adjacency.
 
-    The runs of true voxels along the last axis are the nodes; the other
-    axes give the edges between runs.  Each round hooks the larger root of
-    every edge onto the smaller (``np.minimum.at``) and pointer-jumps all
-    parents to their roots, until every edge joins equal roots.  Parents
-    only decrease, so the links stay a forest, and the roots are the
-    components.
+    The runs of true voxels along the last axis are the nodes (He, Chao &
+    Suzuki 2008).  With a false column appended, one pass over the flat
+    mask gives each run as sorted, disjoint keys [s, e) in rows of length
+    w + 1.  Along an earlier axis with a step of S rows, the runs of row
+    r + S that meet [s, e) are one slice, bounded by two ``searchsorted``
+    calls at s + S(w+1) and e + S(w+1); rows at that axis's last coordinate
+    have no such neighbour.  Each round hooks the larger root of every edge
+    onto the smaller (``np.minimum.at``) and pointer-jumps all parents to
+    their roots, until every edge joins equal roots.  Parents only
+    decrease, so the links stay a forest, and the roots are the components.
     """
-    starts = mask.copy()
-    starts[..., 1:] &= ~mask[..., :-1]
-    # run ids in half the memory of int64 whenever they fit
-    index = np.int32 if mask.size < 2**31 else np.int64
-    ids = np.where(mask, np.cumsum(starts, dtype=index).reshape(mask.shape) - 1, index(-1))
-    edges = [np.zeros((2, 0), dtype=index)]
-    for axis in range(mask.ndim - 1):
-        moved = np.moveaxis(ids, axis, 0)
-        a, b = moved[:-1], moved[1:]
-        joined = (a >= 0) & (b >= 0)
-        edges.append(np.stack([a[joined], b[joined]]))
-    u, v = np.concatenate(edges, axis=1)
-    # neighbouring voxel pairs along a run repeat the same edge
-    keep = np.ones(u.size, dtype=bool)
-    keep[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-    u, v = u[keep], v[keep]
-    parent = np.arange(int(np.count_nonzero(starts)))
+    *lead, w = mask.shape
+    rows = np.zeros((math.prod(lead), w + 1), dtype=bool)
+    rows[:, :w] = mask.reshape(-1, w)
+    changes = np.flatnonzero(np.diff(rows.ravel(), prepend=False))
+    starts, ends = np.ascontiguousarray(changes.reshape(-1, 2).T)
+    u, v = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    step = 1
+    for m in reversed(lead):
+        shift = step * (w + 1)
+        runs = np.flatnonzero(starts // shift % m != m - 1)
+        first = np.searchsorted(ends, starts[runs] + shift, "right")
+        count = np.searchsorted(starts, ends[runs] + shift, "left") - first
+        u.append(np.repeat(runs, count))
+        v.append(np.arange(u[-1].size) + np.repeat(first - np.cumsum(count) + count, count))
+        step *= m
+    u, v = np.concatenate(u), np.concatenate(v)
+    parent = np.arange(starts.size)
     while True:
         ru, rv = parent[u], parent[v]
         pending = ru != rv
@@ -283,17 +288,15 @@ def count_components(mask: np.ndarray) -> int:
     return int(np.count_nonzero(parent == np.arange(parent.size)))
 
 
-def _betti_by_components(complex_: CubicalComplex) -> tuple[int, ...]:
-    """b_0..b_n for n ≤ 3 from component counts, duality and χ."""
+def _betti_by_components(complex_: CubicalComplex, euler: int) -> tuple[int, ...]:
+    """b_0..b_n for n ≤ 3 from component counts, duality (n = 3) and χ."""
     n = complex_.ambient_dim
-    values = [0] * (n + 1)
-    values[0] = count_components(complex_.bitmap)
-    if n >= 2:
-        outside = np.pad(~complex_.bitmap, 1, constant_values=True)
-        values[n - 1] = count_components(outside) - 1
+    b0 = count_components(complex_.bitmap)
+    b2 = 0
     if n == 3:
-        values[1] = values[0] + values[2] - complex_.euler_characteristic()
-    return tuple(values)
+        b2 = count_components(np.pad(~complex_.bitmap, 1, constant_values=True)) - 1
+    # b_n = 0 in R^n, so χ = b_0 − b_1 + b_2 leaves b_1 as the one unknown
+    return (b0, b0 + b2 - euler, b2, 0)[: n + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -403,16 +406,17 @@ def rank_betti(cells: dict[int, set[Cell]], ambient_dim: int) -> tuple[int, ...]
 
 def betti_numbers(complex_: CubicalComplex) -> BettiVector:
     """Betti numbers: component counts for n ≤ 3, ranks after collapse above."""
+    euler = complex_.euler_characteristic()
     if complex_.ambient_dim <= 3:
-        values = _betti_by_components(complex_)
+        values = _betti_by_components(complex_, euler)
     else:
-        if complex_.total_cells() > MAX_RANK_CELLS:
+        total = complex_.total_cells()
+        if total > MAX_RANK_CELLS:
             raise CubicalError(
-                f"{complex_.total_cells()} cells exceed the rank-path limit "
-                f"{MAX_RANK_CELLS}"
+                f"{total} cells exceed the rank-path limit {MAX_RANK_CELLS}"
             )
         values = rank_betti(complex_.cells, complex_.ambient_dim)
-    return BettiVector(values=values, euler=complex_.euler_characteristic())
+    return BettiVector(values=values, euler=euler)
 
 
 # ---------------------------------------------------------------------------

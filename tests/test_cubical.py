@@ -230,6 +230,56 @@ def test_count_components_matches_bfs():
         assert count_components(mask) == bfs_components(mask)
 
 
+def serpentine(m: int) -> np.ndarray:
+    """A one-cell corridor on m × m: full even rows, joined at alternating ends."""
+    mask = np.zeros((m, m), dtype=bool)
+    mask[::2] = True
+    mask[1::4, -1] = True
+    mask[3::4, 0] = True
+    return mask
+
+
+def staircase(m: int) -> np.ndarray:
+    """Cells (i, i) and (i, i + 1): one path that steps down every column."""
+    mask = np.zeros((m, m + 1), dtype=bool)
+    mask[np.arange(m), np.arange(m)] = True
+    mask[np.arange(m), np.arange(m) + 1] = True
+    return mask
+
+
+def adversarial_masks():
+    """(name, mask, components): shapes a row-flattened labelling can get wrong."""
+    wrap = np.zeros((2, 5), dtype=bool)
+    wrap[0, -1] = wrap[1, 0] = True  # last column of row 0, first of row 1
+    slabs = np.zeros((2, 3, 4), dtype=bool)
+    slabs[0, -1] = slabs[1, 0] = True  # last row of slab 0, first row of slab 1
+    wrap3 = np.zeros((3, 2, 4), dtype=bool)
+    wrap3[0, 1, -1] = wrap3[1, 0, 0] = wrap3[1, 1, 3] = wrap3[2, 0, 0] = True
+    column = np.zeros((7, 1), dtype=bool)
+    column[[0, 1, 3, 5, 6]] = True
+    corridor = serpentine(15)
+    return [
+        ("row wrap", wrap, 2),
+        ("runs meeting only at corners", np.eye(4, dtype=bool) | np.eye(4, k=2, dtype=bool), 6),
+        ("slab wrap", slabs, 2),
+        ("wraps joined only along the first axis", wrap3, 2),
+        ("serpentine 63", serpentine(63), 1),
+        ("serpentine slabs", np.stack([corridor, np.zeros_like(corridor), corridor.T]), 2),
+        ("staircase", staircase(40), 1),
+        ("last axis of length 1", column, 3),
+        ("size-1 leading axes", np.array([[[True, False, True, True]]]), 2),
+        ("size-1 axes only", np.ones((1, 1, 1), dtype=bool), 1),
+        ("all false", np.zeros((4, 3, 5), dtype=bool), 0),
+        ("all true", np.ones((4, 3, 5), dtype=bool), 1),
+    ]
+
+
+@pytest.mark.parametrize("name, mask, expected", adversarial_masks())
+def test_count_components_on_adversarial_masks(name, mask, expected):
+    assert bfs_components(mask) == expected
+    assert count_components(mask) == expected
+
+
 def random_complex(rng, n: int, pure: bool) -> CubicalComplex:
     """Pure: random top cells through build_cubical.  Non-pure: random cells
     of every dimension, closed under faces."""
@@ -356,6 +406,31 @@ def test_annulus_betti():
     vec = betti_numbers(c)
     assert vec.values == (1, 1, 0)
     assert rank_betti(c.cells, 2) == (1, 1, 0)
+
+
+def square_with_holes(m: int, holes: list[tuple[int, int, int]]) -> CubicalComplex:
+    """An m × m-cell square at h = 1 without the open squares of side s at
+    (x, y) listed in ``holes``."""
+
+    def inside(p):
+        keep = np.ones(len(p), dtype=bool)
+        for x, y, s in holes:
+            keep &= ~((x < p[:, 0]) & (p[:, 0] < x + s) & (y < p[:, 1]) & (p[:, 1] < y + s))
+        return keep
+
+    return build_cubical(mask_oracle(inside), [(0, m), (0, m)], Fraction(1))
+
+
+def test_plane_b1_from_euler_matches_complement_count():
+    """n = 2 takes b_1 from χ; Alexander duality stays its oracle."""
+    holes = [(2, 2, 10), (20, 3, 1), (40, 5, 7), (5, 30, 3), (30, 30, 20), (55, 55, 6), (3, 56, 1)]
+    c = square_with_holes(64, holes)
+    assert betti_numbers(c).values == (1, len(holes), 0)
+    outside = np.pad(~c.bitmap, 1, constant_values=True)
+    assert count_components(outside) - 1 == len(holes)
+    small = square_with_holes(10, [(1, 1, 2), (5, 1, 1), (2, 5, 3)])
+    assert betti_numbers(small).values == (1, 3, 0)
+    assert rank_betti(small.cells, 2) == (1, 3, 0)
 
 
 def test_undecided_counts_as_inside_and_is_tallied():
