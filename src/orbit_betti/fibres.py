@@ -34,7 +34,9 @@ One routine, ``_face_fibre``, gives the fibre points over a face to both
 membership and the section.  For d' ≤ 3 the faces are (k), (a, b) and
 (1, b, 1), and their fibre points are the real roots of an exact quadratic
 or cubic eliminant, counted by the sign of its discriminant and bracketed
-by exact sign changes; for d' ≥ 4 ``solve_fibre`` searches the face.  The
+by exact sign changes; every such sign is decided on the eliminant's
+integer coefficients at dyadic points.  For d' ≥ 4 ``solve_fibre``
+searches the face.  The
 section collects the points over the whole face poset comp_kd(k, d'),
 merges points that appear in several face closures (a point with coarser
 grouping pattern lies in every finer face's closure -- it is reported in
@@ -72,6 +74,9 @@ from orbit_betti.polys import (
 
 class FibreError(ValueError):
     pass
+
+
+_FLOAT_RANGE = "the power sums or fibre points are beyond float range"
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +157,15 @@ class FibreSolution:
     def make(face: Face, t: Sequence[float], y: Sequence[float], tol: float) -> "FibreSolution":
         """Accept t when equation m's residual is at most tol + _ROUNDING·Σ λ_i|t_i|^m:
         at large |y| the rounding of the float point alone exceeds any
-        absolute tol, and only that rounding is forgiven."""
+        absolute tol, and only that rounding is forgiven.  A power sum that
+        overflows raises OverflowError."""
         parts = face.lam.parts
         residual = 0.0
         for m, ym in enumerate(y, start=1):
             error = abs(sum(w * tv**m for w, tv in zip(parts, t)) - float(ym))
             scale = sum(w * abs(tv) ** m for w, tv in zip(parts, t))
+            if scale == math.inf:
+                raise OverflowError(_FLOAT_RANGE)
             if error > tol + _ROUNDING * scale:
                 raise FibreError(f"residual {error} of equation {m} exceeds tolerance {tol}")
             residual = max(residual, error)
@@ -626,121 +634,169 @@ def image_membership(
 # closed-form face fibres for d' ≤ 3
 # ---------------------------------------------------------------------------
 
-# Half-width of the rational bracket, relative to max(1, |r|), in which a
+# Half-width of the dyadic bracket, relative to max(1, |r|), in which a
 # float root r must show an exact sign change.
 _BRACKET = 2.0**-40
-# Width, relative to max(1, |x|), to which exact bisection narrows a root.
-_ROOT_WIDTH = Fraction(1, 2**55)
+# Exact bisection narrows a root to a width of 2^-_ROOT_BITS·max(1, |x|).
+_ROOT_BITS = 55
 
 
-def _horner(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    value = Fraction(0)
-    for c in coeffs:
-        value = value * x + c
+def _scaled_value(coeffs: Sequence[int], n: int, den: int) -> int:
+    """den^deg · p(n/den) for the integer polynomial p (highest coefficient
+    first) and den > 0: the homogenised Horner sum Σ c_i·n^(deg−i)·den^i."""
+    value, scale = coeffs[0], 1
+    for c in coeffs[1:]:
+        scale *= den
+        value = value * n + c * scale
     return value
 
 
-def _sign(value: Fraction) -> int:
+def _sign_at(coeffs: Sequence[int], n: int, den: int) -> int:
+    """The exact sign of the integer polynomial at n/den, den > 0."""
+    value = _scaled_value(coeffs, n, den)
     return (value > 0) - (value < 0)
 
 
-def _sturm_roots(coeffs: list[Fraction]) -> list[float]:
-    """The real roots of a square-free polynomial by exact bisection.
-
-    Sturm's chain counts the roots in (lo, hi] as V(lo) − V(hi); intervals
-    are halved until each holds one root, which is then narrowed to
-    _ROOT_WIDTH.  The start (−R, R] with Cauchy's R = 1 + max |c_i / c_0|
-    holds every root.
-    """
+def _derivative(coeffs: Sequence[int]) -> list[int]:
     degree = len(coeffs) - 1
-    chain = [coeffs, [c * (degree - i) for i, c in enumerate(coeffs[:-1])]]
+    return [c * (degree - i) for i, c in enumerate(coeffs[:-1])]
+
+
+def _sturm_roots(coeffs: list[int]) -> list[float]:
+    """The real roots of a square-free integer polynomial by exact bisection.
+
+    Sturm's chain counts the roots in (lo, hi] as V(lo) − V(hi); its
+    members are positive multiples of the negated remainders, kept in
+    integers.  Intervals are halved until each holds one root, which is then
+    narrowed to 2^-_ROOT_BITS relative width.  The start (−R, R] with
+    Cauchy's R = 1 + max |c_i / c_0| holds every root; every end is an
+    integer over |c_0|·2^e.
+    """
+    chain = [coeffs, _derivative(coeffs)]
     while True:
-        rem = list(chain[-2])
-        den = chain[-1]
-        while len(rem) >= len(den):
-            q = rem[0] / den[0]
-            rem = [r - q * dv for r, dv in zip(rem[1:], den[1:])] + rem[len(den):]
+        rem, divisor = list(chain[-2]), chain[-1]
+        lead, sign = abs(divisor[0]), (divisor[0] > 0) - (divisor[0] < 0)
+        while len(rem) >= len(divisor):
+            # |lead|·rem − (rem_0·sgn lead)·divisor: a positive multiple of
+            # rem, less its leading term, so the signs stay a Sturm chain's
+            q = rem[0] * sign
+            rem = [lead * r - q * dv for r, dv in zip(rem[1:], divisor[1:])] + [
+                lead * r for r in rem[len(divisor):]]
         while rem and rem[0] == 0:
             rem.pop(0)
         if not rem:
             break
-        chain.append([-c for c in rem])
+        content = math.gcd(*rem)
+        chain.append([-c // content for c in rem])
 
-    def variations(x: Fraction) -> int:
-        signs = [s for s in (_sign(_horner(p, x)) for p in chain) if s]
+    def variations(n: int, den: int) -> int:
+        signs = [s for s in (_sign_at(p, n, den) for p in chain) if s]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    bound = 1 + max(abs(c / coeffs[0]) for c in coeffs[1:])
-    pending = [(-bound, bound)]
+    base = abs(coeffs[0])
+    bound = base + max(abs(c) for c in coeffs[1:])
+    pending = [(-bound, bound, base)]
     roots = []
     while pending:
-        lo, hi = pending.pop()
-        v_lo = variations(lo)
-        count = v_lo - variations(hi)
+        lo, hi, den = pending.pop()
+        v_lo = variations(lo, den)
+        count = v_lo - variations(hi, den)
         if count > 1:
-            mid = (lo + hi) / 2
-            pending += [(lo, mid), (mid, hi)]
+            pending += [(2 * lo, lo + hi, 2 * den), (lo + hi, 2 * hi, 2 * den)]
         elif count == 1:
-            while hi - lo > _ROOT_WIDTH * max(1, abs(lo), abs(hi)):
-                mid = (lo + hi) / 2
-                v_mid = variations(mid)
+            while (hi - lo) << _ROOT_BITS > max(den, abs(lo), abs(hi)):
+                mid = lo + hi
+                lo, hi, den = 2 * lo, 2 * hi, 2 * den
+                v_mid = variations(mid, den)
                 if v_lo > v_mid:
                     hi = mid
                 else:
                     lo, v_lo = mid, v_mid
-            roots.append(float((lo + hi) / 2))
+            roots.append((lo + hi) / (2 * den))
     return sorted(roots)
 
 
-def _real_roots(coeffs: list[Fraction]) -> list[float]:
-    """The real roots, ascending, of a quadratic or cubic with exact
+def _real_roots(coeffs: Sequence[Fraction]) -> list[float]:
+    """The real roots, ascending, of a quadratic or cubic with rational
     coefficients (highest first, the leading one nonzero).
 
-    The sign of the discriminant Δ decides how many there are.  At Δ = 0 the
-    repeated root and its partner are rational and come from exact formulas.
-    Otherwise the roots are simple; each float root from numpy must lie in
-    its own rational bracket where the polynomial changes sign exactly, and
-    when brackets for all of them cannot be confirmed, Sturm bisection finds
-    them instead.  A root is never accepted or dropped on float evidence.
+    Every sign is decided on the integer coefficients left by clearing the
+    denominators once, at dyadic or integer points.  The sign of the
+    discriminant Δ decides how many roots there are.  At Δ = 0 the repeated
+    root and its partner are rational and come from exact formulas.
+    Otherwise the roots are simple; each float root -- for the quadratic from
+    the cancellation-free q = −(b + sgn(b)·√Δ)/2 as q/a and c/q, for the
+    cubic from numpy -- must lie in its own dyadic bracket where the
+    polynomial changes sign exactly, and when brackets for all of them
+    cannot be confirmed, Sturm bisection finds them instead.  A root is
+    never accepted or dropped on float evidence.  numpy's cubic roots near
+    a cluster are only as close as their brackets, so each takes one exact
+    Newton step (``_polished``).
     """
-    if len(coeffs) == 3:
-        a, b, c = coeffs
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    if len(ints) == 3:
+        a, b, c = ints
         disc = b * b - 4 * a * c
         if disc == 0:
-            return [float(-b / (2 * a))]
-        count = 2 if disc > 0 else 0
+            return [-b / (2 * a)]
+        if disc < 0:
+            return []
+        # the monic b/a, c/a and Δ/a², each rounded once from exact values
+        b_a, c_a = b / a, c / a
+        q = -(b_a + math.copysign(math.sqrt(disc / (a * a)), b_a)) / 2
+        roots = sorted([q, c_a / q])
     else:
-        a, b, c, d = coeffs
+        a, b, c, d = ints
         disc = 18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
         if disc == 0:
             shift = b * b - 3 * a * c
             if shift == 0:
-                return [float(-b / (3 * a))]
-            double = (9 * a * d - b * c) / (2 * shift)
-            return sorted([float(double), float(-b / a - 2 * double)])
+                return [-b / (3 * a)]
+            double = 9 * a * d - b * c
+            # the partner −b/a − 2·double/(2·shift), over one denominator
+            partner = -(b * shift + a * double)
+            return sorted([double / (2 * shift), partner / (a * shift)])
         count = 3 if disc > 0 else 1
-    if count == 0:
-        return []
-    guesses = sorted(np.roots([float(c) for c in coeffs]), key=lambda r: abs(r.imag))
-    roots = sorted(float(r.real) for r in guesses[:count])
-    if _bracketed(coeffs, roots):
-        return roots
-    return _sturm_roots(coeffs)
+        guesses = sorted(np.roots([float(v) for v in coeffs]), key=lambda r: abs(r.imag))
+        roots = sorted(float(r.real) for r in guesses[:count])
+    if not _bracketed(ints, roots):
+        return _sturm_roots(ints)
+    return roots if len(ints) == 3 else [_polished(ints, r) for r in roots]
 
 
-def _bracketed(coeffs: list[Fraction], roots: list[float]) -> bool:
-    """Does each ascending float root r lie in its own rational bracket
+def _polished(coeffs: Sequence[int], r: float) -> float:
+    """One Newton step from the bracketed float root r, in exact integers
+    and rounded once: r − p(r)/p'(r) = (n·S − P)/(den·S) with
+    P = den^deg·p(r) and S = den^(deg−1)·p'(r).  Kept only inside r's
+    bracket, which holds the root."""
+    n, den = r.as_integer_ratio()
+    slope = _scaled_value(_derivative(coeffs), n, den)
+    if slope == 0:
+        return r
+    step = (n * slope - _scaled_value(coeffs, n, den)) / (den * slope)
+    return step if abs(step - r) <= _BRACKET * max(1.0, abs(r)) else r
+
+
+def _bracketed(coeffs: Sequence[int], roots: list[float]) -> bool:
+    """Does each ascending float root r lie in its own dyadic bracket
     r ± _BRACKET·max(1, |r|), disjoint from the others, at whose ends the
-    polynomial has strictly opposite signs?"""
-    previous = None
+    integer polynomial has strictly opposite signs?"""
+    prev_n = prev_den = None
     for r in roots:
-        delta = Fraction(_BRACKET * max(1.0, abs(r)))
-        lo, hi = Fraction(r) - delta, Fraction(r) + delta
-        if previous is not None and lo <= previous:
+        n, den = r.as_integer_ratio()
+        width, width_den = (_BRACKET * max(1.0, abs(r))).as_integer_ratio()
+        # both denominators are powers of two: bring them to the larger
+        if width_den > den:
+            n, den = n * (width_den // den), width_den
+        else:
+            width *= den // width_den
+        lo, hi = n - width, n + width
+        if prev_n is not None and lo * prev_den <= prev_n * den:
             return False
-        if _sign(_horner(coeffs, lo)) * _sign(_horner(coeffs, hi)) >= 0:
+        if _sign_at(coeffs, lo, den) * _sign_at(coeffs, hi, den) >= 0:
             return False
-        previous = hi
+        prev_n, prev_den = hi, den
     return True
 
 
@@ -796,10 +852,14 @@ def _eliminant_fibre(
 
 def _face_fibre(lam: Composition, y: Sequence[Fraction], tol: float) -> FibreSearch:
     """The fibre points over one face: in closed form for d' = len(y) ≤ 3,
-    with no undecided boxes, and from ``solve_fibre`` otherwise."""
-    if len(y) <= 3:
-        return FibreSearch(_eliminant_fibre(lam, y, tol), 0)
-    return solve_fibre(lam, y, tol=tol)
+    with no undecided boxes, and from ``solve_fibre`` otherwise.  Power sums
+    or fibre points past the float range raise FibreError."""
+    try:
+        if len(y) <= 3:
+            return FibreSearch(_eliminant_fibre(lam, y, tol), 0)
+        return solve_fibre(lam, y, tol=tol)
+    except OverflowError as exc:
+        raise FibreError(_FLOAT_RANGE) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -880,9 +940,14 @@ def _section_of(
         # minimal face first, then lowest residual
         group.sort(key=lambda s: (s.face.length, s.residual))
         best = group[0]
-        value = float(
-            sum(w * tv ** (d + 1) for w, tv in zip(best.face.lam.parts, best.t))
-        )
+        try:
+            value = float(
+                sum(w * tv ** (d + 1) for w, tv in zip(best.face.lam.parts, best.t))
+            )
+        except OverflowError as exc:
+            raise FibreError(_FLOAT_RANGE) from exc
+        if not math.isfinite(value):
+            raise FibreError(_FLOAT_RANGE)
         candidates.append((value, best))
     candidates.sort(key=lambda c: -c[0])
 

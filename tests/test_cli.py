@@ -97,6 +97,30 @@ def test_large_scale_points_of_the_image_answer(capsys):
     assert code == EXIT_OK and doc["verdict"] == "inside"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("section", "--k", "4", "--d", "3", "--point", "1,1e308,1e308"),
+        ("section", "--k", "4", "--d", "3", "--point", "1,1e400,1e300"),
+        ("membership", "--k", "5", "--d", "4", "--point", "1,1e400,1e300,1e600"),
+    ],
+)
+def test_points_beyond_the_float_range_are_an_error_envelope(capsys, argv):
+    """Power sums or fibre points past the float range once answered with
+    the bare OverflowError text, "(34, 'Numerical result out of range')" or
+    "integer division result too large for a float"."""
+    code, doc = run(capsys, *argv)
+    assert code == EXIT_ERROR
+    assert doc == {"error": "the power sums or fibre points are beyond float range"}
+
+
+def test_membership_beyond_the_float_range_stays_exact_for_d3(capsys):
+    """d' ≤ 3 membership decides the exact sign conditions and needs no
+    float fibre point."""
+    code, doc = run(capsys, "membership", "--k", "4", "--d", "3", "--point", "1,1e308,1e308")
+    assert code == EXIT_OK and doc["verdict"] == "inside"
+
+
 def test_section_reports_undecided_boxes(monkeypatch, capsys):
     """At d' ≥ 4 a face whose search leaves boxes undecided may hide a larger
     value: the count reaches the result and the JSON, and the exit code is 2

@@ -23,6 +23,7 @@ from orbit_betti.fibres import (
     _krawczyk,
     _real_roots,
     _section_of,
+    _sign_at,
     _sturm_roots,
     Face,
     FibreError,
@@ -507,11 +508,13 @@ def test_solver_recovers_constructed_fibre_points():
 
 
 def _with_roots(roots, lead=1):
-    """Coefficients, highest first, of lead·Π (x − r)."""
+    """Integer coefficients, highest first, of a positive multiple of
+    lead·Π (x − r)."""
     coeffs = [Fraction(lead)]
     for r in roots:
         coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    return coeffs
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return [int(c * scale) for c in coeffs]
 
 
 def test_real_roots_are_counted_exactly():
@@ -533,6 +536,141 @@ def test_real_roots_are_counted_exactly():
     for roots in (_real_roots(close), _sturm_roots(close)):
         assert roots == pytest.approx([1.0, 1.0 + 1e-13, 2.0], abs=1e-15)
         assert roots[0] < roots[1]
+    # two roots 1e-13·|r| apart at |r| ≈ 1e6: their brackets of 2^-40·|r|
+    # overlap, so the roots come from Sturm bisection
+    million = 10**6
+    wide = _with_roots([Fraction(million), million + Fraction(1, 10**7), Fraction(-3 * million)])
+    assert not _bracketed(wide, [-3e6, 1e6, 1e6 * (1 + 1e-13)])
+    roots = _real_roots(wide)
+    assert roots == _sturm_roots(wide)
+    assert roots[0] < roots[1] < roots[2]
+    assert roots == pytest.approx([-3e6, 1e6, 1e6 + 1e-7], rel=2**-50)
+
+
+def test_brackets_are_exactly_their_width():
+    """A float root counts when the exact root lies within 2^-40·max(1, |r|)
+    of it, and only then: the bracket ends are taken exactly."""
+    coeffs = _with_roots([Fraction(1), Fraction(3)])
+    assert _bracketed(coeffs, [1 + 2**-42, 3 - 2**-39])
+    assert _bracketed(coeffs, [1 - 2**-41, 3 * (1 + 2**-41)])
+    assert not _bracketed(coeffs, [1 + 2**-39, 3.0])
+    assert not _bracketed(coeffs, [1.0, 3 * (1 - 2**-39)])
+    # a bracket end on the root is no strict sign change
+    at_zero = _with_roots([Fraction(0), Fraction(3)])
+    assert _bracketed(at_zero, [2**-40 * 0.999, 3.0])
+    assert not _bracketed(at_zero, [2**-40, 3.0])
+
+
+def _fraction_sign(coeffs, x):
+    """The sign of the polynomial at the rational x by Horner in Fractions:
+    the reference for the integer sign routine."""
+    value = Fraction(0)
+    for c in coeffs:
+        value = value * x + c
+    return (value > 0) - (value < 0)
+
+
+def test_integer_sign_matches_fraction_horner():
+    """1200 seeded (polynomial, point) pairs, quadratics and cubics with
+    denominators up to 2^120: the homogenised integer Horner sign at n/den,
+    in lowest terms or scaled by a power of two as the brackets pass it,
+    equals the Fraction Horner sign.  A quarter of the points are exact
+    roots (sign 0) and a quarter lie within 2^-40 of one."""
+    rng = random.Random(20261019)
+    signs = {-1: 0, 0: 0, 1: 0}
+    for i in range(1200):
+        degree = 2 + i % 2
+        if i % 8 < 6:
+            roots = [
+                Fraction(rng.randint(-10**9, 10**9), rng.choice(
+                    [1, 3, 2 ** rng.randint(0, 120), rng.randint(1, 2**120)]))
+                for _ in range(degree)
+            ]
+            coeffs = _with_roots(roots, lead=rng.choice([-7, -1, 1, 5]))
+        else:
+            roots = [Fraction(rng.randint(-10**6, 10**6), 1000)]
+            coeffs = [rng.choice([-1, 1]) * rng.randint(1, 2**100)] + [
+                rng.randint(-2**100, 2**100) for _ in range(degree)]
+        kind = i % 4
+        if kind == 0:
+            x = rng.choice(roots)
+        elif kind == 1:
+            offset = Fraction(rng.randint(1, 2**20), 2 ** (60 + rng.randint(0, 60)))
+            x = rng.choice(roots) + rng.choice([-1, 1]) * offset
+        elif kind == 2:
+            x = Fraction(rng.uniform(-1e3, 1e3))
+        else:
+            x = Fraction(rng.randint(-2**130, 2**130), rng.randint(1, 2**120))
+        shift = rng.choice([0, 0, rng.randint(1, 64)])
+        sign = _sign_at(coeffs, x.numerator << shift, x.denominator << shift)
+        assert sign == _fraction_sign(coeffs, x), (coeffs, x)
+        signs[sign] += 1
+    assert min(signs.values()) >= 150, signs
+    assert signs[0] >= 300 - 20, signs
+
+
+def _recorded_eliminants():
+    """The quadratics and cubics ``arnold_section`` hands ``_real_roots`` on
+    150 seeded points, k = 4…6 and d' = 2, 3, one in five with a repeated
+    coordinate and one in ten on the diagonal."""
+    recorded = []
+    real_roots = fibres._real_roots
+
+    def record(coeffs):
+        recorded.append(list(coeffs))
+        return real_roots(coeffs)
+
+    rng = random.Random(20261020)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fibres, "_real_roots", record)
+        for i in range(150):
+            k, d = 4 + i % 3, 2 + i % 2
+            x = [Fraction(rng.randint(-96, 96), 64) for _ in range(k)]
+            if i % 10 == 0:
+                x = [x[0]] * k
+            elif i % 5 == 1:
+                x[1] = x[0]
+            arnold_section(k, d, power_sum_vector(sorted(x), d))
+    return recorded
+
+
+def _clustered_cubics():
+    """120 seeded cubics with two roots 2^-5…2^-60 apart relative to their
+    size, at scales 1 and 1e3, half of them nudged so that the close pair
+    splits irrationally or turns complex, plus 40 with a double or triple
+    rational root."""
+    rng = random.Random(20261021)
+    out = []
+    for i in range(160):
+        scale = rng.choice([1, 1000])
+        r = Fraction(rng.randint(-2**12, 2**12), 2**12) * scale
+        s = Fraction(rng.randint(-2**12, 2**12), 2**12) * scale
+        if i < 120:
+            gap = max(1, abs(r)) * Fraction(rng.randint(1, 1000), 1000 * 2 ** rng.randint(5, 60))
+            coeffs = _with_roots([r, r + gap, s], lead=rng.choice([-3, 1, 2]))
+            if i % 2:
+                coeffs[-1] += rng.choice([-1, 1])
+        else:
+            coeffs = _with_roots([r, r, s] if i % 2 else [r, r, r], lead=rng.choice([-3, 1]))
+        out.append(coeffs)
+    return out
+
+
+def test_real_roots_match_sympy():
+    """``_real_roots`` against sympy's exact real roots on 300+ seeded
+    eliminants: the section's own quadratics and cubics (double roots on
+    boundary faces, triple ones on the diagonal) and clustered cubics.  The
+    counts are equal and each root is within 2^-50·max(1, |r|)."""
+    x = sympy.Symbol("x")
+    eliminants = _recorded_eliminants() + _clustered_cubics()
+    assert len(eliminants) >= 300
+    for coeffs in eliminants:
+        exact = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs], x)
+        expected = [float(r.evalf(40)) for r, _ in exact.real_roots(multiple=False)]
+        got = _real_roots(coeffs)
+        assert len(got) == len(expected), (coeffs, got, expected)
+        for a, b in zip(got, expected):
+            assert abs(a - b) <= 2**-50 * max(1.0, abs(b)), (coeffs, got, expected)
 
 
 def test_cubic_eliminant_has_a_double_root_on_two_part_faces():
