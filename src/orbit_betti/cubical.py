@@ -1,19 +1,20 @@
 """Cubical complexes from membership oracles, and their Betti numbers.
 
-A complex is built by handing the centers of a regular grid over a box, as
-one (N, n) float array, to an oracle's ``batch`` method, which returns one
-integer code per center: 0 outside, 1 inside, 2 undecided.  A
-top-dimensional cell enters iff its code is not 0 (undecided counts as
-inside and is tallied), and the complex is the downward face closure;
-``stable_betti`` builds one at h and one at h/2, each from the oracle its
-factory makes for that resolution.  Cells are encoded axis-wise by
-elementary-interval codes: 2i for the degenerate interval [i,i], 2i+1 for
-[i, i+1]; the dimension of a cell is its number of odd codes.  A complex on
-a grid of m_1 × … × m_n cells is stored as one boolean bitmap of
-shape (2m_1+1, …, 2m_n+1) indexed by these codes (Wagner, Chen & Vuçini
-2011; Kaczynski, Mischaikow & Mrozek, *Computational Homology*, 2004).  On
-this doubled grid two cells are axis neighbours exactly when one is a
-facet of the other.
+A complex is built by handing the centers of a regular grid over a box, in
+row-major order, to an oracle's ``batch`` method as an (N, n) float array,
+which returns one integer code per center: 0 outside, 1 inside, 2 undecided.
+The array is the transpose of an (n, N) one written axis by axis, so each
+coordinate is a contiguous column.  A top-dimensional cell enters iff its
+code is not 0 (undecided counts as inside and is tallied), and the complex
+is the downward face closure; ``stable_betti`` builds one at h and one at
+h/2, each from the oracle its factory makes for that resolution.  Cells are
+encoded axis-wise by elementary-interval codes: 2i for the degenerate
+interval [i,i], 2i+1 for [i, i+1]; the dimension of a cell is its number of
+odd codes.  A complex on a grid of m_1 × … × m_n cells is stored as one
+boolean bitmap of shape (2m_1+1, …, 2m_n+1) indexed by these codes
+(Wagner, Chen & Vuçini 2011; Kaczynski, Mischaikow & Mrozek, *Computational
+Homology*, 2004).  On this doubled grid two cells are axis neighbours
+exactly when one is a facet of the other.
 
 For n ≤ 3 the Betti numbers are counts of connected components, with no
 matrix work: b_0 is the number of components of the bitmap under axis
@@ -213,16 +214,18 @@ def build_cubical(
             f"grid of {math.prod(shape)} cells exceeds the limit {MAX_TOP_CELLS}"
         )
 
-    axes = []
-    for lo, m in zip(lows, shape):
+    # one row of coordinates per axis, written through a view of the row in
+    # the grid's shape, so that the columns of the transpose run row-major
+    rows = np.empty((n, math.prod(shape)))
+    for axis, (lo, m) in enumerate(zip(lows, shape)):
         # center i is (lo + h/2) + i·h; int / int rounds as float(Fraction)
         first = lo + h / 2
         den = first.denominator * h.denominator
         start = first.numerator * h.denominator
         step = h.numerator * first.denominator
-        axes.append(np.array([(start + i * step) / den for i in range(m)]))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=-1)
+        values = np.array([(start + i * step) / den for i in range(m)])
+        rows[axis].reshape(shape)[...] = values.reshape([m if a == axis else 1 for a in range(n)])
+    centers = rows.T
 
     codes = np.asarray(oracle.batch(centers))
     if codes.shape != (len(centers),) or codes.dtype.kind not in "iu" or not (

@@ -22,11 +22,12 @@ contributes its center.  Both grids sample one closed formula, the region:
 in image space the rewritten formula ∧ the per-block
 ``fibres.image_conditions``, which define the image of the chamber for
 d' ≤ 3; in x-space the formula ∧ the chamber order x_{i+1} − x_i ≥ 0.  Every
-atom of the region is decided exactly at the (float) grid centers: in float
-outside an a-priori rounding band, with fractions inside.  Only a block with
-d' ≥ 4 sends the points in the region to the fibre solver.  The reported
-homology is that of the clipped, thickened set; callers pick clip boxes
-large enough to contain the region of interest.
+atom of the region is decided exactly at the (float) grid centers: one pass
+over its terms gives both the float value and an a-priori rounding band; the
+value decides outside the band, and fractions decide inside it.  Only a
+block with d' ≥ 4 sends the points in the region to the fibre solver.  The
+reported homology is that of the clipped, thickened set; callers pick clip
+boxes large enough to contain the region of interest.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -148,82 +149,125 @@ def _equality_taus(
 
 _UNIT_ROUNDOFF = 2.0**-53
 
-# Points per block of the formula walk (128 KiB per float column), so the
-# allocator reuses the walk's temporaries from block to block.  Walking a
-# 2^17-point grid whole, whether glibc handed the heap back to the OS between
-# batches, and faulted it in again, hung on the atom order and the heap
-# layout: 2k to 23k page faults a quotient-d2 pass, against 9k to 11k here.
+# Points per block of the formula walk, so that an atom's temporaries (128 KiB
+# per float column) have one size whatever the grid and the allocator hands
+# the same chunks back from block to block.  On a quotient-d2 pass (Xeon,
+# numpy 2.4) 2^13 to 2^15 time alike with under 10 page faults a pass; from
+# 2^16 on, the larger temporaries cost about 2,100 faults a pass.
 _WALK_ROWS = 2**14
 
 
-def _float_error_bound(poly: Polynomial, points: np.ndarray) -> np.ndarray:
-    """A-priori bound on |evaluate_float − exact value| at float points.
+class _CompiledAtom:
+    """A sign atom compiled for the walk, with a memo of its exact verdicts.
 
-    ``evaluate_float`` rounds once per coefficient, at most e times per
-    power x^e (libm's pow errs below one ulp), once per product and once per
-    term added, so with N such steps on the longest path the error is at
-    most γ_N · Σ|c|·|x|^e, γ_N = N·u/(1 − N·u) (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, §3.1).  The returned band doubles
-    that, to cover the rounding of the float Σ|c|·|x|^e itself and of the
-    comparisons made against the band, and adds an allowance per step for
-    underflow.
+    ``evaluate`` computes each power x_i^e and each term c·Πx_i^e once, and
+    sums the terms into the value and their absolute values into the
+    magnitude.  With N rounding steps on a term's longest path (one per
+    coefficient, at most e per power x^e, as pow errs below one ulp, one per
+    product and one per addition) the value is within γ_N · Σ|c|·|x|^e of the
+    exact one, γ_N = N·u/(1 − N·u) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, §3.1).  The band is twice that, for the rounding
+    of the magnitude and of the comparisons, plus an underflow allowance per
+    step; N counts one step more than the path, as the magnitude sums
+    rounded terms.  ``mask`` decides in float outside the band around the
+    threshold (0, or ±τ for a thickened equality) and in ``Fraction`` inside
+    it, once per distinct tuple of the values of the columns the atom uses.
     """
-    steps = 1 + len(poly.terms) + max(
-        (sum(e + 1 for e in expo if e) for expo in poly.terms), default=0
-    )
-    gamma = steps * _UNIT_ROUNDOFF / (1 - steps * _UNIT_ROUNDOFF)
-    magnitude = Polynomial(
-        poly.var_count, {expo: abs(c) for expo, c in poly.terms.items()}
-    ).evaluate_float(np.abs(points))
-    return 2 * gamma * magnitude + steps * len(poly.terms) * np.finfo(float).tiny
+
+    def __init__(self, atom: SignAtom, taus: dict[Polynomial, Fraction]) -> None:
+        poly = atom.poly
+        self.atom = atom
+        self.terms = [
+            (float(c), [(i, e) for i, e in enumerate(expo) if e])
+            for expo, c in poly.terms.items()
+        ] or [(0.0, [])]
+        self.powers = sorted({f for _, factors in self.terms for f in factors})
+        self.used = sorted({i for i, _ in self.powers})
+        steps = 2 + len(poly.terms) + max(
+            (sum(e + 1 for e in expo if e) for expo in poly.terms), default=0
+        )
+        self.gamma2 = 2 * (steps * _UNIT_ROUNDOFF / (1 - steps * _UNIT_ROUNDOFF))
+        self.underflow = steps * len(poly.terms) * np.finfo(float).tiny
+        if atom.relation == "=":
+            tau = taus[poly]
+            self.tau_f = float(tau)
+            self.test = lambda value: abs(value) <= tau
+        else:
+            self.test = atom.holds
+        self.memo: dict[tuple[float, ...], bool] = {}
+
+    def evaluate(self, cols: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """(value, error bound) at the points whose coordinates are ``cols``."""
+        size = len(cols[0])
+        power = {(i, e): cols[i] if e == 1 else cols[i] ** e for i, e in self.powers}
+        for n, (c, factors) in enumerate(self.terms):
+            if factors:
+                term = c * power[factors[0]]
+                for f in factors[1:]:
+                    term *= power[f]
+            else:
+                term = np.full(size, c)
+            if n:
+                value += term
+                magnitude += np.abs(term, out=term)
+            else:
+                value, magnitude = term, np.abs(term)
+        magnitude *= self.gamma2
+        magnitude += self.underflow
+        return value, magnitude
+
+    def mask(self, cols: Sequence[np.ndarray]) -> np.ndarray:
+        value, err = self.evaluate(cols)
+        if self.atom.relation == "=":
+            np.abs(value, out=value)
+            out = value <= self.tau_f
+            value -= self.tau_f
+            band = np.abs(value, out=value) <= err + 2 * _UNIT_ROUNDOFF * self.tau_f
+        else:
+            out = value >= 0.0 if self.atom.relation == ">=" else value <= 0.0
+            band = np.abs(value, out=value) <= err
+        rows = np.flatnonzero(band)
+        if rows.size:
+            out[rows] = self._exact(cols, rows)
+        return out
+
+    def _exact(self, cols: Sequence[np.ndarray], rows: np.ndarray) -> list[bool]:
+        poly = self.atom.poly
+        point = [Fraction(0)] * poly.var_count
+        keys = zip(*(cols[i][rows].tolist() for i in self.used)) if self.used else [()] * rows.size
+        out = []
+        for key in keys:
+            verdict = self.memo.get(key)
+            if verdict is None:
+                for i, v in zip(self.used, key):
+                    point[i] = Fraction(v)
+                verdict = self.memo[key] = self.test(evaluate_polynomial(poly, point))
+            out.append(verdict)
+        return out
 
 
-def _exact_truth(
-    poly: Polynomial, rows: np.ndarray, test: Callable[[Fraction], bool]
-) -> list[bool]:
-    """``test`` of the exact value of ``poly`` at the binary values of float
-    points, decided once per distinct tuple of the coordinates it uses."""
-    used = [i for i in range(poly.var_count) if any(e[i] for e in poly.terms)]
-    point = [Fraction(0)] * poly.var_count
-    cache: dict[tuple[float, ...], bool] = {}
-    out = []
-    for key in map(tuple, rows[:, used].tolist()):
-        if key not in cache:
-            for i, v in zip(used, key):
-                point[i] = Fraction(v)
-            cache[key] = test(evaluate_polynomial(poly, point))
-        out.append(cache[key])
-    return out
+def _compile(node: FormulaNode, taus: dict, atoms: dict) -> _CompiledAtom | tuple:
+    """An atom's ``_CompiledAtom`` (one per distinct atom), or (is_and,
+    compiled children) for an ``and``/``or`` node."""
+    if node.kind != "atom":
+        return node.kind == "and", [_compile(c, taus, atoms) for c in node.children]
+    if node.atom not in atoms:
+        atoms[node.atom] = _CompiledAtom(node.atom, taus)
+    return atoms[node.atom]
 
 
-def _atom_mask(atom: SignAtom, points: np.ndarray, taus: dict) -> np.ndarray:
-    vals = atom.poly.evaluate_float(points)
-    err = _float_error_bound(atom.poly, points)
-    if atom.relation == "=":
-        tau = taus[atom.poly]
-        tau_f = float(tau)
-        mask = np.abs(vals) <= tau_f
-        band = np.abs(np.abs(vals) - tau_f) <= err + 2 * _UNIT_ROUNDOFF * tau_f
-        exact = _exact_truth(atom.poly, points[band], lambda v: abs(v) <= tau)
-    else:
-        mask = vals >= 0.0 if atom.relation == ">=" else vals <= 0.0
-        band = np.abs(vals) <= err
-        exact = _exact_truth(atom.poly, points[band], atom.holds)
-    mask[band] = exact
-    return mask
-
-
-def _node_mask(node: FormulaNode, points: np.ndarray, taus: dict) -> np.ndarray:
-    """Truth values of a subtree; each later child of an ``and`` is decided
-    only where the earlier ones hold, of an ``or`` only where they fail."""
-    if node.kind == "atom":
-        return _atom_mask(node.atom, points, taus)
-    out = _node_mask(node.children[0], points, taus)
-    for child in node.children[1:]:
-        open_ = np.flatnonzero(out if node.kind == "and" else ~out)
+def _walk(node: _CompiledAtom | tuple, cols: list[np.ndarray]) -> np.ndarray:
+    """Truth values of a compiled subtree; each later child of an ``and`` is
+    decided only where the earlier ones hold, of an ``or`` only where they
+    fail, on the columns gathered at those points."""
+    if isinstance(node, _CompiledAtom):
+        return node.mask(cols)
+    is_and, children = node
+    out = _walk(children[0], cols)
+    for child in children[1:]:
+        open_ = np.flatnonzero(out if is_and else ~out)
         if open_.size:
-            # np.take gathers rows several times faster than points[open_]
-            out[open_] = _node_mask(child, np.take(points, open_, axis=0), taus)
+            out[open_] = _walk(child, [c[open_] for c in cols])
     return out
 
 
@@ -234,18 +278,19 @@ def _formula_mask(
 ) -> np.ndarray:
     """Exact truth values of the thickened formula at an (N, k) float array.
 
-    Each atom is decided in float wherever its value lies farther than the
-    a-priori error bound from the threshold (0, or ±τ for a thickened
-    equality); the points inside that band are evaluated exactly.  The walk
+    The formula is compiled once per call (``_CompiledAtom``): each atom's
+    value and rounding band come from one pass over its terms, and it is
+    decided in float outside the band and exactly inside it.  The walk
     short-circuits: an atom is evaluated only at the points where it can
-    still change the answer, and its arrays are freed once it is decided.
-    It takes the points ``_WALK_ROWS`` at a time, so its temporaries have
-    one size whatever the grid.
+    still change the answer.  It takes the points ``_WALK_ROWS`` at a time,
+    each block as k columns, which are contiguous when ``points`` is the
+    transpose of a (k, N) array, as ``build_cubical`` hands it over.
     """
+    root = _compile(formula.root, taus, {})
     out = np.empty(len(points), dtype=bool)
     for start in range(0, len(points), _WALK_ROWS):
-        rows = points[start : start + _WALK_ROWS]
-        out[start : start + len(rows)] = _node_mask(formula.root, rows, taus)
+        stop = min(start + _WALK_ROWS, len(points))
+        out[start:stop] = _walk(root, [points[start:stop, i] for i in range(points.shape[1])])
     return out
 
 

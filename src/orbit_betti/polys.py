@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-import numpy as np
-
 Rational = Fraction
 RationalLike = Union[Fraction, int, str, float]
 
@@ -265,29 +263,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.var_count}, {self.to_text()!r})"
-
-    # -- numeric fast path -------------------------------------------------
-
-    def evaluate_float(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised float evaluation at an (N, var_count) array of points.
-
-        The exact path is :func:`evaluate_polynomial`; this one exists for the
-        grid oracles, where millions of Fraction operations would dominate the
-        run time.
-        """
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        if pts.shape[1] != self.var_count:
-            raise PolynomialError("point dimension mismatch")
-        out = np.zeros(pts.shape[0])
-        for expo, coeff in self.terms.items():
-            term = np.full(pts.shape[0], float(coeff))
-            for i, e in enumerate(expo):
-                if e:
-                    term = term * pts[:, i] ** e
-            out += term
-        return out
 
 
 def evaluate_polynomial(p: Polynomial, x: Sequence[RationalLike]) -> Fraction:

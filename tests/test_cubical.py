@@ -6,6 +6,8 @@ path computes the same homology as plain dense linear algebra, and that
 path in turn checks the component counts used for n ≤ 3.
 """
 
+import itertools
+import math
 import time
 import tracemalloc
 from collections import deque
@@ -448,6 +450,30 @@ def test_batch_oracle_path():
     c = build_cubical(Batched(), [(0, 1)], Fraction(1, 8))
     assert c.cell_count(1) == 4  # left half only
     assert betti_numbers(c).values == (1, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_build_hands_the_oracle_row_major_centres(n):
+    """The oracle gets an (N, n) array whose row for cell (i_1, …, i_n),
+    taken in row-major order, is bit-equal to float(lo_a + h/2 + i_a·h)."""
+    h = Fraction(1, 10)
+    lows = [Fraction(-1, 3), Fraction(2, 7), Fraction(-5, 3), Fraction(1, 10)][:n]
+    counts = [5, 3, 4, 2][:n]
+    box = [(lo, lo + m * h) for lo, m in zip(lows, counts)]
+    seen = []
+
+    class Recording:
+        def batch(self, points):
+            seen.append(np.array(points))
+            return np.ones(len(points), dtype=np.int8)
+
+    build_cubical(Recording(), box, h)
+    expected = [
+        [float(lo + h / 2 + i * h) for lo, i in zip(lows, cell)]
+        for cell in itertools.product(*(range(m) for m in counts))
+    ]
+    assert seen[0].shape == (math.prod(counts), n)
+    assert seen[0].tobytes() == np.array(expected).tobytes()
 
 
 def test_build_validation_errors():

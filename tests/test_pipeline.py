@@ -36,6 +36,7 @@ from orbit_betti.pipeline import (
     quotient_betti,
     vanishing_threshold,
     verify_report,
+    _CompiledAtom,
     _QuotientOracle,
     _chamber_order,
     _formula_mask,
@@ -46,8 +47,10 @@ from orbit_betti.polys import (
     BlockSpec,
     ClosedFormula,
     FormulaNode,
+    Polynomial,
     SignAtom,
     evaluate_formula,
+    evaluate_polynomial,
     parse_formula,
     parse_polynomial,
 )
@@ -365,7 +368,8 @@ def test_formula_mask_decides_a_float_tie_exactly():
     points = np.array([[0.75, 0.1875]])
     for relation in ("<=", ">="):
         formula = parse_formula(f"1/10*x1^2 - 3/10*x2 {relation} 0", 2)
-        assert formula.polynomial_set[0].evaluate_float(points)[0] != 0.0
+        value, _ = _CompiledAtom(formula.atoms()[0], {}).evaluate(list(points.T))
+        assert value[0] != 0.0
         assert _formula_mask(formula, points, {}).tolist() == [True]
 
 
@@ -468,10 +472,93 @@ def test_formula_walk_in_blocks_matches_one_walk(monkeypatch):
     )
     taus = {p: Fraction(1, 8) for p in formula.polynomial_set}
     points = np.random.default_rng(5).integers(-16, 17, (100, 2)) / 8
-    whole = pipeline._node_mask(formula.root, points, taus)
+    monkeypatch.setattr(pipeline, "_WALK_ROWS", 10**6)
+    whole = _formula_mask(formula, points, taus)
     monkeypatch.setattr(pipeline, "_WALK_ROWS", 7)
     assert _formula_mask(formula, points, taus).tolist() == whole.tolist()
     assert _formula_mask(formula, points[:0], taus).shape == (0,)
+
+
+def _reference_values(poly, points):
+    """Term-by-term float evaluation: Σ c·Πx_i^e from a zero sum, each term
+    started as a full column of c."""
+    out = np.zeros(len(points))
+    for expo, coeff in poly.terms.items():
+        term = np.full(len(points), float(coeff))
+        for i, e in enumerate(expo):
+            if e:
+                term = term * points[:, i] ** e
+        out += term
+    return out
+
+
+def _reference_error_bound(poly, points):
+    """The rounding band as 2γ_N times the |c| polynomial evaluated at |x|,
+    plus N·(terms)·tiny, with N steps on the longest path of a term."""
+    steps = 1 + len(poly.terms) + max(
+        (sum(e + 1 for e in expo if e) for expo in poly.terms), default=0
+    )
+    gamma = steps * 2.0**-53 / (1 - steps * 2.0**-53)
+    magnitude = _reference_values(
+        Polynomial(poly.var_count, {expo: abs(c) for expo, c in poly.terms.items()}),
+        np.abs(points),
+    )
+    return 2 * gamma * magnitude + steps * len(poly.terms) * np.finfo(float).tiny
+
+
+_D3_CONDITION = image_conditions(4, 3, 3, 0)[0]
+
+
+def test_compiled_atom_matches_the_term_by_term_reference():
+    """One pass over the terms gives the values of the term-by-term
+    evaluation, equal as floats (the reference's zero start turns a −0.0 sum
+    into +0.0, which no sign test tells apart), and a band never below the
+    |c|-at-|x| reference, on 600 seeded points with negative coordinates."""
+    rng = np.random.default_rng(14)
+    points = np.concatenate([
+        rng.uniform(-3, 3, (300, 3)),
+        rng.integers(-24, 25, (200, 3)) / 8,
+        rng.uniform(-1e-3, 1e-3, (50, 3)),
+        rng.uniform(-40, 40, (50, 3)),
+    ])
+    polys = [
+        parse_polynomial(text, 3)
+        for text in (
+            "1/10*x1^2 - 3/10*x2",
+            "x1^6 - 1/3*x2^5*x3 + 7/10*x1^3*x2^2*x3 - x3^4 + 1/10",
+            "-x1^5 + 2/7*x2^3*x3^2 - x1*x2*x3 - 5",
+            "x1 - x2",
+            "-1/10*x3",
+        )
+    ] + [_D3_CONDITION]
+    for poly in polys:
+        value, bound = _CompiledAtom(SignAtom(poly, ">="), {}).evaluate(list(points.T))
+        assert np.array_equal(value, _reference_values(poly, points)), poly.to_text()
+        assert np.all(bound >= _reference_error_bound(poly, points)), poly.to_text()
+
+
+def test_formula_mask_decides_the_d3_condition_at_its_exact_zeros():
+    """The degree-6 d' = 3 condition of k = 4 vanishes exactly at the power
+    sums of (a, a, a, b), which are dyadic for dyadic a, b; the mask agrees
+    with ``evaluate_formula`` there, one ulp off in p3, and at other
+    chamber points."""
+    rng = np.random.default_rng(6)
+    a, b = rng.integers(-16, 17, (2, 150)) / 8
+    c, d = rng.integers(-16, 17, (2, 150)) / 8
+    zeros = np.stack([3 * a**m + b**m for m in (1, 2, 3)], axis=-1)
+    inner = np.stack([2 * a**m + c**m + d**m for m in (1, 2, 3)], axis=-1)
+    points = np.concatenate([
+        zeros,
+        np.column_stack([zeros[:, :2], np.nextafter(zeros[:, 2], np.inf)]),
+        np.column_stack([zeros[:, :2], np.nextafter(zeros[:, 2], -np.inf)]),
+        inner,
+    ])
+    exact_points = [[Fraction(v) for v in row] for row in points.tolist()]
+    assert all(evaluate_polynomial(_D3_CONDITION, row) == 0 for row in exact_points[:150])
+    for relation in (">=", "<=", "="):
+        formula = ClosedFormula(3, FormulaNode("atom", atom=SignAtom(_D3_CONDITION, relation)))
+        mask = _formula_mask(formula, points, {_D3_CONDITION: Fraction(0)})
+        assert mask.tolist() == [evaluate_formula(formula, row) for row in exact_points]
 
 
 def test_chamber_oracle_keeps_the_diagonal_and_drops_one_ulp_below():

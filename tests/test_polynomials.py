@@ -14,12 +14,14 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from orbit_betti.pipeline import _CompiledAtom
 from orbit_betti.polys import (
     MAX_NESTING,
     BlockSpec,
     ParseError,
     Polynomial,
     PolynomialError,
+    SignAtom,
     as_rational,
     column_pivots,
     evaluate_formula,
@@ -135,12 +137,17 @@ def test_powers_match_repeated_products(p, n):
 
 @given(polynomials(), st.data())
 def test_float_batch_matches_exact(p, data):
+    """The grid's compiled float evaluator is close to the exact value, and
+    within its own rounding band of it."""
     pts = [
         [data.draw(st.integers(-3, 3)) for _ in range(p.var_count)] for _ in range(4)
     ]
-    batch = p.evaluate_float(np.array(pts, dtype=float))
-    for row, point in zip(batch, pts):
-        assert row == pytest.approx(float(evaluate_polynomial(p, point)), abs=1e-9)
+    atom = _CompiledAtom(SignAtom(p, ">="), {})
+    batch, bound = atom.evaluate(list(np.array(pts, dtype=float).T))
+    for row, err, point in zip(batch, bound, pts):
+        exact = evaluate_polynomial(p, point)
+        assert row == pytest.approx(float(exact), abs=1e-9)
+        assert abs(Fraction(row) - exact) <= Fraction(err)
 
 
 def test_derivative_and_substitute():
