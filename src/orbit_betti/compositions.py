@@ -17,6 +17,7 @@ when the formula is exceeded rather than asserting it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb, factorial
 
@@ -62,7 +63,7 @@ class Composition:
             breaks.append(partial)
         return Composition(k, frozenset(breaks))
 
-    @property
+    @functools.cached_property
     def parts(self) -> tuple[int, ...]:
         cuts = [0] + sorted(self.breakpoints) + [self.k]
         return tuple(b - a for a, b in zip(cuts, cuts[1:]))
@@ -156,12 +157,14 @@ def comp_max(k: int, d: int) -> list[Composition]:
     return out
 
 
-def comp_kd(k: int, d: int) -> list[Composition]:
+@functools.lru_cache(maxsize=64)
+def comp_kd(k: int, d: int) -> tuple[Composition, ...]:
     """The face poset used at degree d: the downward closure of
     comp_max(k, d') under ≺, d' = min(k, d), by subset enumeration on
     breakpoints.  comp_max(k, k) is (1, ..., 1), so for d ≥ k this is all of
-    Comp(k).  Sorted by (length, parts).  More than POSET_LIMIT elements
-    raise CompositionError.
+    Comp(k).  Sorted by (length, parts), and cached: every call with the same
+    (k, d) returns the same tuple.  More than POSET_LIMIT elements raise
+    CompositionError, on every call.
     """
     if k < 1 or d < 1:
         raise CompositionError("k and d must be positive")
@@ -172,9 +175,7 @@ def comp_kd(k: int, d: int) -> list[Composition]:
         for mask in range(2 ** len(points)):
             seen.add(frozenset(p for i, p in enumerate(points) if mask >> i & 1))
         _check_poset_size(len(seen))
-    out = [Composition(k, b) for b in seen]
-    out.sort(key=Composition.sort_key)
-    return out
+    return tuple(sorted((Composition(k, b) for b in seen), key=Composition.sort_key))
 
 
 # ---------------------------------------------------------------------------

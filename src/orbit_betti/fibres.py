@@ -30,19 +30,24 @@ reports the count.  An "outside" verdict is a proof; an "inside" verdict is
 a proof when its root came from a Krawczyk-proved box of a square face
 system (ℓ = d'), and otherwise rests on the float residual ≤ tol.
 
+A query scales its power sums to integers once (``_PowerSums``): with s
+the lcm of the denominators of y_1..y_d', Y_m = s^m·y_m is an integer,
+because p_m has weight m.  The image conditions and the d' ≤ 3 eliminants
+are built from Y in integers, with no ``Fraction`` arithmetic per face.
+
 One routine, ``_face_fibre``, gives the fibre points over a face to both
 membership and the section.  For d' ≤ 3 the faces are (k), (a, b) and
 (1, b, 1), and their fibre points are the real roots of an exact quadratic
-or cubic eliminant, counted by the sign of its discriminant and bracketed
-by exact sign changes; every such sign is decided on the eliminant's
-integer coefficients at dyadic points.  For d' ≥ 4 ``solve_fibre``
-searches the face.  The
-section collects the points over the whole face poset comp_kd(k, d'),
-merges points that appear in several face closures (a point with coarser
-grouping pattern lies in every finer face's closure -- it is reported in
-its minimal face), and returns the candidate maximizing the next power sum
-p_{d+1}.  Distinct candidates with values tied within tolerance are flagged
-as ambiguous rather than resolved by fiat.
+or cubic eliminant, whose integer coefficients come straight from Y; its
+roots are counted by the sign of its discriminant and bracketed by exact
+sign changes, every such sign decided in integers at dyadic points.  For
+d' ≥ 4 ``solve_fibre`` searches the face.  The section collects the points
+over the whole face poset comp_kd(k, d'), merges points that appear in
+several face closures (a point with coarser grouping pattern lies in every
+finer face's closure -- it is reported in its minimal face), and returns
+the candidate maximizing the next power sum p_{d+1}.  Distinct candidates
+with values tied within tolerance are flagged as ambiguous rather than
+resolved by fiat.
 """
 
 from __future__ import annotations
@@ -61,7 +66,6 @@ from orbit_betti.polys import (
     Polynomial,
     RationalLike,
     as_rational,
-    evaluate_polynomial,
     float_enclosure,
     interval_mul,
     interval_pow,
@@ -130,6 +134,29 @@ def power_sum_vector(x: Sequence[RationalLike], m_max: int) -> tuple[Fraction, .
     """Exact (p_1, ..., p_{m_max}) of a rational point (weights all 1)."""
     xs = [as_rational(v) for v in x]
     return tuple(sum((v**m for v in xs), Fraction(0)) for m in range(1, m_max + 1))
+
+
+class _PowerSums:
+    """One query's power sums y_1..y_d', scaled to integers once.
+
+    With s the lcm of the denominators of the y_m, Y_m = s^m·y_m is an
+    integer.  A polynomial in the y_m of weighted degree w is s^-w times the
+    same polynomial in the Y_m, so a sign or a ratio of such polynomials is
+    decided on the Y_m in integers.
+    """
+
+    def __init__(self, exact: Sequence[Fraction]) -> None:
+        self.exact = tuple(exact)
+        self.scale = s = math.lcm(*(v.denominator for v in self.exact))
+        self.ints = tuple(
+            v.numerator * (s**m // v.denominator) for m, v in enumerate(self.exact, start=1)
+        )
+
+    @functools.cached_property
+    def floats(self) -> tuple[float, ...]:
+        """The y_m as Y_m / s^m, each correctly rounded (so equal to
+        float(y_m)); a value past the float range raises OverflowError."""
+        return tuple(v / self.scale**m for m, v in enumerate(self.ints, start=1))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +471,7 @@ def solve_fibre(
     if ell == 1:
         t_exact = y_exact[0] / parts[0]
         exact = all(parts[0] * t_exact**m == ym for m, ym in enumerate(y_exact, 1))
-        points = _eliminant_fibre(lam, y_exact, tol)
+        points = _eliminant_fibre(lam, _PowerSums(y_exact), tol)
         return FibreSearch(tuple(s for s in points if exact or s.residual <= tol), 0)
 
     if d_prime < 2:
@@ -553,6 +580,18 @@ def _check_tol(tol: float) -> None:
         raise FibreError(f"tolerance must be finite and positive, got {tol}")
 
 
+def _moment_conditions(k: int, d_prime: int, p: Sequence) -> tuple:
+    """The ``image_conditions`` at p = (p_1, p_2, p_3, ...), in any ring that
+    takes integer multiples and powers: Polynomials or integers."""
+    if d_prime == 1:
+        return ()
+    variance = k * p[1] - p[0] ** 2
+    if d_prime == 2:
+        return (variance,)
+    third = k**2 * p[2] - 3 * k * p[0] * p[1] + 2 * p[0] ** 3
+    return ((k - 2) ** 2 * variance**3 - (k - 1) * third**2,)
+
+
 @functools.lru_cache(maxsize=64)
 def image_conditions(k: int, d_prime: int, var_count: int, offset: int) -> tuple[Polynomial, ...]:
     """Polynomials P ≥ 0 on the image of R^k (or of the chamber, which meets
@@ -566,24 +605,20 @@ def image_conditions(k: int, d_prime: int, var_count: int, offset: int) -> tuple
     Kostov 1989), so p_3 takes every value between its extremes.  For d' ≥ 4
     the d' = 3 condition on (p_1, p_2, p_3) is only necessary.
     """
-    if d_prime == 1:
-        return ()
-    p1, p2 = (Polynomial.variable(offset + m, var_count) for m in (1, 2))
-    variance = k * p2 - p1**2
-    if d_prime == 2:
-        return (variance,)
-    p3 = Polynomial.variable(offset + 3, var_count)
-    third = k**2 * p3 - 3 * k * p1 * p2 + 2 * p1**3
-    return ((k - 2) ** 2 * variance**3 - (k - 1) * third**2,)
+    p = [Polynomial.variable(offset + m, var_count) for m in range(1, min(d_prime, 3) + 1)]
+    return _moment_conditions(k, d_prime, p)
 
 
 def _moment_verdict(
     k: int, d: int, y: Sequence[RationalLike], tol: float
-) -> tuple[list[Fraction], str | None]:
+) -> tuple[_PowerSums, str | None]:
     """Check y and tol against (k, d) and decide ``image_conditions`` exactly.
 
-    Returns the exact targets and INSIDE or OUTSIDE when the conditions
-    decide (always for d' ≤ 3), else None.
+    Returns the scaled power sums and INSIDE or OUTSIDE when the conditions
+    decide (always for d' ≤ 3), else None.  The conditions are evaluated in
+    integers on Y_m = s^m·y_m: a condition of weighted degree w (2 for V, 6
+    for the d' = 3 one) is s^w > 0 times its value at y, so its sign is the
+    same.
     """
     if k < 1 or d < 1:
         raise FibreError("k and d must be positive")
@@ -592,10 +627,10 @@ def _moment_verdict(
     y_exact = [as_rational(v) for v in y]
     if len(y_exact) != d_prime:
         raise FibreError(f"expected {d_prime} power sums, got {len(y_exact)}")
-    conditions = image_conditions(k, d_prime, d_prime, 0)
-    if any(evaluate_polynomial(p, y_exact) < 0 for p in conditions):
-        return y_exact, OUTSIDE
-    return y_exact, INSIDE if d_prime <= 3 else None
+    sums = _PowerSums(y_exact)
+    if any(c < 0 for c in _moment_conditions(k, d_prime, sums.ints)):
+        return sums, OUTSIDE
+    return sums, INSIDE if d_prime <= 3 else None
 
 
 def image_membership(
@@ -618,12 +653,12 @@ def image_membership(
     system (ℓ = d') carries a proof; one found on an overdetermined face
     (ℓ < d'), or by Newton on a leaf box, rests on the float residual ≤ tol.
     """
-    y_exact, verdict = _moment_verdict(k, d, y, tol)
+    sums, verdict = _moment_verdict(k, d, y, tol)
     if verdict is not None:
         return verdict
     any_undecided = False
-    for lam in comp_kd(k, len(y_exact)):
-        search = _face_fibre(lam, y_exact, tol)
+    for lam in comp_kd(k, len(sums.exact)):
+        search = _face_fibre(lam, sums, tol)
         if search.solutions:
             return INSIDE
         any_undecided = any_undecided or search.undecided_boxes > 0
@@ -662,7 +697,7 @@ def _derivative(coeffs: Sequence[int]) -> list[int]:
     return [c * (degree - i) for i, c in enumerate(coeffs[:-1])]
 
 
-def _sturm_roots(coeffs: list[int]) -> list[float]:
+def _sturm_roots(coeffs: Sequence[int]) -> list[float]:
     """The real roots of a square-free integer polynomial by exact bisection.
 
     Sturm's chain counts the roots in (lo, hi] as V(lo) − V(hi); its
@@ -716,27 +751,27 @@ def _sturm_roots(coeffs: list[int]) -> list[float]:
     return sorted(roots)
 
 
-def _real_roots(coeffs: Sequence[Fraction]) -> list[float]:
-    """The real roots, ascending, of a quadratic or cubic with rational
-    coefficients (highest first, the leading one nonzero).
+def _real_roots(coeffs: Sequence[int], den: int = 1) -> list[float]:
+    """The real roots, ascending, of the quadratic or cubic with rational
+    coefficients c_i/den: integers c_i (highest first, the leading one
+    nonzero) over one common denominator den > 0.
 
-    Every sign is decided on the integer coefficients left by clearing the
-    denominators once, at dyadic or integer points.  The sign of the
-    discriminant Δ decides how many roots there are.  At Δ = 0 the repeated
-    root and its partner are rational and come from exact formulas.
-    Otherwise the roots are simple; each float root -- for the quadratic from
-    the cancellation-free q = −(b + sgn(b)·√Δ)/2 as q/a and c/q, for the
-    cubic from numpy -- must lie in its own dyadic bracket where the
-    polynomial changes sign exactly, and when brackets for all of them
-    cannot be confirmed, Sturm bisection finds them instead.  A root is
-    never accepted or dropped on float evidence.  numpy's cubic roots near
-    a cluster are only as close as their brackets, so each takes one exact
+    Every sign is decided on the integers c_i, at dyadic or integer points,
+    and every other quantity is a ratio of them that den does not change;
+    only numpy's cubic solver is handed the floats c_i/den, each rounded
+    once.  The sign of the discriminant Δ decides how many roots there are.
+    At Δ = 0 the repeated root and its partner are rational and come from
+    exact formulas.  Otherwise the roots are simple; each float root -- for
+    the quadratic from the cancellation-free q = −(b + sgn(b)·√Δ)/2 as q/a
+    and c/q, for the cubic from numpy -- must lie in its own dyadic bracket
+    where the polynomial changes sign exactly, and when brackets for all of
+    them cannot be confirmed, Sturm bisection finds them instead.  A root is
+    never accepted or dropped on float evidence.  numpy's cubic roots near a
+    cluster are only as close as their brackets, so each takes one exact
     Newton step (``_polished``).
     """
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
-    if len(ints) == 3:
-        a, b, c = ints
+    if len(coeffs) == 3:
+        a, b, c = coeffs
         disc = b * b - 4 * a * c
         if disc == 0:
             return [-b / (2 * a)]
@@ -747,7 +782,7 @@ def _real_roots(coeffs: Sequence[Fraction]) -> list[float]:
         q = -(b_a + math.copysign(math.sqrt(disc / (a * a)), b_a)) / 2
         roots = sorted([q, c_a / q])
     else:
-        a, b, c, d = ints
+        a, b, c, d = coeffs
         disc = 18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
         if disc == 0:
             shift = b * b - 3 * a * c
@@ -758,11 +793,11 @@ def _real_roots(coeffs: Sequence[Fraction]) -> list[float]:
             partner = -(b * shift + a * double)
             return sorted([double / (2 * shift), partner / (a * shift)])
         count = 3 if disc > 0 else 1
-        guesses = sorted(np.roots([float(v) for v in coeffs]), key=lambda r: abs(r.imag))
+        guesses = sorted(np.roots([v / den for v in coeffs]), key=lambda r: abs(r.imag))
         roots = sorted(float(r.real) for r in guesses[:count])
-    if not _bracketed(ints, roots):
-        return _sturm_roots(ints)
-    return roots if len(ints) == 3 else [_polished(ints, r) for r in roots]
+    if not _bracketed(coeffs, roots):
+        return _sturm_roots(coeffs)
+    return roots if len(coeffs) == 3 else [_polished(coeffs, r) for r in roots]
 
 
 def _polished(coeffs: Sequence[int], r: float) -> float:
@@ -801,9 +836,9 @@ def _bracketed(coeffs: Sequence[int], roots: list[float]) -> bool:
 
 
 def _eliminant_fibre(
-    lam: Composition, y: Sequence[Fraction], tol: float
+    lam: Composition, y: _PowerSums, tol: float
 ) -> tuple[FibreSolution, ...]:
-    """The chamber points of a face fibre for d' = len(y) ≤ 3, in closed form.
+    """The chamber points of a face fibre for d' ≤ 3, in closed form.
 
     comp_kd(k, d') then holds only the faces (k), (a, b) and (1, b, 1):
     - (k): t = y_1/k (at any d', which is how ``solve_fibre`` takes it);
@@ -813,34 +848,43 @@ def _eliminant_fibre(
       C = y_3 − b·s³ are the first three power sums of (u, v), so
       A³ − 3AB + 2C = 0, a cubic in s with leading coefficient
       −b(b+1)(b+2), and (u, v) = (A ± √(2B − A²))/2.
-    Every point must then pass ``FibreSolution.make``: residual of equation
-    m ≤ tol + _ROUNDING·Σ λ_i|t_i|^m on all d' equations (the third is the test
+    The eliminants are built in integers from the scaled power sums Y_m: the
+    quadratic times s², the cubic times s³, handed to ``_real_roots`` with
+    that common denominator.  Every point must then pass
+    ``FibreSolution.make``: residual of equation m at most
+    tol + _ROUNDING·Σ λ_i|t_i|^m on all d' equations (the third is the test
     on a two-part face at d' = 3) and the descending order within tol.
     """
     parts = lam.parts
-    y1 = y[0]
+    scale, big = y.scale, y.ints
     if len(parts) == 1:
-        points = [(float(y1 / parts[0]),)]
+        points = [(big[0] / (scale * parts[0]),)]
     elif len(parts) == 2:
         a, b = parts
-        quadratic = [Fraction(b * (a + b)), -2 * b * y1, y1 * y1 - a * y[1]]
-        points = [((float(y1) - b * v) / a, v) for v in _real_roots(quadratic)]
+        y1 = y.floats[0]
+        quadratic = [
+            b * (a + b) * scale * scale,
+            -2 * b * big[0] * scale,
+            big[0] ** 2 - a * big[1],
+        ]
+        points = [((y1 - b * v) / a, v) for v in _real_roots(quadratic, scale * scale)]
     else:
         b = parts[1]
-        y2, y3 = y[1], y[2]
+        y1, y2 = y.floats[:2]
+        big1, big2, big3 = big[:3]
         cubic = [
-            Fraction(-b * (b + 1) * (b + 2)),
-            3 * b * (b + 1) * y1,
-            3 * b * (y2 - y1 * y1),
-            y1**3 - 3 * y1 * y2 + 2 * y3,
+            -b * (b + 1) * (b + 2) * scale**3,
+            3 * b * (b + 1) * big1 * scale * scale,
+            3 * b * (big2 - big1 * big1) * scale,
+            big1**3 - 3 * big1 * big2 + 2 * big3,
         ]
         points = []
-        for s in _real_roots(cubic):
-            pair_sum = float(y1) - b * s
-            pair_gap = math.sqrt(max(2 * (float(y2) - b * s * s) - pair_sum**2, 0.0))
+        for s in _real_roots(cubic, scale**3):
+            pair_sum = y1 - b * s
+            pair_gap = math.sqrt(max(2 * (y2 - b * s * s) - pair_sum**2, 0.0))
             points.append(((pair_sum + pair_gap) / 2, s, (pair_sum - pair_gap) / 2))
     face = Face(lam)
-    y_float = [float(v) for v in y]
+    y_float = y.floats
     out = []
     for t in points:
         try:
@@ -850,14 +894,14 @@ def _eliminant_fibre(
     return tuple(out)
 
 
-def _face_fibre(lam: Composition, y: Sequence[Fraction], tol: float) -> FibreSearch:
-    """The fibre points over one face: in closed form for d' = len(y) ≤ 3,
-    with no undecided boxes, and from ``solve_fibre`` otherwise.  Power sums
-    or fibre points past the float range raise FibreError."""
+def _face_fibre(lam: Composition, y: _PowerSums, tol: float) -> FibreSearch:
+    """The fibre points over one face: in closed form for d' ≤ 3, with no
+    undecided boxes, and from ``solve_fibre`` otherwise.  Power sums or
+    fibre points past the float range raise FibreError."""
     try:
-        if len(y) <= 3:
+        if len(y.exact) <= 3:
             return FibreSearch(_eliminant_fibre(lam, y, tol), 0)
-        return solve_fibre(lam, y, tol=tol)
+        return solve_fibre(lam, y.exact, tol=tol)
     except OverflowError as exc:
         raise FibreError(_FLOAT_RANGE) from exc
 
@@ -901,13 +945,13 @@ def arnold_section(
     """
     if not d < k:
         raise FibreError(f"section requires d < k, got d={d}, k={k}")
-    y_exact, verdict = _moment_verdict(k, d, y, tol)
+    sums, verdict = _moment_verdict(k, d, y, tol)
     if verdict == OUTSIDE:
         raise FibreError(f"image membership is {OUTSIDE}, not inside")
     raw: list[FibreSolution] = []
     undecided = 0
-    for lam in comp_kd(k, len(y_exact)):
-        search = _face_fibre(lam, y_exact, tol)
+    for lam in comp_kd(k, len(sums.exact)):
+        search = _face_fibre(lam, sums, tol)
         raw.extend(search.solutions)
         undecided += search.undecided_boxes
     if not raw:

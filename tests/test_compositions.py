@@ -155,6 +155,16 @@ def test_comp_kd_pinned_examples():
     assert len(comp_kd(6, 7)) == 32
 
 
+def test_comp_kd_is_a_cached_tuple():
+    """comp_kd returns one tuple per (k, d); a poset over the limit raises on
+    every call, since the cache keeps no exceptions."""
+    assert comp_kd(5, 3) is comp_kd(5, 3)
+    assert isinstance(comp_kd(5, 3), tuple)
+    for _ in range(2):
+        with pytest.raises(CompositionError):
+            comp_kd(14, 14)
+
+
 def test_comp_kd_downward_closed():
     for k, d in [(3, 2), (4, 3), (5, 3), (5, 4), (6, 4)]:
         elements = comp_kd(k, d)

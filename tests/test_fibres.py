@@ -381,6 +381,49 @@ def test_image_conditions_vanish_on_the_extreme_faces():
     assert image_conditions(5, 4, 4, 0) == image_conditions(5, 3, 4, 0)
 
 
+def _sign(value):
+    return (value > 0) - (value < 0)
+
+
+def test_integer_image_test_matches_fraction_evaluation():
+    """The membership test decides the image condition on the power sums
+    scaled to integers once; its sign equals the Fraction evaluation of
+    ``image_conditions`` at 1,200 seeded points, k = 3..7, d' = 2, 3, with
+    denominators 3, 7 and 10^6.  A third are exact zeros (the diagonal, and
+    for d' = 3 one value apart from the other k − 1: the (a, b) face with a
+    part 1 and the (1, b, 1) face with two values equal), a third are such
+    zeros with one power sum nudged by ±1/10^12, and the rest lie on generic
+    (a, b) and (1, b, 1) faces."""
+    rng = random.Random(20261022)
+    signs = {-1: 0, 0: 0, 1: 0}
+    for i in range(1200):
+        k, d_prime = 3 + i % 5, 2 + (i // 5) % 2
+        den = (3, 7, 10**6)[(i // 10) % 3]
+        u, s, v = sorted((Fraction(rng.randint(-4 * den, 4 * den), den) for _ in range(3)),
+                         reverse=True)
+        kind = i % 6
+        if kind < 4:
+            # a zero: the diagonal, (1, k − 1), (k − 1, 1), or (1, k − 2, 1) with u = s
+            parts, t = [((k,), (u,)), ((1, k - 1), (u, v)), ((k - 1, 1), (u, v)),
+                        ((1, k - 2, 1), (u, u, v))][kind if d_prime == 3 else 0]
+        elif kind == 4:
+            parts, t = (rng.randint(1, k - 1),), (u, v)
+            parts += (k - parts[0],)
+        else:
+            parts, t = (1, k - 2, 1), (u, s, v)
+        y = [weighted_power_sum(C(parts), m, t) for m in range(1, d_prime + 1)]
+        if kind < 4 and (i // 6) % 2:
+            y[rng.randrange(d_prime)] += rng.choice([-1, 1]) * Fraction(1, 10**12)
+        (condition,) = image_conditions(k, d_prime, d_prime, 0)
+        expected = _sign(evaluate_polynomial(condition, y))
+        (scaled,) = fibres._moment_conditions(k, d_prime, fibres._PowerSums(y).ints)
+        assert isinstance(scaled, int)
+        assert _sign(scaled) == expected, (k, d_prime, y)
+        assert image_membership(k, d_prime, y) == (OUTSIDE if expected < 0 else INSIDE)
+        signs[expected] += 1
+    assert min(signs.values()) >= 150, signs
+
+
 def test_exact_membership_oracle_says_inside_on_forward_images():
     rng = random.Random(7)
     for _ in range(40):
@@ -609,29 +652,85 @@ def test_integer_sign_matches_fraction_horner():
     assert signs[0] >= 300 - 20, signs
 
 
+def _section_points():
+    """150 seeded (k, d, y), k = 4…6 and d' = 2, 3, y the power sums of a
+    point with coordinates in (1/64)ℤ, one in five with a repeated
+    coordinate and one in ten on the diagonal."""
+    rng = random.Random(20261020)
+    for i in range(150):
+        k, d = 4 + i % 3, 2 + i % 2
+        x = [Fraction(rng.randint(-96, 96), 64) for _ in range(k)]
+        if i % 10 == 0:
+            x = [x[0]] * k
+        elif i % 5 == 1:
+            x[1] = x[0]
+        yield k, d, power_sum_vector(sorted(x), d)
+
+
 def _recorded_eliminants():
     """The quadratics and cubics ``arnold_section`` hands ``_real_roots`` on
-    150 seeded points, k = 4…6 and d' = 2, 3, one in five with a repeated
-    coordinate and one in ten on the diagonal."""
+    the ``_section_points``."""
     recorded = []
     real_roots = fibres._real_roots
 
-    def record(coeffs):
+    def record(coeffs, den):
         recorded.append(list(coeffs))
-        return real_roots(coeffs)
+        return real_roots(coeffs, den)
 
-    rng = random.Random(20261020)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fibres, "_real_roots", record)
-        for i in range(150):
-            k, d = 4 + i % 3, 2 + i % 2
-            x = [Fraction(rng.randint(-96, 96), 64) for _ in range(k)]
-            if i % 10 == 0:
-                x = [x[0]] * k
-            elif i % 5 == 1:
-                x[1] = x[0]
-            arnold_section(k, d, power_sum_vector(sorted(x), d))
+        for k, d, y in _section_points():
+            arnold_section(k, d, y)
     return recorded
+
+
+def _reference_eliminant(parts, y):
+    """The eliminant of the face in Fractions, from the unscaled power sums:
+    b(a+b)·v² − 2b·y_1·v + (y_1² − a·y_2) on (a, b), and A³ − 3AB + 2C in s
+    on (1, b, 1)."""
+    y1, y2 = y[0], y[1]
+    if len(parts) == 2:
+        a, b = parts
+        return [Fraction(b * (a + b)), -2 * b * y1, y1 * y1 - a * y2]
+    b, y3 = parts[1], y[2]
+    return [Fraction(-b * (b + 1) * (b + 2)), 3 * b * (b + 1) * y1,
+            3 * b * (y2 - y1 * y1), y1**3 - 3 * y1 * y2 + 2 * y3]
+
+
+def test_integer_eliminants_are_positive_multiples_of_the_fraction_ones():
+    """Every face's eliminant is built in integers from the once-scaled power
+    sums: on the ``_section_points``, and on 60 more with denominators 3, 7
+    and 1000, the integers handed to ``_real_roots`` over their common
+    denominator are exactly the coefficients of the reference Fraction
+    eliminant, so they are the positive multiple den of it."""
+    rng = random.Random(20261023)
+    points = list(_section_points())
+    for i in range(60):
+        k, d, den = 4 + i % 3, 2 + i % 2, (3, 7, 1000)[i % 3]
+        x = sorted(Fraction(rng.randint(-2 * den, 2 * den), den) for _ in range(k))
+        points.append((k, d, power_sum_vector(x, d)))
+    real_roots = fibres._real_roots
+    checked = 0
+    for k, d, y in points:
+        sums = fibres._PowerSums(y)
+        for lam in comp_kd(k, d):
+            if lam.length == 1:
+                continue
+            calls = []
+
+            def record(coeffs, den):
+                calls.append((coeffs, den))
+                return real_roots(coeffs, den)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fibres, "_real_roots", record)
+                fibres._eliminant_fibre(lam, sums, 1e-9)
+            ((coeffs, den),) = calls
+            assert all(type(c) is int for c in coeffs) and type(den) is int and den > 0
+            reference = _reference_eliminant(lam.parts, y)
+            assert [Fraction(c, den) for c in coeffs] == reference, (lam, y)
+            checked += 1
+    assert checked >= 300, checked
 
 
 def _clustered_cubics():
