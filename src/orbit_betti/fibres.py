@@ -33,21 +33,24 @@ system (ℓ = d'), and otherwise rests on the float residual ≤ tol.
 A query scales its power sums to integers once (``_PowerSums``): with s
 the lcm of the denominators of y_1..y_d', Y_m = s^m·y_m is an integer,
 because p_m has weight m.  The image conditions and the d' ≤ 3 eliminants
-are built from Y in integers, with no ``Fraction`` arithmetic per face.
+are built from Y in integers, with no ``Fraction`` arithmetic per query.
 
-One routine, ``_face_fibre``, gives the fibre points over a face to both
-membership and the section.  For d' ≤ 3 the faces are (k), (a, b) and
-(1, b, 1), and their fibre points are the real roots of an exact quadratic
-or cubic eliminant, whose integer coefficients come straight from Y; its
-roots are counted by the sign of its discriminant and bracketed by exact
-sign changes, every such sign decided in integers at dyadic points.  For
-d' ≥ 4 ``solve_fibre`` searches the face.  The section collects the points
-over the whole face poset comp_kd(k, d'), merges points that appear in
-several face closures (a point with coarser grouping pattern lies in every
-finer face's closure -- it is reported in its minimal face), and returns
-the candidate maximizing the next power sum p_{d+1}.  Distinct candidates
-with values tied within tolerance are flagged as ambiguous rather than
-resolved by fiat.
+For d' ≤ 3 the section is one point of the closed maximal face, comp_max(k,
+d') = {(1, k−1)} or {(1, k−2, 1)}, which holds the unique fibre maximum of
+p_{d'+1} (Arnold 1986; Kostov 1989).  The signs of V and of the d' = 3 image
+condition say where it lies: on the diagonal, at the smaller root of the
+(1, k−1) quadratic, at the middle root of the (1, k−2, 1) cubic, or at the
+cubic's rational double root on the boundary faces (k−1, 1) and (1, k−1).
+The eliminant's integer coefficients come straight from Y, and its one root
+is certified by two exact signs at the ends of a dyadic bracket, so the
+section has one candidate and is never ambiguous.  For d' ≥ 4,
+``_face_fibre`` gives the points ``solve_fibre`` finds over each face of
+comp_kd(k, d') to membership and to the section, which merges points that
+appear in several face closures (a point with coarser grouping pattern lies
+in every finer face's closure -- it is reported in its minimal face) and
+returns the candidate maximizing the next power sum p_{d+1}.  Distinct
+candidates with values tied within tolerance are flagged as ambiguous rather
+than resolved by fiat.
 """
 
 from __future__ import annotations
@@ -456,8 +459,9 @@ def solve_fibre(
     solutions found on leaf boxes (singular Jacobians, as at coincident
     parameters), only the float residual ≤ tol stands behind it.  Solutions
     closer than ``_dedup_radius(tol)`` are merged.  A one-part face (ℓ = 1)
-    keeps the point of ``_eliminant_fibre`` when k·t^m = y_m holds exactly
-    or its float residual is ≤ tol, not on ``make``'s rounding allowance.
+    keeps its one point t = y_1/k, rounded once, when k·t^m = y_m holds
+    exactly or its float residual is ≤ tol, not on ``make``'s rounding
+    allowance.
     """
     _check_tol(tol)
     parts = lam.parts
@@ -471,8 +475,11 @@ def solve_fibre(
     if ell == 1:
         t_exact = y_exact[0] / parts[0]
         exact = all(parts[0] * t_exact**m == ym for m, ym in enumerate(y_exact, 1))
-        points = _eliminant_fibre(lam, _PowerSums(y_exact), tol)
-        return FibreSearch(tuple(s for s in points if exact or s.residual <= tol), 0)
+        try:
+            point = FibreSolution.make(Face(lam), (float(t_exact),), y_float, tol)
+        except FibreError:
+            return FibreSearch((), 0)
+        return FibreSearch((point,) if exact or point.residual <= tol else (), 0)
 
     if d_prime < 2:
         raise FibreError("a search over ℓ > 1 parameters needs y_2 to bound the box")
@@ -611,14 +618,14 @@ def image_conditions(k: int, d_prime: int, var_count: int, offset: int) -> tuple
 
 def _moment_verdict(
     k: int, d: int, y: Sequence[RationalLike], tol: float
-) -> tuple[_PowerSums, str | None]:
+) -> tuple[_PowerSums, tuple[int, ...], str | None]:
     """Check y and tol against (k, d) and decide ``image_conditions`` exactly.
 
-    Returns the scaled power sums and INSIDE or OUTSIDE when the conditions
-    decide (always for d' ≤ 3), else None.  The conditions are evaluated in
-    integers on Y_m = s^m·y_m: a condition of weighted degree w (2 for V, 6
-    for the d' = 3 one) is s^w > 0 times its value at y, so its sign is the
-    same.
+    Returns the scaled power sums, the conditions' integer values at them,
+    and INSIDE or OUTSIDE when the conditions decide (always for d' ≤ 3),
+    else None.  The conditions are evaluated in integers on Y_m = s^m·y_m: a
+    condition of weighted degree w (2 for V, 6 for the d' = 3 one) is
+    s^w > 0 times its value at y, so its sign is the same.
     """
     if k < 1 or d < 1:
         raise FibreError("k and d must be positive")
@@ -628,9 +635,10 @@ def _moment_verdict(
     if len(y_exact) != d_prime:
         raise FibreError(f"expected {d_prime} power sums, got {len(y_exact)}")
     sums = _PowerSums(y_exact)
-    if any(c < 0 for c in _moment_conditions(k, d_prime, sums.ints)):
-        return sums, OUTSIDE
-    return sums, INSIDE if d_prime <= 3 else None
+    conditions = _moment_conditions(k, d_prime, sums.ints)
+    if any(c < 0 for c in conditions):
+        return sums, conditions, OUTSIDE
+    return sums, conditions, INSIDE if d_prime <= 3 else None
 
 
 def image_membership(
@@ -653,20 +661,29 @@ def image_membership(
     system (ℓ = d') carries a proof; one found on an overdetermined face
     (ℓ < d'), or by Newton on a leaf box, rests on the float residual ≤ tol.
     """
-    sums, verdict = _moment_verdict(k, d, y, tol)
+    sums, _, verdict = _moment_verdict(k, d, y, tol)
     if verdict is not None:
         return verdict
     any_undecided = False
     for lam in comp_kd(k, len(sums.exact)):
-        search = _face_fibre(lam, sums, tol)
+        search = _face_fibre(lam, sums.exact, tol)
         if search.solutions:
             return INSIDE
         any_undecided = any_undecided or search.undecided_boxes > 0
     return UNDECIDED if any_undecided else OUTSIDE
 
 
+def _face_fibre(lam: Composition, y: Sequence[Fraction], tol: float) -> FibreSearch:
+    """The fibre points ``solve_fibre`` finds over one face, for d' ≥ 4;
+    power sums or fibre points past the float range raise FibreError."""
+    try:
+        return solve_fibre(lam, y, tol=tol)
+    except OverflowError as exc:
+        raise FibreError(_FLOAT_RANGE) from exc
+
+
 # ---------------------------------------------------------------------------
-# closed-form face fibres for d' ≤ 3
+# the one root of the maximal face's eliminant, for d' ≤ 3
 # ---------------------------------------------------------------------------
 
 # Half-width of the dyadic bracket, relative to max(1, |r|), in which a
@@ -751,53 +768,53 @@ def _sturm_roots(coeffs: Sequence[int]) -> list[float]:
     return sorted(roots)
 
 
-def _real_roots(coeffs: Sequence[int], den: int = 1) -> list[float]:
-    """The real roots, ascending, of the quadratic or cubic with rational
-    coefficients c_i/den: integers c_i (highest first, the leading one
-    nonzero) over one common denominator den > 0.
+def _crosses(coeffs: Sequence[int], r: float) -> bool:
+    """Does the integer polynomial have, exactly, the sign of its leading
+    coefficient at the lower end of the dyadic bracket r ± _BRACKET·max(1,
+    |r|) and the opposite sign at the upper end?  With simple real roots only,
+    that crossing is the smaller root of a quadratic and the middle root of
+    a cubic, and no other root lies in the bracket."""
+    n, den = r.as_integer_ratio()
+    width, width_den = (_BRACKET * max(1.0, abs(r))).as_integer_ratio()
+    # both denominators are powers of two: bring them to the larger
+    if width_den > den:
+        n, den = n * (width_den // den), width_den
+    else:
+        width *= den // width_den
+    lead = (coeffs[0] > 0) - (coeffs[0] < 0)
+    return _sign_at(coeffs, n - width, den) == lead == -_sign_at(coeffs, n + width, den)
 
-    Every sign is decided on the integers c_i, at dyadic or integer points,
-    and every other quantity is a ratio of them that den does not change;
-    only numpy's cubic solver is handed the floats c_i/den, each rounded
-    once.  The sign of the discriminant Δ decides how many roots there are.
-    At Δ = 0 the repeated root and its partner are rational and come from
-    exact formulas.  Otherwise the roots are simple; each float root -- for
-    the quadratic from the cancellation-free q = −(b + sgn(b)·√Δ)/2 as q/a
-    and c/q, for the cubic from numpy -- must lie in its own dyadic bracket
-    where the polynomial changes sign exactly, and when brackets for all of
-    them cannot be confirmed, Sturm bisection finds them instead.  A root is
-    never accepted or dropped on float evidence.  numpy's cubic roots near a
-    cluster are only as close as their brackets, so each takes one exact
-    Newton step (``_polished``).
+
+def _ordered_root(coeffs: Sequence[int]) -> float:
+    """The smaller root of a quadratic, or the middle root of a cubic, with
+    integer coefficients (highest first) and simple real roots only.
+
+    The float guess: for the quadratic, of its roots q = −(b + sgn(b)·√Δ)/2a
+    (the larger in size) and c/(a·q), the smaller; for the cubic, Viète's
+    middle root shift + m·cos(θ/3 − 2π/3) of the depressed cubic t³ + pt + q,
+    shift −b/3a, m = 2√(−p/3) and cos θ = 3q/(p·m) = −sgn(a·R)·√(R²/(−4P³))
+    for p = P/3a², q = R/27a³.  Each ratio is rounded once from integers, so
+    the scale of the coefficients does not change the guess, and none
+    divides by a rounded zero.  The guess is kept when ``_crosses``
+    certifies its bracket, after one exact Newton step (``_polished``);
+    otherwise Sturm bisection finds the root.  A root is never accepted on
+    float evidence.
     """
-    if len(coeffs) == 3:
+    index = len(coeffs) - 3
+    if index == 0:
         a, b, c = coeffs
-        disc = b * b - 4 * a * c
-        if disc == 0:
-            return [-b / (2 * a)]
-        if disc < 0:
-            return []
-        # the monic b/a, c/a and Δ/a², each rounded once from exact values
         b_a, c_a = b / a, c / a
-        q = -(b_a + math.copysign(math.sqrt(disc / (a * a)), b_a)) / 2
-        roots = sorted([q, c_a / q])
+        q = -(b_a + math.copysign(math.sqrt((b * b - 4 * a * c) / (a * a)), b_a)) / 2
+        guess = c_a / q if q > 0 else q
     else:
         a, b, c, d = coeffs
-        disc = 18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
-        if disc == 0:
-            shift = b * b - 3 * a * c
-            if shift == 0:
-                return [-b / (3 * a)]
-            double = 9 * a * d - b * c
-            # the partner −b/a − 2·double/(2·shift), over one denominator
-            partner = -(b * shift + a * double)
-            return sorted([double / (2 * shift), partner / (a * shift)])
-        count = 3 if disc > 0 else 1
-        guesses = sorted(np.roots([v / den for v in coeffs]), key=lambda r: abs(r.imag))
-        roots = sorted(float(r.real) for r in guesses[:count])
-    if not _bracketed(coeffs, roots):
-        return _sturm_roots(coeffs)
-    return roots if len(coeffs) == 3 else [_polished(coeffs, r) for r in roots]
+        big_p, big_r = 3 * a * c - b * b, 2 * b**3 - 9 * a * b * c + 27 * a * a * d
+        cos_theta = math.sqrt(big_r * big_r / (-4 * big_p**3)) * (-1 if a * big_r > 0 else 1)
+        m = 2 * math.sqrt(-big_p / (9 * a * a))
+        guess = -b / (3 * a) + m * math.cos(math.acos(cos_theta) / 3 - 2 * math.pi / 3)
+    if _crosses(coeffs, guess):
+        return _polished(coeffs, guess)
+    return _sturm_roots(coeffs)[index]
 
 
 def _polished(coeffs: Sequence[int], r: float) -> float:
@@ -813,97 +830,69 @@ def _polished(coeffs: Sequence[int], r: float) -> float:
     return step if abs(step - r) <= _BRACKET * max(1.0, abs(r)) else r
 
 
-def _bracketed(coeffs: Sequence[int], roots: list[float]) -> bool:
-    """Does each ascending float root r lie in its own dyadic bracket
-    r ± _BRACKET·max(1, |r|), disjoint from the others, at whose ends the
-    integer polynomial has strictly opposite signs?"""
-    prev_n = prev_den = None
-    for r in roots:
-        n, den = r.as_integer_ratio()
-        width, width_den = (_BRACKET * max(1.0, abs(r))).as_integer_ratio()
-        # both denominators are powers of two: bring them to the larger
-        if width_den > den:
-            n, den = n * (width_den // den), width_den
-        else:
-            width *= den // width_den
-        lo, hi = n - width, n + width
-        if prev_n is not None and lo * prev_den <= prev_n * den:
-            return False
-        if _sign_at(coeffs, lo, den) * _sign_at(coeffs, hi, den) >= 0:
-            return False
-        prev_n, prev_den = hi, den
-    return True
-
-
-def _eliminant_fibre(
-    lam: Composition, y: _PowerSums, tol: float
-) -> tuple[FibreSolution, ...]:
-    """The chamber points of a face fibre for d' ≤ 3, in closed form.
-
-    comp_kd(k, d') then holds only the faces (k), (a, b) and (1, b, 1):
-    - (k): t = y_1/k (at any d', which is how ``solve_fibre`` takes it);
-    - (a, b) with values u > v: b(a+b)·v² − 2b·y_1·v + (y_1² − a·y_2) = 0
-      and u = (y_1 − b·v)/a;
-    - (1, b, 1) with values u ≥ s ≥ v: A = y_1 − b·s, B = y_2 − b·s² and
-      C = y_3 − b·s³ are the first three power sums of (u, v), so
-      A³ − 3AB + 2C = 0, a cubic in s with leading coefficient
-      −b(b+1)(b+2), and (u, v) = (A ± √(2B − A²))/2.
-    The eliminants are built in integers from the scaled power sums Y_m: the
-    quadratic times s², the cubic times s³, handed to ``_real_roots`` with
-    that common denominator.  Every point must then pass
-    ``FibreSolution.make``: residual of equation m at most
-    tol + _ROUNDING·Σ λ_i|t_i|^m on all d' equations (the third is the test
-    on a two-part face at d' = 3) and the descending order within tol.
+def _section_eliminant(k: int, y: _PowerSums) -> list[int]:
+    """The maximal face's eliminant in integers from Y, highest coefficient
+    first.  d' = 2, face (1, b), b = k − 1, values u > v: the quadratic
+    b(b+1)·v² − 2b·y_1·v + (y_1² − y_2) times s², u = y_1 − b·v; it is
+    symmetric about y_1/k, with discriminant 4b·s²·V.  d' = 3, face
+    (1, b, 1), b = k − 2, values u ≥ s ≥ v: A = y_1 − b·s, B = y_2 − b·s²
+    and C = y_3 − b·s³ are the first three power sums of (u, v), so
+    A³ − 3AB + 2C = 0, a cubic in s times s³, with (u, v) = (A ± √(2B − A²))/2.
     """
-    parts = lam.parts
     scale, big = y.scale, y.ints
-    if len(parts) == 1:
-        points = [(big[0] / (scale * parts[0]),)]
-    elif len(parts) == 2:
-        a, b = parts
-        y1 = y.floats[0]
-        quadratic = [
-            b * (a + b) * scale * scale,
-            -2 * b * big[0] * scale,
-            big[0] ** 2 - a * big[1],
-        ]
-        points = [((y1 - b * v) / a, v) for v in _real_roots(quadratic, scale * scale)]
+    if len(big) == 2:
+        b = k - 1
+        return [b * k * scale * scale, -2 * b * big[0] * scale, big[0] ** 2 - big[1]]
+    b = k - 2
+    big1, big2, big3 = big
+    return [
+        -b * (b + 1) * (b + 2) * scale**3,
+        3 * b * (b + 1) * big1 * scale * scale,
+        3 * b * (big2 - big1 * big1) * scale,
+        big1**3 - 3 * big1 * big2 + 2 * big3,
+    ]
+
+
+def _closed_form_point(
+    k: int, y: _PowerSums, conditions: tuple[int, ...], tol: float
+) -> FibreSolution:
+    """The section point for d' ≤ 3, y inside; it must pass ``make``.
+
+    - d' = 1, or V = k·Y_2 − Y_1² = 0: the diagonal, face (k), t = y_1/k.
+    - d' = 2, V > 0: face (1, k−1), at the quadratic's smaller root.
+    - d' = 3, Q > 0 (Q the image condition): face (1, k−2, 1), at the
+      middle of the cubic's three simple roots (its discriminant is a
+      positive multiple of s⁶·Q).  u ≥ s ≥ v is g(s) = 2B − A² − (2s − A)²
+      ≥ 0; at the roots s₋ < s₊ of g the cubic is 2(y_3 − max p_3) ≤ 0 and
+      2(y_3 − min p_3) ≥ 0, so under its negative leading coefficient the
+      middle root lies in [s₋, s₊].
+    - d' = 3, Q = 0 < V: the image boundary.  The cubic's double root
+      s = (9ad − bc)/(2(b² − 3ac)) is the value repeated k − 1 times: face
+      (k−1, 1) when k·s > y_1, else (1, k−1).
+    """
+    big, scale = y.ints, y.scale
+    if len(big) == 1 or k * big[1] == big[0] ** 2:
+        lam, t = (k,), (big[0] / (scale * k),)
+    elif len(big) == 2:
+        v = _ordered_root(_section_eliminant(k, y))
+        lam, t = (1, k - 1), (y.floats[0] - (k - 1) * v, v)
+    elif conditions[0] > 0:
+        b = k - 2
+        s = _ordered_root(_section_eliminant(k, y))
+        pair_sum = y.floats[0] - b * s
+        pair_gap = math.sqrt(max(2 * (y.floats[1] - b * s * s) - pair_sum**2, 0.0))
+        lam, t = (1, b, 1), ((pair_sum + pair_gap) / 2, s, (pair_sum - pair_gap) / 2)
     else:
-        b = parts[1]
-        y1, y2 = y.floats[:2]
-        big1, big2, big3 = big[:3]
-        cubic = [
-            -b * (b + 1) * (b + 2) * scale**3,
-            3 * b * (b + 1) * big1 * scale * scale,
-            3 * b * (big2 - big1 * big1) * scale,
-            big1**3 - 3 * big1 * big2 + 2 * big3,
-        ]
-        points = []
-        for s in _real_roots(cubic, scale**3):
-            pair_sum = y1 - b * s
-            pair_gap = math.sqrt(max(2 * (y2 - b * s * s) - pair_sum**2, 0.0))
-            points.append(((pair_sum + pair_gap) / 2, s, (pair_sum - pair_gap) / 2))
-    face = Face(lam)
-    y_float = y.floats
-    out = []
-    for t in points:
-        try:
-            out.append(FibreSolution.make(face, t, y_float, tol))
-        except FibreError:
-            continue
-    return tuple(out)
-
-
-def _face_fibre(lam: Composition, y: _PowerSums, tol: float) -> FibreSearch:
-    """The fibre points over one face: in closed form for d' ≤ 3, with no
-    undecided boxes, and from ``solve_fibre`` otherwise.  Power sums or
-    fibre points past the float range raise FibreError."""
-    try:
-        if len(y.exact) <= 3:
-            return FibreSearch(_eliminant_fibre(lam, y, tol), 0)
-        return solve_fibre(lam, y.exact, tol=tol)
-    except OverflowError as exc:
-        raise FibreError(_FLOAT_RANGE) from exc
+        a, b, c, d = _section_eliminant(k, y)
+        num, den = 9 * a * d - b * c, 2 * (b * b - 3 * a * c)
+        # den = 2a²(s − s')² > 0, s' the simple root; the other value is
+        # y_1 − (k−1)·s, rounded once
+        single = (big[0] * den - (k - 1) * num * scale) / (scale * den)
+        if k * num * scale > big[0] * den:
+            lam, t = (k - 1, 1), (num / den, single)
+        else:
+            lam, t = (1, k - 1), (single, num / den)
+    return FibreSolution.make(Face(Composition.from_parts(lam)), t, y.floats, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -927,39 +916,55 @@ def arnold_section(
     y: Sequence[RationalLike],
     tol: float = 1e-9,
 ) -> SectionResult:
-    """The distinguished fibre point: maximal p_{d+1} among face candidates.
+    """The distinguished fibre point: maximal p_{d+1} over the fibre of y.
 
-    Candidates are the fibre points over every face in comp_kd(k, d'), from
-    ``_face_fibre``.  A point whose grouping pattern is coarser than the face
-    it was found in is the same geometric point as its copy in the coarser
-    face, so candidates within ``_dedup_radius(tol)`` of each other are
-    merged and reported in their minimal face.  Distinct candidates tied in
-    value within tolerance set the ``ambiguous`` flag.
-
-    A point that fails ``image_conditions`` raises before any search, and
-    so does one where no face yields a candidate; for d' ≥ 4 the error says
-    "outside" when every face was certified empty by directed-rounding
+    A point that fails ``image_conditions`` raises before any search.  For
+    d' ≤ 3 the answer is the one point of ``_closed_form_point``, on the
+    closed maximal face: ``candidates`` is 1, ``ambiguous`` false and
+    ``undecided_boxes`` 0.  For d' ≥ 4 the candidates are the fibre points
+    over every face in comp_kd(k, d'), from ``_face_fibre``.  A point whose
+    grouping pattern is coarser than the face it was found in is the same
+    geometric point as its copy in the coarser face, so candidates within
+    ``_dedup_radius(tol)`` of each other are merged and reported in their
+    minimal face.  Distinct candidates tied in value within tolerance set
+    the ``ambiguous`` flag.  When no face yields a candidate the error says
+    "outside" if every face was certified empty by directed-rounding
     intervals and "undecided" otherwise.  ``undecided_boxes`` counts the
-    boxes the d' ≥ 4 search could not settle: a face with any may hide a
-    larger value.
+    boxes the search could not settle: a face with any may hide a larger
+    value.
     """
     if not d < k:
         raise FibreError(f"section requires d < k, got d={d}, k={k}")
-    sums, verdict = _moment_verdict(k, d, y, tol)
+    sums, conditions, verdict = _moment_verdict(k, d, y, tol)
     if verdict == OUTSIDE:
         raise FibreError(f"image membership is {OUTSIDE}, not inside")
+    if verdict == INSIDE:
+        try:
+            top = _closed_form_point(k, sums, conditions, tol)
+        except OverflowError as exc:
+            raise FibreError(_FLOAT_RANGE) from exc
+        return SectionResult(top, top.embedded(), _next_power_sum(top, d), False, 1, 0)
     raw: list[FibreSolution] = []
     undecided = 0
     for lam in comp_kd(k, len(sums.exact)):
-        search = _face_fibre(lam, sums, tol)
+        search = _face_fibre(lam, sums.exact, tol)
         raw.extend(search.solutions)
         undecided += search.undecided_boxes
     if not raw:
-        if verdict == INSIDE:
-            raise FibreError("no fibre candidates located despite inside membership")
         status = UNDECIDED if undecided else OUTSIDE
         raise FibreError(f"image membership is {status}, not inside")
     return _section_of(raw, d, tol, undecided)
+
+
+def _next_power_sum(sol: FibreSolution, d: int) -> float:
+    """p_{d+1} at the solution; past the float range a FibreError."""
+    try:
+        value = float(sum(w * tv ** (d + 1) for w, tv in zip(sol.face.lam.parts, sol.t)))
+    except OverflowError as exc:
+        raise FibreError(_FLOAT_RANGE) from exc
+    if not math.isfinite(value):
+        raise FibreError(_FLOAT_RANGE)
+    return value
 
 
 def _section_of(
@@ -983,16 +988,7 @@ def _section_of(
     for group in groups:
         # minimal face first, then lowest residual
         group.sort(key=lambda s: (s.face.length, s.residual))
-        best = group[0]
-        try:
-            value = float(
-                sum(w * tv ** (d + 1) for w, tv in zip(best.face.lam.parts, best.t))
-            )
-        except OverflowError as exc:
-            raise FibreError(_FLOAT_RANGE) from exc
-        if not math.isfinite(value):
-            raise FibreError(_FLOAT_RANGE)
-        candidates.append((value, best))
+        candidates.append((_next_power_sum(group[0], d), group[0]))
     candidates.sort(key=lambda c: -c[0])
 
     top_value, top = candidates[0]

@@ -36,8 +36,9 @@ def as_rational(value: RationalLike) -> Fraction:
     """Coerce ints, strings like ``"3/4"``, and floats to exact fractions.
 
     Floats are converted via ``Fraction(value)`` (exact binary value), which
-    is what callers holding grid coordinates want.  A zero denominator or a
-    value of another type is a :class:`PolynomialError`.
+    is what callers holding grid coordinates want.  A zero denominator, a
+    malformed string, a non-finite float or a value of another type is a
+    :class:`PolynomialError`.
     """
     if isinstance(value, Fraction):
         return value
@@ -47,6 +48,8 @@ def as_rational(value: RationalLike) -> Fraction:
         raise PolynomialError(f"zero denominator in {value!r}") from None
     except TypeError:
         raise PolynomialError(f"{value!r} is not a rational number") from None
+    except (ValueError, OverflowError) as exc:
+        raise PolynomialError(str(exc)) from None
 
 
 class PolynomialError(ValueError):

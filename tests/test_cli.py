@@ -356,6 +356,14 @@ def test_inline_zero_denominator_is_an_error_envelope(capsys):
     assert "zero denominator" in doc["error"]
 
 
+def test_bad_rational_list_envelope_keeps_the_parser_message(capsys):
+    """``as_rational`` raises PolynomialError with the text of Fraction's own
+    error, so the envelope reads as it did when that error escaped bare."""
+    code, doc = run(capsys, "section", "--k", "4", "--d", "3", "--point", "abc,1,1")
+    assert code == EXIT_ERROR
+    assert doc == {"error": "bad rational list 'abc,1,1': Invalid literal for Fraction: 'abc'"}
+
+
 @pytest.mark.parametrize(
     "formula",
     ["(" * 300 + "x1" + ")" * 300 + " >= 0", "x1*" + "-" * 1000 + "x1 >= 0"],

@@ -7,6 +7,7 @@ expected values; the solver must reproduce them to tolerance.
 
 import math
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -19,9 +20,9 @@ from orbit_betti.compositions import Composition, comp_kd, comp_max, precedes
 from orbit_betti.fibres import (
     _EMPTY,
     _UNIQUE,
-    _bracketed,
+    _crosses,
     _krawczyk,
-    _real_roots,
+    _ordered_root,
     _section_of,
     _sign_at,
     _sturm_roots,
@@ -39,7 +40,13 @@ from orbit_betti.fibres import (
     solve_fibre,
     weighted_power_sum,
 )
-from orbit_betti.polys import evaluate_polynomial, float_enclosure, parse_polynomial
+from orbit_betti.polys import (
+    PolynomialError,
+    as_rational,
+    evaluate_polynomial,
+    float_enclosure,
+    parse_polynomial,
+)
 
 C = Composition.from_parts
 
@@ -560,48 +567,53 @@ def _with_roots(roots, lead=1):
     return [int(c * scale) for c in coeffs]
 
 
-def test_real_roots_are_counted_exactly():
-    """Repeated roots come from exact formulas; simple ones from float roots
-    in exact sign-change brackets, or from Sturm bisection when the brackets
-    cannot separate them."""
-    seven_eighths, other = Fraction(7, 8), Fraction(109, 128)
-    assert _real_roots(_with_roots([Fraction(1, 3)] * 3, lead=-5)) == [1 / 3]
-    assert _real_roots(_with_roots([seven_eighths, seven_eighths, other], lead=-15)) == [
-        109 / 128, 7 / 8]
-    assert _real_roots(_with_roots([seven_eighths] * 2, lead=3)) == [7 / 8]
-    assert _real_roots(_with_roots([Fraction(-1, 4), Fraction(5, 2)], lead=2)) == [-0.25, 2.5]
-    assert _real_roots([Fraction(1), Fraction(0), Fraction(1)]) == []
-    # x³ + x + 1 has one real root
-    (root,) = _real_roots([Fraction(1), Fraction(0), Fraction(1), Fraction(1)])
-    assert root**3 + root + 1 == pytest.approx(0, abs=1e-15)
+def test_ordered_root_is_picked_exactly():
+    """The smaller root of a quadratic and the middle root of a cubic, under
+    either sign of the leading coefficient: the float guess after one exact
+    Newton step when its bracket shows the exact crossing, else Sturm
+    bisection, which a neighbour closer than the bracket forces."""
+    for lead in (-3, 2):
+        assert _ordered_root(_with_roots([Fraction(5, 2), Fraction(-1, 4)], lead=lead)) == -0.25
+        cubic = _with_roots([Fraction(-2), Fraction(7, 8), Fraction(1, 3)], lead=lead)
+        assert _ordered_root(cubic) == 1 / 3
     close = _with_roots([Fraction(1), 1 + Fraction(1, 10**13), Fraction(2)])
-    assert not _bracketed(close, [1.0, 1.0 + 1e-13, 2.0])
-    for roots in (_real_roots(close), _sturm_roots(close)):
-        assert roots == pytest.approx([1.0, 1.0 + 1e-13, 2.0], abs=1e-15)
-        assert roots[0] < roots[1]
-    # two roots 1e-13·|r| apart at |r| ≈ 1e6: their brackets of 2^-40·|r|
-    # overlap, so the roots come from Sturm bisection
+    assert not _crosses(close, 1.0 + 1e-13)
+    root = _ordered_root(close)
+    assert root == _sturm_roots(close)[1] == pytest.approx(1.0 + 1e-13, abs=1e-15)
+    assert root > 1.0
+    # two roots 1e-13·|r| apart at |r| ≈ 1e6: the middle one's bracket of
+    # 2^-40·|r| holds both, so it comes from Sturm bisection
     million = 10**6
     wide = _with_roots([Fraction(million), million + Fraction(1, 10**7), Fraction(-3 * million)])
-    assert not _bracketed(wide, [-3e6, 1e6, 1e6 * (1 + 1e-13)])
-    roots = _real_roots(wide)
-    assert roots == _sturm_roots(wide)
-    assert roots[0] < roots[1] < roots[2]
-    assert roots == pytest.approx([-3e6, 1e6, 1e6 + 1e-7], rel=2**-50)
+    assert not _crosses(wide, 1e6)
+    root = _ordered_root(wide)
+    assert root == _sturm_roots(wide)[1] == pytest.approx(1e6, rel=2**-50)
 
 
 def test_brackets_are_exactly_their_width():
     """A float root counts when the exact root lies within 2^-40·max(1, |r|)
-    of it, and only then: the bracket ends are taken exactly."""
+    of it, and only then: the bracket ends are taken exactly.  The sign must
+    run from the leading coefficient's below the root to the opposite one
+    above it, which only a quadratic's smaller and a cubic's middle root do."""
     coeffs = _with_roots([Fraction(1), Fraction(3)])
-    assert _bracketed(coeffs, [1 + 2**-42, 3 - 2**-39])
-    assert _bracketed(coeffs, [1 - 2**-41, 3 * (1 + 2**-41)])
-    assert not _bracketed(coeffs, [1 + 2**-39, 3.0])
-    assert not _bracketed(coeffs, [1.0, 3 * (1 - 2**-39)])
+    assert _crosses(coeffs, 1 + 2**-42)
+    assert _crosses(coeffs, 1 - 2**-41)
+    assert not _crosses(coeffs, 1 + 2**-39)
+    assert not _crosses(coeffs, 1 - 2**-39)
+    assert not _crosses(coeffs, 3 * (1 + 2**-41))
+    assert _crosses([-c for c in coeffs], 1 + 2**-42)
+    # beyond |r| = 1 the width is relative
+    above_one = _with_roots([Fraction(3), Fraction(5)])
+    assert _crosses(above_one, 3 * (1 + 2**-41))
+    assert not _crosses(above_one, 3 * (1 - 2**-39))
     # a bracket end on the root is no strict sign change
     at_zero = _with_roots([Fraction(0), Fraction(3)])
-    assert _bracketed(at_zero, [2**-40 * 0.999, 3.0])
-    assert not _bracketed(at_zero, [2**-40, 3.0])
+    assert _crosses(at_zero, 2**-40 * 0.999)
+    assert not _crosses(at_zero, 2**-40)
+    for lead in (-3, 1):
+        cubic = _with_roots([Fraction(-2), Fraction(1, 3), Fraction(7, 8)], lead=lead)
+        assert _crosses(cubic, 1 / 3 + 2**-42)
+        assert not _crosses(cubic, -2.0) and not _crosses(cubic, 7 / 8)
 
 
 def _fraction_sign(coeffs, x):
@@ -653,11 +665,11 @@ def test_integer_sign_matches_fraction_horner():
 
 
 def _section_points():
-    """150 seeded (k, d, y), k = 4…6 and d' = 2, 3, y the power sums of a
+    """450 seeded (k, d, y), k = 4…6 and d' = 2, 3, y the power sums of a
     point with coordinates in (1/64)ℤ, one in five with a repeated
     coordinate and one in ten on the diagonal."""
     rng = random.Random(20261020)
-    for i in range(150):
+    for i in range(450):
         k, d = 4 + i % 3, 2 + i % 2
         x = [Fraction(rng.randint(-96, 96), 64) for _ in range(k)]
         if i % 10 == 0:
@@ -668,17 +680,17 @@ def _section_points():
 
 
 def _recorded_eliminants():
-    """The quadratics and cubics ``arnold_section`` hands ``_real_roots`` on
-    the ``_section_points``."""
+    """The quadratics and cubics ``arnold_section`` hands ``_ordered_root``
+    on the ``_section_points``."""
     recorded = []
-    real_roots = fibres._real_roots
+    ordered_root = fibres._ordered_root
 
-    def record(coeffs, den):
+    def record(coeffs):
         recorded.append(list(coeffs))
-        return real_roots(coeffs, den)
+        return ordered_root(coeffs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fibres, "_real_roots", record)
+        patch.setattr(fibres, "_ordered_root", record)
         for k, d, y in _section_points():
             arnold_section(k, d, y)
     return recorded
@@ -698,38 +710,26 @@ def _reference_eliminant(parts, y):
 
 
 def test_integer_eliminants_are_positive_multiples_of_the_fraction_ones():
-    """Every face's eliminant is built in integers from the once-scaled power
-    sums: on the ``_section_points``, and on 60 more with denominators 3, 7
-    and 1000, the integers handed to ``_real_roots`` over their common
-    denominator are exactly the coefficients of the reference Fraction
-    eliminant, so they are the positive multiple den of it."""
+    """The maximal face's eliminant is built in integers from the once-scaled
+    power sums: on the ``_section_points``, and on 60 more with denominators
+    3, 7 and 1000, the integers over s^deg (s the lcm of the denominators of
+    y) are exactly the coefficients of the reference Fraction eliminant, so
+    they are the positive multiple s^deg of it."""
     rng = random.Random(20261023)
     points = list(_section_points())
     for i in range(60):
         k, d, den = 4 + i % 3, 2 + i % 2, (3, 7, 1000)[i % 3]
         x = sorted(Fraction(rng.randint(-2 * den, 2 * den), den) for _ in range(k))
         points.append((k, d, power_sum_vector(x, d)))
-    real_roots = fibres._real_roots
     checked = 0
     for k, d, y in points:
         sums = fibres._PowerSums(y)
-        for lam in comp_kd(k, d):
-            if lam.length == 1:
-                continue
-            calls = []
-
-            def record(coeffs, den):
-                calls.append((coeffs, den))
-                return real_roots(coeffs, den)
-
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(fibres, "_real_roots", record)
-                fibres._eliminant_fibre(lam, sums, 1e-9)
-            ((coeffs, den),) = calls
-            assert all(type(c) is int for c in coeffs) and type(den) is int and den > 0
-            reference = _reference_eliminant(lam.parts, y)
-            assert [Fraction(c, den) for c in coeffs] == reference, (lam, y)
-            checked += 1
+        coeffs = fibres._section_eliminant(k, sums)
+        assert all(type(c) is int for c in coeffs) and len(coeffs) == d + 1
+        (lam,) = comp_max(k, d)
+        reference = _reference_eliminant(lam.parts, y)
+        assert [Fraction(c, sums.scale**d) for c in coeffs] == reference, (k, y)
+        checked += 1
     assert checked >= 300, checked
 
 
@@ -755,21 +755,35 @@ def _clustered_cubics():
     return out
 
 
-def test_real_roots_match_sympy():
-    """``_real_roots`` against sympy's exact real roots on 300+ seeded
-    eliminants: the section's own quadratics and cubics (double roots on
-    boundary faces, triple ones on the diagonal) and clustered cubics.  The
-    counts are equal and each root is within 2^-50·max(1, |r|)."""
+def test_ordered_root_matches_sympy():
+    """``_ordered_root`` against sympy's exact roots on 460+ seeded
+    eliminants whose real roots are all simple: the section's own quadratics
+    and cubics, and the clustered cubics with three real roots.  Each answer
+    is within 2^-50·max(1, |r|) of the smaller (quadratic) or middle (cubic)
+    real root r.  The section's own eliminants never fall back to Sturm
+    bisection, so the float guess and its bracket pick that root."""
     x = sympy.Symbol("x")
-    eliminants = _recorded_eliminants() + _clustered_cubics()
-    assert len(eliminants) >= 300
-    for coeffs in eliminants:
-        exact = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs], x)
-        expected = [float(r.evalf(40)) for r, _ in exact.real_roots(multiple=False)]
-        got = _real_roots(coeffs)
-        assert len(got) == len(expected), (coeffs, got, expected)
-        for a, b in zip(got, expected):
-            assert abs(a - b) <= 2**-50 * max(1.0, abs(b)), (coeffs, got, expected)
+    section = _recorded_eliminants()
+    clustered = [c for c in _clustered_cubics() if sympy.discriminant(sympy.Poly(c, x)) > 0]
+    assert len(section) + len(clustered) >= 460
+    sturm_roots = fibres._sturm_roots
+    fallbacks = []
+
+    def record(coeffs):
+        fallbacks.append(coeffs)
+        return sturm_roots(coeffs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fibres, "_sturm_roots", record)
+        for i, coeffs in enumerate(section + clustered):
+            if i == len(section):
+                assert fallbacks == []
+            roots = sympy.Poly(coeffs, x).real_roots()
+            assert len(set(roots)) == len(roots) == len(coeffs) - 1, coeffs
+            expected = float(roots[len(coeffs) - 3].evalf(40))
+            got = _ordered_root(coeffs)
+            assert abs(got - expected) <= 2**-50 * max(1.0, abs(expected)), (coeffs, got, expected)
+    assert fallbacks
 
 
 def test_cubic_eliminant_has_a_double_root_on_two_part_faces():
@@ -791,6 +805,104 @@ def test_cubic_eliminant_has_a_double_root_on_two_part_faces():
     assert f.rem(sympy.Poly((8 * s - 7) ** 2, s)).is_zero
     g = cubic(2, power_sum_vector([Fraction(1, 3)] * 4, 3))
     assert g.rem(sympy.Poly((3 * s - 1) ** 3, s)).is_zero
+
+
+def test_eliminant_discriminants_are_the_image_conditions():
+    """As polynomial identities in the scaled power sums Y_m and the scale
+    s: the quadratic's discriminant is 4(k−1)·s²·V and, for k = 4..9, the
+    cubic's is c_k·s⁶·Q with a constant c_k > 0, V and Q the image
+    conditions at Y.  So V > 0 and Q > 0 are exactly when their roots are
+    real and simple."""
+    x, scale = sympy.symbols("x s")
+    big = sympy.symbols("Y1:4")
+    constants = {}
+    for k in range(3, 10):
+        for d_prime in (2, 3) if k > 3 else (2,):
+            sums = types.SimpleNamespace(scale=scale, ints=big[:d_prime])
+            coeffs = fibres._section_eliminant(k, sums)
+            eliminant = sympy.Poly(sum(c * x ** (d_prime - i) for i, c in enumerate(coeffs)), x)
+            (condition,) = fibres._moment_conditions(k, d_prime, big)
+            power = {2: 2, 3: 6}[d_prime]
+            ratio = sympy.cancel(sympy.discriminant(eliminant) / (scale**power * condition))
+            assert ratio.is_Rational and ratio > 0, (k, d_prime, ratio)
+            if d_prime == 2:
+                assert ratio == 4 * (k - 1)
+            else:
+                constants[k] = ratio
+    assert (constants[4], constants[5], constants[6]) == (81, sympy.Rational(3888, 25), 240)
+
+
+def _ordered_root_points():
+    """1,000 seeded d' = 3 chamber points, k = 4…9, coordinates in
+    (1/den)ℤ ∩ [−2, 2] with den cycling through 3, 7, 64 and 2^20.  Of every
+    ten: one on the diagonal, one on each boundary face (k−1, 1) and
+    (1, k−1), one on a two-part face (a, b) with a, b ≥ 2, one with its top
+    two values equal, and five generic."""
+    rng = random.Random(20261024)
+    for i in range(1000):
+        k, den = 4 + i % 6, (3, 7, 64, 2**20)[i % 4]
+        x = sorted(Fraction(rng.randint(-2 * den, 2 * den), den) for _ in range(k))
+        kind = i % 10
+        if kind == 0:
+            x = [x[0]] * k
+        elif kind in (1, 2):
+            x = [x[0]] + [x[-1]] * (k - 1) if kind == 1 else [x[0]] * (k - 1) + [x[-1]]
+        elif kind == 3:
+            a = rng.randint(2, k - 2)
+            x = [x[0]] * (k - a) + [x[-1]] * a
+        elif kind == 4:
+            x[-2] = x[-1]
+        yield k, x
+
+
+def _root_signs(k, y):
+    """Each distinct real root of the (1, k−2, 1) cubic f in s, as an exact
+    rational or an isolating interval narrower than 2^-60, with the sign of
+    g(s) = (y_2 − y_1²) + 2(b+1)·y_1·s − (b+1)(b+2)·s², b = k − 2, which is
+    ≥ 0 exactly when u ≥ s ≥ v."""
+    b, s = k - 2, sympy.Symbol("s")
+    y1, y2 = y[0], y[1]
+
+    def poly(coeffs):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs], s,
+                          domain="QQ")
+
+    f = poly(_reference_eliminant((1, b, 1), y))
+    g = poly([Fraction(-(b + 1) * (b + 2)), 2 * (b + 1) * y1, y2 - y1 * y1])
+    rational = f.ground_roots()
+    out = [(r, r, int(sympy.sign(g.eval(r)))) for r in rational]
+    irrational = f.sqf_part()
+    for r in rational:
+        irrational = irrational.exquo(poly([Fraction(1), -Fraction(int(r.p), int(r.q))]))
+    # g vanishes only at rational roots of f (double roots on the boundary)
+    assert sympy.gcd(irrational, g).degree() == 0
+    for (lo, hi), _multiplicity in irrational.intervals(eps=sympy.Rational(1, 2**62)):
+        while g.count_roots(lo, hi):
+            lo, hi = irrational.refine_root(lo, hi, eps=(hi - lo) / 4)
+        out.append((lo, hi, int(sympy.sign(g.eval(lo)))))
+    return out
+
+
+def test_section_root_is_the_only_ordered_root():
+    """On the ``_ordered_root_points`` the section's middle parameter -- on
+    the boundary faces the value repeated k − 1 times, on the diagonal the
+    one value -- is the float nearest to one root r of the (1, k−2, 1) cubic,
+    within 2^-50·max(1, |r|), and g(r) ≥ 0 there while g < 0 at every other
+    real root: the section takes the one ordered root, exactly."""
+    faces = {}
+    for k, x in _ordered_root_points():
+        y = power_sum_vector(x, 3)
+        result = arnold_section(k, 3, y)
+        parts, t = result.solution.face.lam.parts, result.solution.t
+        ours = t[0] if parts in ((k,), (k - 1, 1)) else t[1]
+        roots = _root_signs(k, y)
+        (ordered,) = [(lo, hi) for lo, hi, sign in roots if sign >= 0]
+        nearest = min(roots, key=lambda r: abs(ours - r[0]))
+        assert nearest[:2] == ordered, (k, x, ours, roots)
+        assert abs(ours - float(ordered[0])) <= 2**-50 * max(1, abs(float(ordered[0]))), (k, x)
+        faces[parts] = faces.get(parts, 0) + 1
+    assert set(faces) >= {(1, k - 2, 1) for k in range(4, 10)} | {(4,), (6,), (8,)}
+    assert sum(v for p, v in faces.items() if len(p) == 2) >= 190
 
 
 def _searched_section(k, d, y, tol=1e-9):
@@ -859,6 +971,41 @@ def test_section_reports_a_boundary_point_once_in_its_minimal_face():
     assert result.solution.face.lam.parts == (3, 1)
     assert (result.candidates, result.ambiguous) == (1, False)
     assert result.x == pytest.approx([float(v) for v in x], abs=1e-12)
+
+
+def test_section_takes_the_one_ordered_root_at_small_scale():
+    """At y = (−37/62500, 697/7812500000, −13357/976562500000000), |x| ≈ 1e-4,
+    the (1, 2, 1) cubic has three rational roots and only s = −37/250000 is
+    ordered.  The section over every face's eliminant points answered (3, 1)
+    with value 2.1528e-15: that point misses y_3 by 0.27%, inside the
+    absolute tol, and the √tol merge radius joined it to the true one.  The
+    boundary point of x = (19/16, 5/4, 5/4, 5/4) takes the cubic's double
+    root.  Both are README examples, in its string form."""
+    y = [as_rational(v) for v in "-37/62500,697/7812500000,-13357/976562500000000".split(",")]
+    result = arnold_section(4, 3, y)
+    assert result.solution.face.lam.parts == (1, 2, 1)
+    assert (result.candidates, result.ambiguous) == (1, False)
+    assert result.solution.t[1] == -37 / 250000
+    assert result.value == pytest.approx(2.130699264e-15, rel=1e-12)
+    boundary = [as_rational(v) for v in "79/16,1561/256,30859/4096".split(",")]
+    assert tuple(boundary) == power_sum_vector([Fraction(19, 16)] + [Fraction(5, 4)] * 3, 3)
+    assert arnold_section(4, 3, boundary).solution.face.lam.parts == (3, 1)
+    # at |x| ≈ 1e-200 the eliminants' monic ratios round to zero, and the
+    # quadratic's float guess divided by it
+    assert arnold_section(3, 2, (0, Fraction(1, 10**400))).solution.face.lam.parts == (1, 2)
+    tiny = power_sum_vector([Fraction(v, 10**200) for v in (0, 1, 2, 7)], 3)
+    assert arnold_section(4, 3, tiny).solution.face.lam.parts == (1, 2, 1)
+
+
+def test_non_finite_power_sums_are_a_polynomial_error():
+    """``as_rational`` let float infinities and NaN escape as a bare
+    OverflowError or ValueError."""
+    with pytest.raises(PolynomialError, match="Infinity"):
+        image_membership(5, 4, [1, float("inf"), 1e300, 1e600])
+    with pytest.raises(PolynomialError, match="NaN"):
+        arnold_section(4, 3, [float("nan"), 1, 1])
+    with pytest.raises(PolynomialError, match="abc"):
+        arnold_section(4, 3, ["abc", 1, 1])
 
 
 def test_section_at_large_scale_polishes_rounded_roots():
