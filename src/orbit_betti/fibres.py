@@ -691,6 +691,8 @@ def _face_fibre(lam: Composition, y: Sequence[Fraction], tol: float) -> FibreSea
 _BRACKET = 2.0**-40
 # Exact bisection narrows a root to a width of 2^-_ROOT_BITS·max(1, |x|).
 _ROOT_BITS = 55
+# Exact Newton steps a float guess may take before Sturm bisection.
+_NEWTON_RETRIES = 3
 
 
 def _scaled_value(coeffs: Sequence[int], n: int, den: int) -> int:
@@ -796,9 +798,13 @@ def _ordered_root(coeffs: Sequence[int]) -> float:
     for p = P/3a², q = R/27a³.  Each ratio is rounded once from integers, so
     the scale of the coefficients does not change the guess, and none
     divides by a rounded zero.  The guess is kept when ``_crosses``
-    certifies its bracket, after one exact Newton step (``_polished``);
-    otherwise Sturm bisection finds the root.  A root is never accepted on
-    float evidence.
+    certifies its bracket, after one exact Newton step (``_polished``).  A
+    guess whose bracket misses the root — its error grows with the roots'
+    spread, to about √u·spread where acos is near ±1, so a root small
+    beside the others misses — is retried after each of up to
+    ``_NEWTON_RETRIES`` exact Newton steps, which square its relative error;
+    only then does Sturm bisection find the root.  A root is never accepted
+    on float evidence.
     """
     index = len(coeffs) - 3
     if index == 0:
@@ -812,21 +818,28 @@ def _ordered_root(coeffs: Sequence[int]) -> float:
         cos_theta = math.sqrt(big_r * big_r / (-4 * big_p**3)) * (-1 if a * big_r > 0 else 1)
         m = 2 * math.sqrt(-big_p / (9 * a * a))
         guess = -b / (3 * a) + m * math.cos(math.acos(cos_theta) / 3 - 2 * math.pi / 3)
-    if _crosses(coeffs, guess):
-        return _polished(coeffs, guess)
+    for _ in range(_NEWTON_RETRIES + 1):
+        if _crosses(coeffs, guess):
+            return _polished(coeffs, guess)
+        guess = _newton_step(coeffs, guess)
     return _sturm_roots(coeffs)[index]
 
 
-def _polished(coeffs: Sequence[int], r: float) -> float:
-    """One Newton step from the bracketed float root r, in exact integers
-    and rounded once: r − p(r)/p'(r) = (n·S − P)/(den·S) with
-    P = den^deg·p(r) and S = den^(deg−1)·p'(r).  Kept only inside r's
-    bracket, which holds the root."""
+def _newton_step(coeffs: Sequence[int], r: float) -> float:
+    """One Newton step from the float r, in exact integers and rounded once:
+    r − p(r)/p'(r) = (n·S − P)/(den·S) with P = den^deg·p(r) and
+    S = den^(deg−1)·p'(r); r itself where p'(r) = 0."""
     n, den = r.as_integer_ratio()
     slope = _scaled_value(_derivative(coeffs), n, den)
     if slope == 0:
         return r
-    step = (n * slope - _scaled_value(coeffs, n, den)) / (den * slope)
+    return (n * slope - _scaled_value(coeffs, n, den)) / (den * slope)
+
+
+def _polished(coeffs: Sequence[int], r: float) -> float:
+    """One Newton step from the bracketed float root r, kept only inside
+    r's bracket, which holds the root."""
+    step = _newton_step(coeffs, r)
     return step if abs(step - r) <= _BRACKET * max(1.0, abs(r)) else r
 
 

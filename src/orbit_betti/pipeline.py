@@ -28,6 +28,15 @@ value decides outside the band, and fractions decide inside it.  Only a
 block with d' ≥ 4 sends the points in the region to the fibre solver.  The
 reported homology is that of the clipped, thickened set; callers pick clip
 boxes large enough to contain the region of interest.
+
+The grid settles whole tiles of cells first (``build_cubical``): asked
+about a tile centre c at radius r, an atom widens its band by L_P·r, where
+L_P = Σ_terms Σ_j |c|·e_j·Π_i M_i^(e_i − [i=j]) with M_i = max(|lo_i|,
+|hi_i|) bounds the ℓ¹ norm of ∇P on the box, so |P(x) − P(c)| ≤ L_P·r for
+every x of the box within ∞-distance r; a centre inside the widened band
+is "not settled".  The formula is then walked three-valued, on the order
+false < not settled < true (``and`` the minimum, ``or`` the maximum), and
+a d' ≥ 4 block never lets a tile be settled inside.
 """
 
 from __future__ import annotations
@@ -55,6 +64,7 @@ from orbit_betti.polys import (
     float_enclosure,
     interval_evaluate,
     multidegree,
+    pow_bounds,
     round_up,
 )
 from orbit_betti.powersums import check_symmetric, rewrite_formula
@@ -160,21 +170,32 @@ _WALK_ROWS = 2**14
 class _CompiledAtom:
     """A sign atom compiled for the walk, with a memo of its exact verdicts.
 
-    ``evaluate`` computes each power x_i^e and each term c·Πx_i^e once, and
-    sums the terms into the value and their absolute values into the
-    magnitude.  With N rounding steps on a term's longest path (one per
-    coefficient, at most e per power x^e, as pow errs below one ulp, one per
-    product and one per addition) the value is within γ_N · Σ|c|·|x|^e of the
-    exact one, γ_N = N·u/(1 − N·u) (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, §3.1).  The band is twice that, for the rounding
-    of the magnitude and of the comparisons, plus an underflow allowance per
-    step; N counts one step more than the path, as the magnitude sums
-    rounded terms.  ``mask`` decides in float outside the band around the
-    threshold (0, or ±τ for a thickened equality) and in ``Fraction`` inside
-    it, once per distinct tuple of the values of the columns the atom uses.
+    ``evaluate`` computes each power x_i^e once, by the chain of e − 1
+    products x·x·…·x, and each term c·Πx_i^e once, and sums the terms into
+    the value and their absolute values into the magnitude.  With N rounding
+    steps on a term's longest path (one per coefficient, at most e per power
+    x^e, one per product and one per addition) the value is within
+    γ_N · Σ|c|·|x|^e of the exact one, γ_N = N·u/(1 − N·u) (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, §3.1).  The band is twice that,
+    for the rounding of the magnitude and of the comparisons, plus an
+    underflow allowance per step; N counts one step more than the path, as
+    the magnitude sums rounded terms.  ``mask`` decides in float outside the
+    band around the threshold (0, or ±τ for a thickened equality) and in
+    ``Fraction`` inside it, once per distinct tuple of the values of the
+    columns the atom uses.
+
+    Given ``reach``, the bounds M_i ≥ |x_i| on the box, the atom also
+    carries ``slope`` = L_P = Σ_terms Σ_j |c|·e_j·Π_i M_i^(e_i − [i=j]),
+    rounded up: a bound on the ℓ¹ norm of ∇P over the box, so that
+    |P(x) − P(c)| ≤ L_P·‖x − c‖∞ for x and c in the box.
     """
 
-    def __init__(self, atom: SignAtom, taus: dict[Polynomial, Fraction]) -> None:
+    def __init__(
+        self,
+        atom: SignAtom,
+        taus: dict[Polynomial, Fraction],
+        reach: Sequence[float] | None = None,
+    ) -> None:
         poly = atom.poly
         self.atom = atom
         self.terms = [
@@ -195,11 +216,30 @@ class _CompiledAtom:
         else:
             self.test = atom.holds
         self.memo: dict[tuple[float, ...], bool] = {}
+        if reach is not None:
+            self.slope = 0.0
+            for expo, c in poly.terms.items():
+                low, high = float_enclosure(c)
+                for j, e_j in enumerate(expo):
+                    if e_j:
+                        part = round_up(max(-low, high) * e_j)
+                        for i, e in enumerate(expo):
+                            if e - (i == j):
+                                part = round_up(part * pow_bounds(reach[i], e - (i == j))[1])
+                        self.slope = round_up(self.slope + part)
 
     def evaluate(self, cols: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """(value, error bound) at the points whose coordinates are ``cols``."""
         size = len(cols[0])
-        power = {(i, e): cols[i] if e == 1 else cols[i] ** e for i, e in self.powers}
+        power: dict[tuple[int, int], np.ndarray] = {}
+        last = (-1, 0)
+        for i, e in self.powers:
+            # the powers of x_i come in increasing order: continue its chain
+            x = cols[i]
+            chain, done = (power[last], last[1]) if last[0] == i else (x, 1)
+            for _ in range(done, e):
+                chain = chain * x
+            power[last := (i, e)] = chain
         for n, (c, factors) in enumerate(self.terms):
             if factors:
                 term = c * power[factors[0]]
@@ -216,8 +256,13 @@ class _CompiledAtom:
         magnitude += self.underflow
         return value, magnitude
 
-    def mask(self, cols: Sequence[np.ndarray]) -> np.ndarray:
+    def mask(self, cols: Sequence[np.ndarray], radius: float = 0.0) -> np.ndarray:
+        """Truth values, or for radius r > 0 the walk's codes (false 0, not
+        settled 1, true 2) with the band widened by L_P·r, rounded up with
+        room for its addition to the band."""
         value, err = self.evaluate(cols)
+        if radius:
+            err += round_up(self.slope * radius * (1 + 4 * _UNIT_ROUNDOFF))
         if self.atom.relation == "=":
             np.abs(value, out=value)
             out = value <= self.tau_f
@@ -226,6 +271,10 @@ class _CompiledAtom:
         else:
             out = value >= 0.0 if self.atom.relation == ">=" else value <= 0.0
             band = np.abs(value, out=value) <= err
+        if radius:
+            codes = out.view(np.int8) * np.int8(2)
+            codes[band] = 1
+            return codes
         rows = np.flatnonzero(band)
         if rows.size:
             out[rows] = self._exact(cols, rows)
@@ -246,28 +295,37 @@ class _CompiledAtom:
         return out
 
 
-def _compile(node: FormulaNode, taus: dict, atoms: dict) -> _CompiledAtom | tuple:
+def _compile(
+    node: FormulaNode, taus: dict, reach: Sequence[float] | None, atoms: dict
+) -> _CompiledAtom | tuple:
     """An atom's ``_CompiledAtom`` (one per distinct atom), or (is_and,
     compiled children) for an ``and``/``or`` node."""
     if node.kind != "atom":
-        return node.kind == "and", [_compile(c, taus, atoms) for c in node.children]
+        return node.kind == "and", [_compile(c, taus, reach, atoms) for c in node.children]
     if node.atom not in atoms:
-        atoms[node.atom] = _CompiledAtom(node.atom, taus)
+        atoms[node.atom] = _CompiledAtom(node.atom, taus, reach)
     return atoms[node.atom]
 
 
-def _walk(node: _CompiledAtom | tuple, cols: list[np.ndarray]) -> np.ndarray:
-    """Truth values of a compiled subtree; each later child of an ``and`` is
-    decided only where the earlier ones hold, of an ``or`` only where they
-    fail, on the columns gathered at those points."""
+def _walk(node: _CompiledAtom | tuple, cols: list[np.ndarray], radius: float) -> np.ndarray:
+    """Values of a compiled subtree on the order false < not settled < true
+    (booleans at radius 0, 0 < 1 < 2 above): an ``and`` takes the minimum
+    of its children and an ``or`` the maximum, and each later child is
+    evaluated only where the result can still change — where it is not
+    false for an ``and``, not true for an ``or`` — on the columns gathered
+    at those points."""
     if isinstance(node, _CompiledAtom):
-        return node.mask(cols)
+        return node.mask(cols, radius)
     is_and, children = node
-    out = _walk(children[0], cols)
+    out = _walk(children[0], cols, radius)
+    top = 2 if radius else True
     for child in children[1:]:
-        open_ = np.flatnonzero(out if is_and else ~out)
+        open_ = np.flatnonzero(out if is_and else out != top)
         if open_.size:
-            out[open_] = _walk(child, [c[open_] for c in cols])
+            found = _walk(child, [c[open_] for c in cols], radius)
+            if radius:
+                found = (np.minimum if is_and else np.maximum)(out[open_], found)
+            out[open_] = found
     return out
 
 
@@ -275,22 +333,31 @@ def _formula_mask(
     formula: ClosedFormula,
     points: np.ndarray,
     taus: dict[Polynomial, Fraction],
+    radius: float = 0.0,
+    reach: Sequence[float] | None = None,
 ) -> np.ndarray:
-    """Exact truth values of the thickened formula at an (N, k) float array.
+    """Exact truth values of the thickened formula at an (N, k) float array;
+    for radius r > 0, the grid codes of the points of the box within
+    ∞-distance r of each point (``reach`` bounds |x_i| on the box).
 
     The formula is compiled once per call (``_CompiledAtom``): each atom's
     value and rounding band come from one pass over its terms, and it is
-    decided in float outside the band and exactly inside it.  The walk
-    short-circuits: an atom is evaluated only at the points where it can
-    still change the answer.  It takes the points ``_WALK_ROWS`` at a time,
-    each block as k columns, which are contiguous when ``points`` is the
-    transpose of a (k, N) array, as ``build_cubical`` hands it over.
+    decided in float outside the band and exactly inside it (at r > 0, the
+    band widened by L_P·r answers "not settled").  The walk short-circuits:
+    an atom is evaluated only at the points where it can still change the
+    answer.  It takes the points ``_WALK_ROWS`` at a time, each block as k
+    columns, which are contiguous when ``points`` is the transpose of a
+    (k, N) array, as ``build_cubical`` hands it over.
     """
-    root = _compile(formula.root, taus, {})
-    out = np.empty(len(points), dtype=bool)
+    root = _compile(formula.root, taus, reach if radius else None, {})
+    out = np.empty(len(points), dtype=np.int8 if radius else bool)
     for start in range(0, len(points), _WALK_ROWS):
         stop = min(start + _WALK_ROWS, len(points))
-        out[start:stop] = _walk(root, [points[start:stop, i] for i in range(points.shape[1])])
+        cols = [points[start:stop, i] for i in range(points.shape[1])]
+        out[start:stop] = _walk(root, cols, radius)
+    if radius:
+        # the walk's false 0 < not settled 1 < true 2 as codes 0, 2, 1
+        out = (3 - out) % 3
     return out
 
 
@@ -342,8 +409,19 @@ class _QuotientOracle:
         self.region = ClosedFormula(formula.k, root)
         self.taus = _equality_taus(formula, box, h)
         self.searched = searched
+        # M_i ≥ |x_i| on the box's outward float enclosure
+        self.reach = [
+            max(-float_enclosure(lo)[0], float_enclosure(hi)[1]) for lo, hi in box
+        ]
 
-    def batch(self, points: np.ndarray) -> np.ndarray:
+    def batch(self, points: np.ndarray, radius: float = 0.0) -> np.ndarray:
+        """The grid codes; at radius r > 0 a searched block never answers
+        inside."""
+        if radius:
+            codes = _formula_mask(self.region, points, self.taus, radius, self.reach)
+            if self.searched:
+                codes[codes == 1] = 2
+            return codes
         codes = _formula_mask(self.region, points, self.taus).astype(np.int8)
         if self.searched:
             for idx in np.flatnonzero(codes):

@@ -19,6 +19,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from orbit_betti import cubical
 from orbit_betti.cubical import (
     BettiVector,
     CubicalComplex,
@@ -46,9 +47,17 @@ def complex_from_cells(ambient_dim: int, tops: list[tuple[int, ...]]) -> Cubical
     return CubicalComplex(bitmap)
 
 
+def unsettled(points):
+    """The codes of a test oracle that settles no tile: 2 everywhere."""
+    return np.full(len(points), 2, dtype=np.int8)
+
+
 def codes_oracle(codes):
-    """A grid oracle whose batch is ``codes(points)`` on the (N, n) array."""
-    return SimpleNamespace(batch=codes)
+    """A grid oracle whose batch is ``codes(points)`` on the (N, n) array at
+    radius 0; it settles no tile."""
+    return SimpleNamespace(
+        batch=lambda points, radius=0.0: unsettled(points) if radius else codes(points)
+    )
 
 
 def mask_oracle(inside):
@@ -290,7 +299,9 @@ def random_complex(rng, n: int, pure: bool) -> CubicalComplex:
         tops = rng.random(shape) < rng.uniform(0.2, 0.8)
 
         class Tops:
-            def batch(self, points):
+            def batch(self, points, radius=0.0):
+                if radius:
+                    return unsettled(points)
                 index = tuple(np.floor(points).astype(int).T)
                 return tops[index].astype(np.int8)
 
@@ -322,7 +333,9 @@ class _TorusOracle:
     def __init__(self, r_in: float, r_out: float) -> None:
         self.r_in, self.r_out = r_in, r_out
 
-    def batch(self, points):
+    def batch(self, points, radius=0.0):
+        if radius:
+            return unsettled(points)
         rho = np.hypot(points[:, 0], points[:, 1])
         dist2 = (rho - 2.0) ** 2 + points[:, 2] ** 2
         return ((self.r_in**2 <= dist2) & (dist2 <= self.r_out**2)).astype(np.int8)
@@ -444,7 +457,9 @@ def test_undecided_counts_as_inside_and_is_tallied():
 
 def test_batch_oracle_path():
     class Batched:
-        def batch(self, points):
+        def batch(self, points, radius=0.0):
+            if radius:
+                return unsettled(points)
             return (points[:, 0] <= 0.5).astype(np.int8)
 
     c = build_cubical(Batched(), [(0, 1)], Fraction(1, 8))
@@ -453,27 +468,53 @@ def test_batch_oracle_path():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_build_hands_the_oracle_row_major_centres(n):
-    """The oracle gets an (N, n) array whose row for cell (i_1, …, i_n),
-    taken in row-major order, is bit-equal to float(lo_a + h/2 + i_a·h)."""
+def test_build_hands_the_oracle_row_major_centres(n, monkeypatch):
+    """The oracle is asked once about the tile centres, at a radius r that
+    covers, in exact arithmetic, every float cell centre of each tile (tiles
+    of 4 cells per axis, clipped at the box); then once, at radius 0, about
+    the centres of the cells of the tiles it answered 2 for, each once, in
+    row-major order and bit-equal to float(lo_a + h/2 + i_a·h).  The tiles
+    it settled enter the bitmap with their code.  These grids are smaller
+    than the tiling limit, so the limit is lifted for that part; with it in
+    place, every centre is asked at radius 0 in one call."""
+    monkeypatch.setattr(cubical, "_TILED_CELLS", 0)
     h = Fraction(1, 10)
     lows = [Fraction(-1, 3), Fraction(2, 7), Fraction(-5, 3), Fraction(1, 10)][:n]
-    counts = [5, 3, 4, 2][:n]
+    counts = [9, 6, 4, 2][:n]
     box = [(lo, lo + m * h) for lo, m in zip(lows, counts)]
     seen = []
 
     class Recording:
-        def batch(self, points):
-            seen.append(np.array(points))
+        def batch(self, points, radius=0.0):
+            seen.append((np.array(points), radius))
+            if radius:
+                return (np.arange(len(points)) % 3).astype(np.int8)
             return np.ones(len(points), dtype=np.int8)
 
+    c = build_cubical(Recording(), box, h)
+    (tiles, radius), (asked, zero) = seen
+    assert radius > 0 and zero == 0.0
+    tile_counts = [math.ceil(m / 4) for m in counts]
+    assert tiles.shape == (math.prod(tile_counts), n)
+    tile_codes = (np.arange(len(tiles)) % 3).reshape(tile_counts)
+    tile_index = {t: i for i, t in enumerate(itertools.product(*map(range, tile_counts)))}
+    expected = []
+    for cell in itertools.product(*(range(m) for m in counts)):
+        tile = tuple(i // 4 for i in cell)
+        centre = [float(lo + h / 2 + i * h) for lo, i in zip(lows, cell)]
+        for x, t in zip(centre, tiles[tile_index[tile]].tolist()):
+            assert abs(Fraction(x) - Fraction(t)) <= Fraction(radius)
+        if tile_codes[tile] == 2:
+            expected.append(centre)
+        assert c.bitmap[tuple(2 * i + 1 for i in cell)] == (tile_codes[tile] != 0)
+    assert asked.tobytes() == np.array(expected).tobytes()
+    assert len({tuple(row) for row in asked.tolist()}) == len(asked)
+
+    monkeypatch.undo()
+    seen.clear()
     build_cubical(Recording(), box, h)
-    expected = [
-        [float(lo + h / 2 + i * h) for lo, i in zip(lows, cell)]
-        for cell in itertools.product(*(range(m) for m in counts))
-    ]
-    assert seen[0].shape == (math.prod(counts), n)
-    assert seen[0].tobytes() == np.array(expected).tobytes()
+    ((asked, radius),) = seen
+    assert radius == 0.0 and len(asked) == math.prod(counts)
 
 
 def test_build_validation_errors():

@@ -1038,6 +1038,25 @@ def test_fibre_residual_forgives_the_rounding_of_large_power_sums():
         FibreSolution.make(Face(C((1, 2))), (0.5, 0.25), (1.0, 0.375 + 2e-9), 1e-9)
 
 
+def test_small_middle_root_beside_a_large_one_takes_newton_steps_not_sturm(monkeypatch):
+    """x = (0, 0, 1/3, 10^j), j = 2..6: the cubic's middle root s ≈ 2/9 sits
+    beside a root near 10^j, so Viète's guess misses its bracket by up to
+    4e-6 (j = 6).  Exact Newton steps bring it into the bracket, with no
+    Sturm bisection, and the section keeps its face and value."""
+    fallbacks = []
+    sturm_roots = fibres._sturm_roots
+    monkeypatch.setattr(
+        fibres, "_sturm_roots", lambda coeffs: fallbacks.append(coeffs) or sturm_roots(coeffs)
+    )
+    values = [100000002.20225666, 1000000000021.9557, 1.0000000000000218e16, 1e20, 1e24]
+    for j, value in zip(range(2, 7), values):
+        result = arnold_section(4, 3, power_sum_vector((0, 0, Fraction(1, 3), 10**j), 3))
+        assert result.solution.face.lam.parts == (1, 2, 1)
+        assert result.value == value
+        assert result.solution.t[1] == pytest.approx(2 / 9, abs=1e-3)
+    assert fallbacks == []
+
+
 def test_fibre_residual_stays_absolute_near_a_face_boundary():
     """x = (1, 5, 5, 5.0001) lies 1e-4 from the face (3, 1), whose eliminant
     point misses p_3 ≈ 376 by about 4e-8: above tol = 1e-9 plus the rounding

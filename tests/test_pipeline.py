@@ -20,9 +20,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orbit_betti import pipeline
+from orbit_betti import cubical, pipeline
 
-from orbit_betti.cubical import BettiVector
+from orbit_betti.cubical import BettiVector, build_cubical
 from orbit_betti.pipeline import (
     BoundsReport,
     CheckResult,
@@ -479,15 +479,23 @@ def test_formula_walk_in_blocks_matches_one_walk(monkeypatch):
     assert _formula_mask(formula, points[:0], taus).shape == (0,)
 
 
+def _power_chain(x, e):
+    """x^e as the chain of e − 1 products x·x·…·x, left to right."""
+    out = x
+    for _ in range(e - 1):
+        out = out * x
+    return out
+
+
 def _reference_values(poly, points):
     """Term-by-term float evaluation: Σ c·Πx_i^e from a zero sum, each term
-    started as a full column of c."""
+    started as a full column of c, each power a chain of products."""
     out = np.zeros(len(points))
     for expo, coeff in poly.terms.items():
         term = np.full(len(points), float(coeff))
         for i, e in enumerate(expo):
             if e:
-                term = term * points[:, i] ** e
+                term = term * _power_chain(points[:, i], e)
         out += term
     return out
 
@@ -718,3 +726,157 @@ def test_d3_golden_against_the_d2_image(monkeypatch, text, box, expected):
     assert report.stable
     assert (report.undecided_cells, report.coarse_undecided_cells) == (0, 0)
     assert quotient_betti(make_spec(4, 2, text, box[:2], "1/4")).betti == expected
+
+
+# ---------------------------------------------------------------------------
+# tiles: build_cubical settles whole tiles from one oracle call at radius r
+# ---------------------------------------------------------------------------
+
+
+class _CellByCell:
+    """The oracle with no tile settled: build_cubical asks it about every
+    cell centre at radius 0."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def batch(self, points, radius=0.0):
+        if radius:
+            return np.full(len(points), 2, dtype=np.int8)
+        return self.oracle.batch(points)
+
+
+def _settled_tiles_change_nothing(oracle, box, h):
+    """Build the grid with tiles and cell by cell; the bitmaps and undecided
+    counts must be equal.  Returns the number of tiles settled."""
+    settled = []
+
+    class Tiled:
+        def batch(self, points, radius=0.0):
+            codes = oracle.batch(points, radius)
+            if radius:
+                settled.append(int(np.count_nonzero(codes != 2)))
+            return codes
+
+    tiled = build_cubical(Tiled(), box, h)
+    cells = build_cubical(_CellByCell(oracle), box, h)
+    assert tiled.bitmap.tobytes() == cells.bitmap.tobytes()
+    assert tiled.undecided_cells == cells.undecided_cells
+    return sum(settled)
+
+
+def _image_grids(spec):
+    """The image-space oracle, box and step of both resolutions of a spec."""
+    rewritten = rewrite_formula(spec.formula, spec.blocks)
+    region = _image_region(spec.blocks)
+    for h in (spec.resolution, spec.resolution / 2):
+        yield _QuotientOracle(rewritten, spec.clip_box, h, *region), spec.clip_box, h
+
+
+# The quotient-d2 jobs of bench/workloads.py: formula, p1 edge, p2 edge, h,
+# and the p1 shift in cells each job takes at seeds 1, 1000 and 2000.
+_D2_JOBS = [
+    (SPHERE, (-2, 2), (0, 2), Fraction(1, 64), (4, 3, 1)),
+    ("x1^2 + x2^2 + x3^2 <= 1", (-2, 2), (0, 2), Fraction(1, 64), (4, 2, -1)),
+    (SHELL, (-2, 2), (0, 2), Fraction(1, 64), (4, 0, -4)),
+    (FOUR_LINES, (-3, 3), (-1, 3), Fraction(1, 32), (4, -4, -1)),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2], ids=["seed1", "seed1000", "seed2000"])
+def test_tiles_leave_the_quotient_d2_bitmaps_unchanged(seed):
+    for text, (lo1, hi1), p2, h, shifts in _D2_JOBS:
+        shift = shifts[seed] * h
+        spec = make_spec(3, 2, text, [(lo1 + shift, hi1 + shift), p2], h)
+        assert sum(_settled_tiles_change_nothing(*grid) for grid in _image_grids(spec)) > 0
+
+
+@pytest.mark.parametrize(
+    "k, d, text, box, h, settles",
+    [
+        (4, 3, "x1 + x2 + x3 + x4 = 0 and x1^2 + x2^2 + x3^2 + x4^2 = 1",
+         [(Fraction(-1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(3, 2)), (0, Fraction(3, 4))],
+         "1/4", False),
+        (4, 3, BALL4, [(-2, 2), (0, 2), (-2, 2)], "1/8", True),
+        (4, 3, SHELL4, [(-3, 3), (0, 2), (-2, 2)], "1/4", True),
+        (4, 3, SLABS4, [(-1, 1), (0, 2), (-2, 2)], "1/4", True),
+        (4, 4, BALL4, [(-2, 2), (0, 8), (-2, 2), (0, 4)], "1", True),
+    ],
+    ids=["fibre-d3", "ball-h8", "shell4", "slabs4", "searched-d4"],
+)
+def test_tiles_leave_image_space_bitmaps_unchanged(k, d, text, box, h, settles):
+    """Every bitmap and undecided count equals the cell-by-cell build; the
+    d' = 4 grid goes through the fibre search, where a tile is never
+    settled inside.  The fibre-d3 grid of the benchmark is too small for
+    any of its tiles to settle."""
+    spec = make_spec(k, d, text, box, h)
+    settled = sum(_settled_tiles_change_nothing(*grid) for grid in _image_grids(spec))
+    assert (settled > 0) == settles
+
+
+def test_tiles_leave_an_x_space_bitmap_unchanged():
+    formula = parse_formula("x1^2 + x2^2 + x3^2 <= 1 and x1 + x2 + x3 >= 1/4", 3)
+    box = [(Fraction(-2), Fraction(2))] * 3
+    h = Fraction(1, 8)
+    oracle = _QuotientOracle(formula, box, h, _chamber_order(3))
+    assert _settled_tiles_change_nothing(oracle, box, h) > 0
+
+
+def test_a_searched_block_never_settles_a_tile_inside(monkeypatch):
+    """At radius r > 0 the fibre search is never asked, and a point whose
+    neighbourhood passes the formula and the d' = 3 conditions is not
+    settled; one that fails them is outside."""
+    blocks = BlockSpec.single(5, 4)
+    formula = parse_formula("x1 + x2 + x3 + x4 + x5 <= 2", 5)
+    box = [(Fraction(-4), Fraction(4))] * 4
+    oracle = _QuotientOracle(rewrite_formula(formula, blocks), box, Fraction(1, 4), *_image_region(blocks))
+    monkeypatch.setattr(pipeline, "image_membership", _no_membership)
+    points = np.array([[1.0, 1, 1, 1], [3.5, 3, 3, 3]])
+    assert oracle.batch(points, 1e-3).tolist() == [2, 0]
+
+
+def test_tile_codes_agree_with_exact_evaluation_at_every_cell_centre(monkeypatch):
+    """Seeded and/or trees over the pool polynomials, whose zeros (and the
+    thickened equalities' ±τ) fall exactly on cell centres, tile edges
+    included: the centres are the multiples of 1/8 and the clip boxes are
+    shifted by whole cells, so tiles start at other centres.  Wherever the
+    oracle settles a tile, the exact thickened formula has that value at
+    each of the tile's cell centres.  The grids are tiled whatever their
+    size."""
+    monkeypatch.setattr(cubical, "_TILED_CELLS", 0)
+    rng = random.Random(19)
+    h = Fraction(1, 8)
+    settled = {0: 0, 1: 0}
+    trees = 0
+    while trees < 40:
+        root = _random_tree(rng, 3)
+        if root.kind == "atom":
+            continue
+        trees += 1
+        formula = ClosedFormula(2, root)
+        counts = [rng.randint(9, 22), rng.randint(9, 22)]
+        lows = [Fraction(rng.randint(-16, -4), 8) - h / 2 for _ in counts]
+        box = [(lo, lo + m * h) for lo, m in zip(lows, counts)]
+        oracle = _QuotientOracle(formula, box, h, [])
+        seen = []
+
+        class Recording:
+            def batch(self, points, radius=0.0):
+                codes = oracle.batch(points, radius)
+                seen.append((np.array(points), radius, codes))
+                return codes
+
+        build_cubical(Recording(), box, h)
+        tiles, radius, codes = seen[0]
+        assert radius > 0
+        thickened = ClosedFormula(2, _thickened(formula.root, oracle.taus))
+        tile_counts = [math.ceil(m / 4) for m in counts]
+        for (t1, t2), code in zip(np.ndindex(*tile_counts), codes.tolist()):
+            if code == 2:
+                continue
+            settled[code] += 1
+            for i in range(4 * t1, min(4 * t1 + 4, counts[0])):
+                for j in range(4 * t2, min(4 * t2 + 4, counts[1])):
+                    centre = [lows[0] + h / 2 + i * h, lows[1] + h / 2 + j * h]
+                    assert evaluate_formula(thickened, centre) == (code == 1)
+    assert settled[0] > 100 and settled[1] > 100
