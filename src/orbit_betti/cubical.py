@@ -12,33 +12,46 @@ clipped at the box.  The oracle is asked once about the tile centres, at
 the largest distance r from a tile centre to one of its float cell
 centres, and once, at radius 0, about the centres of the cells of the
 tiles it left at 2, in row-major order; a settled tile's code holds for
-all its cells.  A smaller grid is asked about every cell centre at once.  A top-dimensional cell enters
-iff its code is not 0 (undecided counts as inside and is tallied), and the
-complex is the downward face closure; ``stable_betti`` builds one at h and
-one at h/2, each from the oracle its factory makes for that resolution.
-Cells are encoded axis-wise by elementary-interval codes: 2i for the
-degenerate interval [i,i], 2i+1 for [i, i+1]; the dimension of a cell is
-its number of odd codes.  A complex on a grid of m_1 × … × m_n cells is stored as one
-boolean bitmap of shape (2m_1+1, …, 2m_n+1) indexed by these codes
-(Wagner, Chen & Vuçini 2011; Kaczynski, Mischaikow & Mrozek, *Computational
-Homology*, 2004).  On this doubled grid two cells are axis neighbours
-exactly when one is a facet of the other.
+all its cells.  A smaller grid is asked about every cell centre at once.
+A top-dimensional cell enters iff its code is not 0 (undecided counts as
+inside and is tallied); ``stable_betti`` builds one complex at h and one at
+h/2, each from the oracle its factory makes for that resolution.
 
-For n ≤ 3 the Betti numbers are counts of connected components, with no
-matrix work: b_0 is the number of components of the bitmap under axis
-adjacency; for n = 3, b_2 is the number of bounded components of the
-complement (Alexander duality — the open cells outside K, joined through
-shared faces, are the components of R^n minus K); b_1 follows from the
-Euler characteristic, since b_n = 0, so n = 2 labels no complement
+A complex is stored as its top-cell mask ``top``: a boolean array of the
+grid's shape (m_1, …, m_n), true at the cells that entered.  The complex K
+is the union of those closed cubes; its lower cells are never stored.
+Cells are named axis-wise by elementary-interval codes: 2i for the
+degenerate interval [i, i], 2i+1 for [i, i+1]; the dimension of a cell is
+its number of odd codes (Kaczynski, Mischaikow & Mrozek, *Computational
+Homology*, 2004).  The cells of K that are degenerate exactly along a set S
+of axes form one closure layer Q_S: Q_∅ is ``top``, and Q_{S∪{a}} holds,
+along a, the m_a + 1 grid vertices, each in when the cell before or the
+cell after it along a is in Q_S.  The layers are built depth-first, a path
+of them at a time; they give the cell counts and
+χ = Σ_S (−1)^{n−|S|}·#Q_S.
+
+For n ≤ 3 the Betti numbers are three counts, with no matrix work.  Two
+closed cubes meet iff their indices differ by at most one on every axis,
+so b_0 is the number of components of ``top`` under full
+(3^n − 1-neighbour) adjacency.  A point outside K lies in an open cell
+whose surrounding top cells are all outside and joined through their
+shared facets, and two outside top cells that share a facet are joined
+through it; so the components of R^n − K are those of the outside top
+cells under axis (2n-neighbour) adjacency, the (3^n − 1, 2n) duality of
+digital topology (Kong & Rosenfeld, CVGIP 1989).  For n = 3, b_2 is the
+number of bounded ones (Alexander duality): the face-adjacent components
+of the complement padded with one outside layer, less the unbounded one.
+b_1 follows from χ, since b_n = 0, so n = 2 labels no complement
 (b_1 = b_0 − χ).  These are the rational Betti numbers.
 
 For n ≥ 4 the Betti numbers come from boundary-matrix ranks over Q,
 b_q = dim C_q − rank ∂_q − rank ∂_{q+1} (the exact sparse elimination of
 ``polys``), after free-face collapses — removing a cell together with its
 unique coface is an elementary collapse, a homotopy equivalence — which
-shrink grid-scale complexes by orders of magnitude.  That path holds every
-cell as a tuple, so it refuses complexes of more than ``MAX_RANK_CELLS``
-cells; it also serves as the test oracle for the component counts.
+shrink grid-scale complexes by orders of magnitude.  That path lists every
+cell of K as a code tuple, read from the layers, so it refuses complexes
+of more than ``MAX_RANK_CELLS`` cells; it also serves as the test oracle
+for the component counts.
 
 Over Q, cohomology and homology ranks of a finite complex agree, so the
 reported values serve for either reading.
@@ -122,76 +135,80 @@ def boundary(cell: Cell) -> list[tuple[Cell, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _parity_views(bitmap: np.ndarray):
-    """(parity vector, strided view) for each of the 2^n cell types: the
-    view holds the cells whose codes have exactly these parities."""
-    for parity in product((0, 1), repeat=bitmap.ndim):
-        yield parity, bitmap[tuple(slice(p, None, 2) for p in parity)]
+def _close_along(layer: np.ndarray, axis: int) -> np.ndarray:
+    """The layer one axis further down: along ``axis`` it holds the m + 1
+    grid vertices, each in when the cell before or the cell after it is.
+    The two end vertices copy the end cells, as if the layer were padded
+    with an empty cell at either end of ``axis``; no padded copy of ``top``
+    is made, which would be one more array of its size held at once."""
+    head = (slice(None),) * axis
+    shape = list(layer.shape)
+    shape[axis] += 1
+    out = np.empty(shape, dtype=bool)
+    out[head + (0,)] = layer[head + (0,)]
+    out[head + (-1,)] = layer[head + (-1,)]
+    np.logical_or(
+        layer[head + (slice(None, -1),)],
+        layer[head + (slice(1, None),)],
+        out=out[head + (slice(1, -1),)],
+    )
+    return out
 
 
-def close_bitmap(bitmap: np.ndarray) -> None:
-    """Face closure in place: along each axis, a cell with an odd code
-    there sets its two facets (the even codes on either side)."""
-    for axis in range(bitmap.ndim):
-        moved = np.moveaxis(bitmap, axis, 0)
-        odd = moved[1::2]
-        moved[:-1:2] |= odd
-        moved[2::2] |= odd
+def _closure_layers(layer: np.ndarray, first: int = 0, axes: tuple[int, ...] = ()):
+    """(S, Q_S) for every set S of axes, depth-first from Q_∅ = ``layer``:
+    each layer is built from its parent and lives while its subtree is
+    walked, so at most n + 1 of them exist at once."""
+    yield axes, layer
+    for axis in range(first, layer.ndim):
+        yield from _closure_layers(_close_along(layer, axis), axis + 1, axes + (axis,))
 
 
 @dataclass(eq=False)
 class CubicalComplex:
-    """A face-closed set of cells: ``bitmap`` has shape (2m_i + 1)_i over a
-    grid of (m_i)_i cells and is indexed by elementary-interval codes."""
+    """The union K of the closed top cells that ``top``, a boolean array of
+    the grid's shape (m_i)_i, marks; its lower cells are never stored."""
 
-    bitmap: np.ndarray
+    top: np.ndarray
     undecided_cells: int = 0
 
     @property
     def ambient_dim(self) -> int:
-        return self.bitmap.ndim
+        return self.top.ndim
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
-        return tuple(m // 2 for m in self.bitmap.shape)
+        return self.top.shape
 
     @property
     def cells(self) -> dict[int, set[Cell]]:
-        """The stored cells by dimension, read from the bitmap."""
+        """Every cell of K by dimension, as code tuples read from the layers."""
+        n = self.ambient_dim
         out: dict[int, set[Cell]] = {}
-        for parity, view in _parity_views(self.bitmap):
-            found = np.argwhere(view)
+        for axes, layer in _closure_layers(self.top):
+            found = np.argwhere(layer)
             if found.size:
-                codes = 2 * found + np.array(parity)
-                out.setdefault(sum(parity), set()).update(map(tuple, codes.tolist()))
+                odd = np.array([axis not in axes for axis in range(n)], dtype=int)
+                codes = 2 * found + odd
+                out.setdefault(n - len(axes), set()).update(map(tuple, codes.tolist()))
         return out
 
+    def _counts(self) -> list[int]:
+        """The number of cells of K of each dimension 0..n."""
+        n = self.ambient_dim
+        counts = [0] * (n + 1)
+        for axes, layer in _closure_layers(self.top):
+            counts[n - len(axes)] += int(np.count_nonzero(layer))
+        return counts
+
     def cell_count(self, q: int) -> int:
-        return sum(
-            int(np.count_nonzero(view))
-            for parity, view in _parity_views(self.bitmap)
-            if sum(parity) == q
-        )
+        return self._counts()[q]
 
     def total_cells(self) -> int:
-        return int(np.count_nonzero(self.bitmap))
+        return sum(self._counts())
 
     def euler_characteristic(self) -> int:
-        return sum(
-            (-1) ** sum(parity) * int(np.count_nonzero(view))
-            for parity, view in _parity_views(self.bitmap)
-        )
-
-    def validate_closure(self) -> None:
-        """Structural assertion: every face of a stored cell is stored."""
-        for axis in range(self.ambient_dim):
-            moved = np.moveaxis(self.bitmap, axis, 0)
-            odd = moved[1::2]
-            missing = np.argwhere(odd & ~(moved[:-1:2] & moved[2::2]))
-            if missing.size:
-                code = [int(i) for i in missing[0][1:]]
-                code.insert(axis, 2 * int(missing[0][0]) + 1)
-                raise CubicalError(f"a face of cell {tuple(code)} is missing")
+        return sum((-1) ** q * count for q, count in enumerate(self._counts()))
 
 
 class GridOracle(Protocol):
@@ -212,8 +229,8 @@ def build_cubical(
     box: Sequence[tuple[RationalLike, RationalLike]],
     resolution: RationalLike,
 ) -> CubicalComplex:
-    """Sample the oracle at grid-cell centers, tile by tile first, and take
-    the face closure."""
+    """Sample the oracle at grid-cell centers, tile by tile first; the
+    complex is the union of the cells whose code is not 0."""
     n = len(box)
     if not 1 <= n <= MAX_AMBIENT_DIM:
         raise CubicalError(f"ambient dimension {n} outside 1..{MAX_AMBIENT_DIM}")
@@ -272,17 +289,18 @@ def build_cubical(
         for axis, m in reversed(list(enumerate(shape))):
             codes = np.repeat(codes, _TILE, axis=axis)[(slice(None),) * axis + (slice(m),)]
 
+    # the cells left at 2 are asked once more, and only their answers can be 2
+    undecided = 0
     open_ = np.flatnonzero(codes == 2)
     if open_.size:
         # their centres, row-major, written axis by axis as one (n, N) array
         index = np.unravel_index(open_, shape)
         points = np.stack([row[i] for row, i in zip(rows, index)]).T
-        codes.reshape(-1)[open_] = _oracle_codes(oracle, points, 0.0)
+        answers = _oracle_codes(oracle, points, 0.0)
+        codes.reshape(-1)[open_] = answers
+        undecided = int(np.count_nonzero(answers == 2))
 
-    bitmap = np.zeros(tuple(2 * m + 1 for m in shape), dtype=bool)
-    np.not_equal(codes, 0, out=bitmap[(slice(1, None, 2),) * n])
-    close_bitmap(bitmap)
-    return CubicalComplex(bitmap, int(np.count_nonzero(codes == 2)))
+    return CubicalComplex(codes != 0, undecided)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +308,10 @@ def build_cubical(
 # ---------------------------------------------------------------------------
 
 
-def count_components(mask: np.ndarray) -> int:
-    """Number of connected components of the true voxels of ``mask`` under
-    axis (2n-neighbour) adjacency.
+def count_components(mask: np.ndarray, *, full: bool) -> int:
+    """Number of connected components of the true voxels of ``mask``, under
+    full (3^n − 1-neighbour) adjacency if ``full``, else under axis
+    (2n-neighbour) adjacency.
 
     The runs of true voxels along the last axis are the nodes (He, Chao &
     Suzuki 2008).  With a false column on either side, the changes along
@@ -300,13 +319,17 @@ def count_components(mask: np.ndarray) -> int:
     length w + 1; they are found ``_RUN_BLOCK`` cells at a time, so that no
     temporary is the size of the mask (freeing several such arrays at once
     lets the allocator return the heap's top to the system, to be faulted
-    in again at the next call).  Along an earlier axis with a step of S
-    rows, the runs of row
-    r + S that meet [s, e) are one slice, bounded by two ``searchsorted``
-    calls at s + S(w+1) and e + S(w+1); rows at that axis's last coordinate
-    have no such neighbour.  Each round hooks the larger root of every edge
-    onto the smaller (``np.minimum.at``) and pointer-jumps all parents to
-    their roots, until every edge joins equal roots.  Parents only
+    in again at the next call).  A run's neighbours lie in the rows at the
+    lexicographically positive offsets o of the earlier axes, so that each
+    edge is found once: every o in {−1, 0, 1}^{n−1} under full adjacency,
+    the unit vectors otherwise.  For an offset of S rows, the runs of row
+    r + S that meet [s, e), or [s − 1, e + 1) under full adjacency, are one
+    slice, bounded by two ``searchsorted`` calls; the spare key at the end
+    of each row keeps the widened slice inside its row.  A row at an axis's
+    last coordinate has no neighbour at o = +1 there, one at its first
+    coordinate none at o = −1.  Each round hooks the larger root of every
+    edge onto the smaller (``np.minimum.at``) and pointer-jumps all parents
+    to their roots, until every edge joins equal roots.  Parents only
     decrease, so the links stay a forest, and the roots are the components.
     """
     *lead, w = mask.shape
@@ -321,16 +344,27 @@ def count_components(mask: np.ndarray) -> int:
         changes.append(np.flatnonzero(view[:, 1:] != view[:, :-1]) + r * (w + 1))
     changes = np.concatenate(changes)
     starts, ends = np.ascontiguousarray(changes.reshape(-1, 2).T)
+    # each run's row, and its coordinate along each earlier axis
+    row = starts // (w + 1)
+    strides = [math.prod(lead[i + 1 :]) for i in range(len(lead))]
+    coords = [row // s % m for s, m in zip(strides, lead)]
+    offsets = [
+        o for o in product((-1, 0, 1), repeat=len(lead))
+        if o > (0,) * len(lead) and (full or sum(map(abs, o)) == 1)
+    ]
+    widen = int(full)
     u, v = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    step = 1
-    for m in reversed(lead):
-        shift = step * (w + 1)
-        runs = np.flatnonzero(starts // shift % m != m - 1)
-        first = np.searchsorted(ends, starts[runs] + shift, "right")
-        count = np.searchsorted(starts, ends[runs] + shift, "left") - first
+    for offset in offsets:
+        shift = sum(o * s for o, s in zip(offset, strides)) * (w + 1)
+        keep = np.ones(starts.size, dtype=bool)
+        for coord, o, m in zip(coords, offset, lead):
+            if o:
+                keep &= coord != (m - 1 if o > 0 else 0)
+        runs = np.flatnonzero(keep)
+        first = np.searchsorted(ends, starts[runs] + shift - widen, "right")
+        count = np.searchsorted(starts, ends[runs] + shift + widen, "left") - first
         u.append(np.repeat(runs, count))
         v.append(np.arange(u[-1].size) + np.repeat(first - np.cumsum(count) + count, count))
-        step *= m
     u, v = np.concatenate(u), np.concatenate(v)
     parent = np.arange(starts.size)
     while True:
@@ -346,17 +380,6 @@ def count_components(mask: np.ndarray) -> int:
                 break
             parent = jumped
     return int(np.count_nonzero(parent == np.arange(parent.size)))
-
-
-def _betti_by_components(complex_: CubicalComplex, euler: int) -> tuple[int, ...]:
-    """b_0..b_n for n ≤ 3 from component counts, duality (n = 3) and χ."""
-    n = complex_.ambient_dim
-    b0 = count_components(complex_.bitmap)
-    b2 = 0
-    if n == 3:
-        b2 = count_components(np.pad(~complex_.bitmap, 1, constant_values=True)) - 1
-    # b_n = 0 in R^n, so χ = b_0 − b_1 + b_2 leaves b_1 as the one unknown
-    return (b0, b0 + b2 - euler, b2, 0)[: n + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -466,16 +489,23 @@ def rank_betti(cells: dict[int, set[Cell]], ambient_dim: int) -> tuple[int, ...]
 
 def betti_numbers(complex_: CubicalComplex) -> BettiVector:
     """Betti numbers: component counts for n ≤ 3, ranks after collapse above."""
+    n, top = complex_.ambient_dim, complex_.top
     euler = complex_.euler_characteristic()
-    if complex_.ambient_dim <= 3:
-        values = _betti_by_components(complex_, euler)
+    if n <= 3:
+        b0 = count_components(top, full=True)
+        b2 = 0
+        if n == 3:
+            outside = np.pad(~top, 1, constant_values=True)
+            b2 = count_components(outside, full=False) - 1
+        # b_n = 0 in R^n, so χ = b_0 − b_1 + b_2 leaves b_1 as the one unknown
+        values = (b0, b0 + b2 - euler, b2, 0)[: n + 1]
     else:
         total = complex_.total_cells()
         if total > MAX_RANK_CELLS:
             raise CubicalError(
                 f"{total} cells exceed the rank-path limit {MAX_RANK_CELLS}"
             )
-        values = rank_betti(complex_.cells, complex_.ambient_dim)
+        values = rank_betti(complex_.cells, n)
     return BettiVector(values=values, euler=euler)
 
 

@@ -3,7 +3,9 @@
 Hand-built complexes with textbook Betti numbers pin the conventions; sympy
 ranks over Q provide an independent check that the collapse-then-reduce
 path computes the same homology as plain dense linear algebra, and that
-path in turn checks the component counts used for n ≤ 3.
+path in turn checks the component counts used for n ≤ 3.  The doubled
+bitmap of the face closure, built here only, checks the closure layers'
+cell counts and cells.
 """
 
 import itertools
@@ -30,7 +32,6 @@ from orbit_betti.cubical import (
     cell_dim,
     cell_faces,
     betti_numbers,
-    close_bitmap,
     collapsed_cells,
     count_components,
     rank_betti,
@@ -38,13 +39,44 @@ from orbit_betti.cubical import (
 )
 
 
-def complex_from_cells(ambient_dim: int, tops: list[tuple[int, ...]]) -> CubicalComplex:
-    """Face closure of explicit cells (not necessarily top-dimensional)."""
-    bitmap = np.zeros((9,) * ambient_dim, dtype=bool)
+def complex_from_tops(ambient_dim: int, tops: list[tuple[int, ...]]) -> CubicalComplex:
+    """The complex of the listed top cells on a grid of 4 cells per axis."""
+    top = np.zeros((4,) * ambient_dim, dtype=bool)
     for cell in tops:
-        bitmap[cell] = True
-    close_bitmap(bitmap)
-    return CubicalComplex(bitmap)
+        top[cell] = True
+    return CubicalComplex(top)
+
+
+def face_closure(cells: list[tuple[int, ...]]) -> dict[int, set[tuple[int, ...]]]:
+    """Explicit cells of any dimension and all their faces, by dimension."""
+    out: dict[int, set[tuple[int, ...]]] = {}
+    pending = list(cells)
+    while pending:
+        cell = pending.pop()
+        if cell not in out.setdefault(cell_dim(cell), set()):
+            out[cell_dim(cell)].add(cell)
+            pending.extend(cell_faces(cell))
+    return out
+
+
+def closure_bitmap(top: np.ndarray) -> np.ndarray:
+    """The face closure of a top-cell mask on the doubled grid, indexed by
+    elementary-interval codes: along each axis, a cell with an odd code
+    there sets its two facets (the even codes on either side)."""
+    bitmap = np.zeros(tuple(2 * m + 1 for m in top.shape), dtype=bool)
+    bitmap[(slice(1, None, 2),) * top.ndim] = top
+    for axis in range(top.ndim):
+        moved = np.moveaxis(bitmap, axis, 0)
+        odd = moved[1::2]
+        moved[:-1:2] |= odd
+        moved[2::2] |= odd
+    return bitmap
+
+
+def parity_views(bitmap: np.ndarray):
+    """(parity vector, strided view) for each of the 2^n cell types."""
+    for parity in itertools.product((0, 1), repeat=bitmap.ndim):
+        yield parity, bitmap[tuple(slice(p, None, 2) for p in parity)]
 
 
 def unsettled(points):
@@ -134,31 +166,36 @@ def test_boundary_squares_to_zero(codes):
 
 
 def test_single_vertex():
-    c = complex_from_cells(1, [(0,)])
-    assert betti_numbers(c).values == (1, 0)
+    """A vertex is no union of top cells: its cell set goes to the rank
+    path, and one top cell of the line has the same Betti numbers."""
+    assert rank_betti(face_closure([(0,)]), 1) == (1, 0)
+    assert betti_numbers(CubicalComplex(np.ones(1, dtype=bool))).values == (1, 0)
 
 
 def test_hollow_square_is_a_circle():
     # the 8 unit edges of the square [0,2]x[0,2] boundary in code coordinates
     # (grid vertices 0,1,2 carry even codes 0,2,4)
-    tops = [
+    edges = [
         (1, 0), (3, 0), (1, 4), (3, 4),
         (0, 1), (0, 3), (4, 1), (4, 3),
     ]
-    c = complex_from_cells(2, tops)
-    vec = betti_numbers(c)
+    assert rank_betti(face_closure(edges), 2) == (1, 1, 0)
+    # the same circle thickened: a 3 x 3 block of squares without its centre
+    top = np.ones((3, 3), dtype=bool)
+    top[1, 1] = False
+    vec = betti_numbers(CubicalComplex(top))
     assert vec.values == (1, 1, 0)
     assert vec.euler == 0
 
 
 def test_filled_square_is_contractible():
-    c = complex_from_cells(2, [(1, 1)])
+    c = complex_from_tops(2, [(0, 0)])
     assert betti_numbers(c).values == (1, 0, 0)
     assert rank_betti(c.cells, 2) == (1, 0, 0)
 
 
 def test_two_disjoint_filled_squares():
-    c = complex_from_cells(2, [(1, 1), (5, 5)])
+    c = complex_from_tops(2, [(0, 0), (2, 2)])
     assert betti_numbers(c).values == (2, 0, 0)
 
 
@@ -166,25 +203,29 @@ def test_torus_from_identifications_is_out_of_scope_but_s1xinterval_works():
     # a 3x1 strip of squares bent into a ring is beyond plain grid encoding;
     # instead: ring of 8 squares around a hole (annulus)
     tops = [
-        (1, 1), (3, 1), (5, 1),
-        (1, 3), (5, 3),
-        (1, 5), (3, 5), (5, 5),
+        (0, 0), (1, 0), (2, 0),
+        (0, 1), (2, 1),
+        (0, 2), (1, 2), (2, 2),
     ]
-    c = complex_from_cells(2, tops)
+    c = complex_from_tops(2, tops)
     assert betti_numbers(c).values == (1, 1, 0)
     assert rank_betti(c.cells, 2) == (1, 1, 0)
 
 
 def test_hollow_cube_surface_is_a_sphere():
-    tops = []
+    squares = []
     for axis in range(3):
         for side in (0, 6):
             for a in (1, 3, 5):
                 for b in (1, 3, 5):
                     code = [a, b]
                     code.insert(axis, side)
-                    tops.append(tuple(code))
-    c = complex_from_cells(3, tops)
+                    squares.append(tuple(code))
+    assert rank_betti(face_closure(squares), 3) == (1, 0, 1, 0)
+    # the same sphere thickened: a 3^3 block of cubes without its centre
+    top = np.ones((3, 3, 3), dtype=bool)
+    top[1, 1, 1] = False
+    c = CubicalComplex(top)
     vec = betti_numbers(c)
     assert vec.values == (1, 0, 1, 0)
     assert vec.euler == 2
@@ -195,22 +236,27 @@ def test_collapse_preserves_homology_against_naive_ranks():
     rng = np.random.default_rng(5)
     for _ in range(12):
         tops = {
-            (2 * int(a) + 1, 2 * int(b) + 1)
+            (int(a), int(b))
             for a, b in zip(rng.integers(0, 4, size=8), rng.integers(0, 4, size=8))
         }
-        c = complex_from_cells(2, sorted(tops))
+        c = complex_from_tops(2, sorted(tops))
         assert list(betti_numbers(c).values) == naive_betti_q(c)
 
 
 def test_collapsed_core_is_small():
-    c = complex_from_cells(2, [(2 * i + 1, 2 * j + 1) for i in range(4) for j in range(4)])
+    c = complex_from_tops(2, [(i, j) for i in range(4) for j in range(4)])
     core = collapsed_cells(c.cells)
     # a filled 4x4 block of squares is collapsible to a point
     assert sum(len(v) for v in core.values()) == 1
 
 
-def bfs_components(mask: np.ndarray) -> int:
-    """Plain breadth-first count of axis-adjacent components."""
+def bfs_components(mask: np.ndarray, full: bool = False) -> int:
+    """Plain breadth-first count of components: the 2n axis neighbours, or
+    all 3^n − 1 neighbours if ``full``."""
+    steps = [
+        step for step in itertools.product((-1, 0, 1), repeat=mask.ndim)
+        if sum(map(abs, step)) == 1 or (full and any(step))
+    ]
     seen = np.zeros(mask.shape, dtype=bool)
     count = 0
     for start in map(tuple, np.argwhere(mask)):
@@ -221,14 +267,11 @@ def bfs_components(mask: np.ndarray) -> int:
         queue = deque([start])
         while queue:
             here = queue.popleft()
-            for axis in range(mask.ndim):
-                for step in (-1, 1):
-                    there = list(here)
-                    there[axis] += step
-                    there = tuple(there)
-                    if 0 <= there[axis] < mask.shape[axis] and mask[there] and not seen[there]:
-                        seen[there] = True
-                        queue.append(there)
+            for step in steps:
+                there = tuple(i + s for i, s in zip(here, step))
+                if all(0 <= i < m for i, m in zip(there, mask.shape)) and mask[there] and not seen[there]:
+                    seen[there] = True
+                    queue.append(there)
     return count
 
 
@@ -238,7 +281,16 @@ def test_count_components_matches_bfs():
         n = int(rng.integers(1, 4))
         shape = tuple(int(m) for m in rng.integers(1, 10, size=n))
         mask = rng.random(shape) < rng.uniform(0.0, 1.0)
-        assert count_components(mask) == bfs_components(mask)
+        assert count_components(mask, full=False) == bfs_components(mask)
+
+
+def test_full_adjacency_count_matches_bfs():
+    rng = np.random.default_rng(12)
+    for trial in range(300):
+        n = 1 + trial % 3
+        shape = tuple(int(m) for m in rng.integers(1, 10, size=n))
+        mask = rng.random(shape) < rng.uniform(0.0, 1.0)
+        assert count_components(mask, full=True) == bfs_components(mask, full=True)
 
 
 def serpentine(m: int) -> np.ndarray:
@@ -288,43 +340,110 @@ def adversarial_masks():
 @pytest.mark.parametrize("name, mask, expected", adversarial_masks())
 def test_count_components_on_adversarial_masks(name, mask, expected):
     assert bfs_components(mask) == expected
-    assert count_components(mask) == expected
+    assert count_components(mask, full=False) == expected
 
 
-def random_complex(rng, n: int, pure: bool) -> CubicalComplex:
-    """Pure: random top cells through build_cubical.  Non-pure: random cells
-    of every dimension, closed under faces."""
-    shape = tuple(int(m) for m in rng.integers(1, 5 if n == 3 else 7, size=n))
-    if pure:
-        tops = rng.random(shape) < rng.uniform(0.2, 0.8)
+def corner_contacts():
+    """(name, top mask, components under axis and under full adjacency):
+    cells that meet only at corners or along edges, which full adjacency
+    joins, and two that only a row-flattened widening would join."""
+    checkerboard = np.indices((7, 6)).sum(axis=0) % 2 == 0
+    corner = np.zeros((4, 4, 4), dtype=bool)
+    corner[:2, :2, :2] = corner[2:, 2:, 2:] = True
+    edge = np.zeros((4, 4, 2), dtype=bool)
+    edge[:2, :2] = edge[2:, 2:] = True
+    wrapped = np.zeros((3, 5), dtype=bool)
+    wrapped[0, -1] = wrapped[1, 0] = True  # diagonal only across the row end
+    return [
+        ("checkerboard", checkerboard, 21, 1),
+        ("cubes meeting at a corner", corner, 2, 1),
+        ("cubes meeting along an edge", edge, 2, 1),
+        ("diagonal across a row end", wrapped, 2, 2),
+    ]
 
-        class Tops:
-            def batch(self, points, radius=0.0):
-                if radius:
-                    return unsettled(points)
-                index = tuple(np.floor(points).astype(int).T)
-                return tops[index].astype(np.int8)
 
-        return build_cubical(Tops(), [(0, m) for m in shape], Fraction(1))
-    bitmap = rng.random(tuple(2 * m + 1 for m in shape)) < rng.uniform(0.02, 0.25)
-    close_bitmap(bitmap)
-    return CubicalComplex(bitmap)
+@pytest.mark.parametrize("name, top, apart, joined", corner_contacts())
+def test_full_adjacency_joins_corner_and_edge_contacts(name, top, apart, joined):
+    """Closed cubes meeting only at a corner or along an edge are one
+    component of the complex; the rank path agrees on every Betti number."""
+    assert bfs_components(top) == count_components(top, full=False) == apart
+    assert bfs_components(top, full=True) == count_components(top, full=True) == joined
+    c = CubicalComplex(top)
+    assert betti_numbers(c).values == rank_betti(c.cells, top.ndim)
+    assert betti_numbers(c).values[0] == joined
+
+
+def random_complex(rng, n: int) -> CubicalComplex:
+    """Random top cells on a random grid of at most 6 (n ≤ 2) or 4 cells
+    per axis."""
+    shape = tuple(int(m) for m in rng.integers(1, 7 if n <= 2 else 5, size=n))
+    return CubicalComplex(rng.random(shape) < rng.uniform(0.2, 0.8))
 
 
 def test_component_betti_agrees_with_collapse_and_rank():
     rng = np.random.default_rng(7)
     small = 0
-    for trial in range(120):
+    for trial in range(300):
         n = 1 + trial % 3
-        c = random_complex(rng, n, pure=trial % 2 == 0)
-        c.validate_closure()
+        c = random_complex(rng, n)
         vec = betti_numbers(c)
         assert vec.values == rank_betti(c.cells, n)
-        assert vec.euler == c.euler_characteristic()
-        if c.total_cells() <= 120:
+        if c.total_cells() <= 120 and small < 40:
             small += 1
-            assert list(betti_numbers(c).values) == naive_betti_q(c)
+            assert list(vec.values) == naive_betti_q(c)
     assert small >= 20
+
+
+def test_closure_layers_match_the_doubled_bitmap():
+    """Cell counts, χ and the cell sets read from the layers equal those of
+    the face-closed doubled bitmap, read by parity class."""
+    rng = np.random.default_rng(8)
+    for trial in range(80):
+        n = 1 + trial % 4
+        c = random_complex(rng, n)
+        bitmap = closure_bitmap(c.top)
+        counts = [0] * (n + 1)
+        cells: dict = {}
+        for parity, view in parity_views(bitmap):
+            counts[sum(parity)] += int(np.count_nonzero(view))
+            found = 2 * np.argwhere(view) + np.array(parity)
+            if found.size:
+                cells.setdefault(sum(parity), set()).update(map(tuple, found.tolist()))
+        assert [c.cell_count(q) for q in range(n + 1)] == counts
+        assert c.total_cells() == int(np.count_nonzero(bitmap)) == sum(counts)
+        assert c.euler_characteristic() == sum((-1) ** q * k for q, k in enumerate(counts))
+        assert c.cells == cells
+
+
+def test_betti_numbers_below_four_dimensions_list_no_cell(monkeypatch):
+    """For n ≤ 3 the answer comes from the top mask and its layers: no cell
+    tuple, no collapse and no rank is asked for."""
+
+    def refuse(*args):
+        raise AssertionError("a cell list was built")
+
+    monkeypatch.setattr(CubicalComplex, "cells", property(refuse))
+    monkeypatch.setattr(cubical, "rank_betti", refuse)
+    monkeypatch.setattr(cubical, "collapsed_cells", refuse)
+    rng = np.random.default_rng(9)
+    for trial in range(30):
+        c = random_complex(rng, 1 + trial % 3)
+        assert betti_numbers(c).euler == c.euler_characteristic()
+
+
+def test_betti_numbers_peak_memory_is_below_the_doubled_bitmap():
+    """On a 256 x 512-cell annulus the whole computation peaks below the
+    513 x 1025 bytes of the doubled bitmap alone."""
+    c = build_cubical(mask_oracle(annulus), [(-2, 2), (-4, 4)], Fraction(1, 64))
+    assert c.grid_shape == (256, 512)
+    tracemalloc.start()
+    try:
+        values = betti_numbers(c).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values == (1, 1, 0)
+    assert peak < 513 * 1025
 
 
 class _TorusOracle:
@@ -360,14 +479,13 @@ def test_thickened_torus_surface():
 
 
 def test_four_dimensional_complexes_use_ranks():
-    tops = [(1, 1, 1, 1), (5, 1, 1, 1)]
-    c = complex_from_cells(4, tops)
+    tops = [(0, 0, 0, 0), (2, 0, 0, 0)]
+    c = complex_from_tops(4, tops)
     assert betti_numbers(c).values == (2, 0, 0, 0, 0)
-    shell = np.ones((7,) * 4, dtype=bool)
-    shell[(slice(1, 6),) * 4] = False  # the boundary of a 3^4 block of cells
+    shell = np.ones((3,) * 4, dtype=bool)
+    shell[1, 1, 1, 1] = False  # a 3^4 block of cells around a hole: a 3-sphere
     c = CubicalComplex(shell)
     assert (c.ambient_dim, c.grid_shape) == (4, (3,) * 4)
-    c.validate_closure()
     assert betti_numbers(c).values == (1, 0, 0, 1, 0)
 
 
@@ -387,14 +505,6 @@ def test_rank_path_refuses_large_complexes_before_listing_cells():
     assert peak < 2**20
 
 
-def test_validate_closure_names_the_open_cell():
-    bitmap = np.zeros((3, 3), dtype=bool)
-    bitmap[1, 1] = True
-    c = CubicalComplex(bitmap)
-    with pytest.raises(CubicalError, match=r"\(1, 1\)"):
-        c.validate_closure()
-
-
 # ---------------------------------------------------------------------------
 # grid construction
 # ---------------------------------------------------------------------------
@@ -406,7 +516,6 @@ def test_always_inside_full_grid():
     vec = betti_numbers(c)
     assert vec.values == (1, 0, 0)
     assert c.cell_count(2) == 16
-    c.validate_closure()
 
 
 def test_always_outside_empty_complex():
@@ -441,8 +550,8 @@ def test_plane_b1_from_euler_matches_complement_count():
     holes = [(2, 2, 10), (20, 3, 1), (40, 5, 7), (5, 30, 3), (30, 30, 20), (55, 55, 6), (3, 56, 1)]
     c = square_with_holes(64, holes)
     assert betti_numbers(c).values == (1, len(holes), 0)
-    outside = np.pad(~c.bitmap, 1, constant_values=True)
-    assert count_components(outside) - 1 == len(holes)
+    outside = np.pad(~c.top, 1, constant_values=True)
+    assert count_components(outside, full=False) - 1 == len(holes)
     small = square_with_holes(10, [(1, 1, 2), (5, 1, 1), (2, 5, 3)])
     assert betti_numbers(small).values == (1, 3, 0)
     assert rank_betti(small.cells, 2) == (1, 3, 0)
@@ -474,7 +583,7 @@ def test_build_hands_the_oracle_row_major_centres(n, monkeypatch):
     of 4 cells per axis, clipped at the box); then once, at radius 0, about
     the centres of the cells of the tiles it answered 2 for, each once, in
     row-major order and bit-equal to float(lo_a + h/2 + i_a·h).  The tiles
-    it settled enter the bitmap with their code.  These grids are smaller
+    it settled enter the top mask with their code.  These grids are smaller
     than the tiling limit, so the limit is lifted for that part; with it in
     place, every centre is asked at radius 0 in one call."""
     monkeypatch.setattr(cubical, "_TILED_CELLS", 0)
@@ -506,7 +615,7 @@ def test_build_hands_the_oracle_row_major_centres(n, monkeypatch):
             assert abs(Fraction(x) - Fraction(t)) <= Fraction(radius)
         if tile_codes[tile] == 2:
             expected.append(centre)
-        assert c.bitmap[tuple(2 * i + 1 for i in cell)] == (tile_codes[tile] != 0)
+        assert c.top[cell] == (tile_codes[tile] != 0)
     assert asked.tobytes() == np.array(expected).tobytes()
     assert len({tuple(row) for row in asked.tolist()}) == len(asked)
 

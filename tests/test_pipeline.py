@@ -747,8 +747,8 @@ class _CellByCell:
 
 
 def _settled_tiles_change_nothing(oracle, box, h):
-    """Build the grid with tiles and cell by cell; the bitmaps and undecided
-    counts must be equal.  Returns the number of tiles settled."""
+    """Build the grid with tiles and cell by cell; the top-cell masks and
+    undecided counts must be equal.  Returns the number of tiles settled."""
     settled = []
 
     class Tiled:
@@ -760,7 +760,7 @@ def _settled_tiles_change_nothing(oracle, box, h):
 
     tiled = build_cubical(Tiled(), box, h)
     cells = build_cubical(_CellByCell(oracle), box, h)
-    assert tiled.bitmap.tobytes() == cells.bitmap.tobytes()
+    assert tiled.top.tobytes() == cells.top.tobytes()
     assert tiled.undecided_cells == cells.undecided_cells
     return sum(settled)
 
@@ -805,7 +805,7 @@ def test_tiles_leave_the_quotient_d2_bitmaps_unchanged(seed):
     ids=["fibre-d3", "ball-h8", "shell4", "slabs4", "searched-d4"],
 )
 def test_tiles_leave_image_space_bitmaps_unchanged(k, d, text, box, h, settles):
-    """Every bitmap and undecided count equals the cell-by-cell build; the
+    """Every top-cell mask and undecided count equals the cell-by-cell build; the
     d' = 4 grid goes through the fibre search, where a tile is never
     settled inside.  The fibre-d3 grid of the benchmark is too small for
     any of its tiles to settle."""
