@@ -26,7 +26,6 @@ from orbit_betti.polys import (
     SignAtom,
     evaluate_formula,
     evaluate_polynomial,
-    interval_evaluate,
     multidegree,
     parse_formula,
     parse_polynomial,
@@ -103,7 +102,6 @@ __all__ = [
     "evaluate_formula",
     "evaluate_polynomial",
     "image_membership",
-    "interval_evaluate",
     "multidegree",
     "orbit_count_finite",
     "paper_chain_bound",

@@ -237,12 +237,10 @@ def _spec_from_job(doc: dict) -> tuple[ProblemSpec, float]:
 def _job_options_to_doc(k, d, blocks, degrees, formula_text, box, resolution, constant_c) -> dict:
     doc: dict = {"formula": formula_text, "box": [[str(lo), str(hi)] for lo, hi in _parse_box(box)],
                  "resolution": resolution, "constant_c": constant_c}
+    spec = _blocks_from(k, d, blocks, degrees)
     if blocks:
-        doc["blocks"] = [int(v) for v in blocks.split(",") if v.strip()]
-        doc["degrees"] = [int(v) for v in (degrees or "").split(",") if v.strip()]
+        doc["blocks"], doc["degrees"] = list(spec.block_sizes), list(spec.degree_caps)
     else:
-        if k is None or d is None:
-            raise click.UsageError("give --k/--d or --blocks/--degrees (or use --job)")
         doc["k"], doc["d"] = k, d
     return doc
 

@@ -16,27 +16,28 @@ computes the homology of Φ ∩ {x_1 ≤ … ≤ x_k} in x-space for small k (ea
 orbit meets the sorted chamber exactly once), and ``orbit_count_finite``
 counts orbits of finite configurations two ways.
 
-Equality atoms are sampled by thickening: |P| ≤ τ with τ = (h/2) · L where L
-bounds the ℓ¹-norm of ∇P on the box, so every grid cell meeting {P = 0}
-contributes its center.  Both grids sample one closed formula, the region:
-in image space the rewritten formula ∧ the per-block
-``fibres.image_conditions``, which define the image of the chamber for
-d' ≤ 3; in x-space the formula ∧ the chamber order x_{i+1} − x_i ≥ 0.  Every
-atom of the region is decided exactly at the (float) grid centers: one pass
-over its terms gives both the float value and an a-priori rounding band; the
-value decides outside the band, and fractions decide inside it.  Only a
-block with d' ≥ 4 sends the points in the region to the fibre solver.  The
-reported homology is that of the clipped, thickened set; callers pick clip
-boxes large enough to contain the region of interest.
+Both grids sample one closed formula, the region: in image space the
+rewritten formula ∧ the per-block ``fibres.image_conditions``, which define
+the image of the chamber for d' ≤ 3; in x-space the formula ∧ the chamber
+order x_{i+1} − x_i ≥ 0.  Every atom of the region is decided exactly at the
+(float) grid centers: one pass over its terms gives both the float value and
+an a-priori rounding band; the value decides outside the band, and
+fractions decide inside it.  Only a block with d' ≥ 4 sends the points in
+the region to the fibre solver.  The reported homology is that of the
+clipped, thickened set; callers pick clip boxes large enough to contain the
+region of interest.
 
-The grid settles whole tiles of cells first (``build_cubical``): asked
-about a tile centre c at radius r, an atom widens its band by L_P·r, where
-L_P = Σ_terms Σ_j |c|·e_j·Π_i M_i^(e_i − [i=j]) with M_i = max(|lo_i|,
-|hi_i|) bounds the ℓ¹ norm of ∇P on the box, so |P(x) − P(c)| ≤ L_P·r for
-every x of the box within ∞-distance r; a centre inside the widened band
-is "not settled".  The formula is then walked three-valued, on the order
-false < not settled < true (``and`` the minimum, ``or`` the maximum), and
-a d' ≥ 4 block never lets a tile be settled inside.
+Each atom carries one bound, L_P = Σ_terms Σ_j |c|·e_j·Π_i M_i^(e_i − [i=j])
+with M_i = max(|lo_i|, |hi_i|), rounded up: it bounds the ℓ¹ norm of ∇P on
+the box, so |P(x) − P(c)| ≤ L_P·‖x − c‖∞ for x and c in the box.  It serves
+twice.  An equality P = 0 is sampled as the closed shell |P| ≤ τ with
+τ = (h/2)·L_P (h/2 when L_P = 0), so every grid cell meeting {P = 0}
+contributes its center.  And the grid settles whole tiles of cells first
+(``build_cubical``): asked about a tile centre c at radius r, an atom widens
+its band by L_P·r, and a centre inside the widened band is "not settled".
+The formula is then walked three-valued, on the order false < not settled <
+true (``and`` the minimum, ``or`` the maximum), and a d' ≥ 4 block never
+lets a tile be settled inside.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from orbit_betti.polys import (
     as_rational,
     evaluate_polynomial,
     float_enclosure,
-    interval_evaluate,
     multidegree,
     pow_bounds,
     round_up,
@@ -131,32 +131,6 @@ class ProblemSpec:
 # ---------------------------------------------------------------------------
 
 
-def _gradient_bound(poly: Polynomial, box: Sequence[tuple[Fraction, Fraction]]) -> Fraction:
-    """Bound on the ℓ¹ norm of ∇poly over the box, by float interval
-    arithmetic on the box's outward float enclosure, summed rounding up."""
-    edges = [(float_enclosure(lo)[0], float_enclosure(hi)[1]) for lo, hi in box]
-    total = 0.0
-    for j in range(1, poly.var_count + 1):
-        partial = poly.derivative(j)
-        if partial.terms:
-            lo, hi = interval_evaluate(partial, edges)
-            total = round_up(total + max(-lo, hi))
-    return Fraction(total)
-
-
-def _equality_taus(
-    formula: ClosedFormula,
-    box: Sequence[tuple[Fraction, Fraction]],
-    h: Fraction,
-) -> dict[Polynomial, Fraction]:
-    taus: dict[Polynomial, Fraction] = {}
-    for atom in formula.atoms():
-        if atom.relation == "=" and atom.poly not in taus:
-            lipschitz = _gradient_bound(atom.poly, box)
-            taus[atom.poly] = h / 2 * lipschitz if lipschitz > 0 else h / 2
-    return taus
-
-
 _UNIT_ROUNDOFF = 2.0**-53
 
 # Points per block of the formula walk, so that an atom's temporaries (128 KiB
@@ -168,7 +142,7 @@ _WALK_ROWS = 2**14
 
 
 class _CompiledAtom:
-    """A sign atom compiled for the walk, with a memo of its exact verdicts.
+    """A sign atom compiled for the walk, with its one Lipschitz bound.
 
     ``evaluate`` computes each power x_i^e once, by the chain of e − 1
     products x·x·…·x, and each term c·Πx_i^e once, and sums the terms into
@@ -184,18 +158,14 @@ class _CompiledAtom:
     ``Fraction`` inside it, once per distinct tuple of the values of the
     columns the atom uses.
 
-    Given ``reach``, the bounds M_i ≥ |x_i| on the box, the atom also
-    carries ``slope`` = L_P = Σ_terms Σ_j |c|·e_j·Π_i M_i^(e_i − [i=j]),
-    rounded up: a bound on the ℓ¹ norm of ∇P over the box, so that
-    |P(x) − P(c)| ≤ L_P·‖x − c‖∞ for x and c in the box.
+    ``slope`` = L_P = Σ_terms Σ_j |c|·e_j·Π_i M_i^(e_i − [i=j]), rounded up,
+    with M_i = ``reach[i]`` ≥ |x_i| on the box, bounds the ℓ¹ norm of ∇P
+    over the box, so that |P(x) − P(c)| ≤ L_P·‖x − c‖∞ for x and c in the
+    box.  An equality is thickened by it: τ = (h/2)·L_P, or h/2 when L_P is
+    0, kept as an exact ``Fraction``.
     """
 
-    def __init__(
-        self,
-        atom: SignAtom,
-        taus: dict[Polynomial, Fraction],
-        reach: Sequence[float] | None = None,
-    ) -> None:
+    def __init__(self, atom: SignAtom, h: Fraction, reach: Sequence[float]) -> None:
         poly = atom.poly
         self.atom = atom
         self.terms = [
@@ -209,24 +179,23 @@ class _CompiledAtom:
         )
         self.gamma2 = 2 * (steps * _UNIT_ROUNDOFF / (1 - steps * _UNIT_ROUNDOFF))
         self.underflow = steps * len(poly.terms) * np.finfo(float).tiny
+        self.slope = 0.0
+        for expo, c in poly.terms.items():
+            low, high = float_enclosure(c)
+            for j, e_j in enumerate(expo):
+                if e_j:
+                    part = round_up(max(-low, high) * e_j)
+                    for i, e in enumerate(expo):
+                        if e - (i == j):
+                            part = round_up(part * pow_bounds(reach[i], e - (i == j))[1])
+                    self.slope = round_up(self.slope + part)
         if atom.relation == "=":
-            tau = taus[poly]
+            half = Fraction(h, 2)
+            tau = self.tau = half * Fraction(self.slope) if self.slope else half
             self.tau_f = float(tau)
             self.test = lambda value: abs(value) <= tau
         else:
             self.test = atom.holds
-        self.memo: dict[tuple[float, ...], bool] = {}
-        if reach is not None:
-            self.slope = 0.0
-            for expo, c in poly.terms.items():
-                low, high = float_enclosure(c)
-                for j, e_j in enumerate(expo):
-                    if e_j:
-                        part = round_up(max(-low, high) * e_j)
-                        for i, e in enumerate(expo):
-                            if e - (i == j):
-                                part = round_up(part * pow_bounds(reach[i], e - (i == j))[1])
-                        self.slope = round_up(self.slope + part)
 
     def evaluate(self, cols: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """(value, error bound) at the points whose coordinates are ``cols``."""
@@ -280,30 +249,33 @@ class _CompiledAtom:
             out[rows] = self._exact(cols, rows)
         return out
 
-    def _exact(self, cols: Sequence[np.ndarray], rows: np.ndarray) -> list[bool]:
+    def _exact(self, cols: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray:
+        """Exact verdicts at ``rows``, one per distinct tuple of the values of
+        the columns the atom uses, scattered back to every row."""
         poly = self.atom.poly
         point = [Fraction(0)] * poly.var_count
-        keys = zip(*(cols[i][rows].tolist() for i in self.used)) if self.used else [()] * rows.size
-        out = []
-        for key in keys:
-            verdict = self.memo.get(key)
-            if verdict is None:
-                for i, v in zip(self.used, key):
-                    point[i] = Fraction(v)
-                verdict = self.memo[key] = self.test(evaluate_polynomial(poly, point))
-            out.append(verdict)
-        return out
+        keys = np.column_stack([cols[i][rows] for i in self.used] or [np.zeros(rows.size)])
+        # each row as one void scalar: np.unique on those takes a fifth of
+        # the time of np.unique(keys, axis=0) at a few hundred rows
+        whole = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+        _, first, inverse = np.unique(whole, return_index=True, return_inverse=True)
+        verdicts = []
+        for key in keys[first].tolist():
+            for i, v in zip(self.used, key):
+                point[i] = Fraction(v)
+            verdicts.append(self.test(evaluate_polynomial(poly, point)))
+        return np.array(verdicts)[inverse]
 
 
 def _compile(
-    node: FormulaNode, taus: dict, reach: Sequence[float] | None, atoms: dict
+    node: FormulaNode, h: Fraction, reach: Sequence[float], atoms: dict
 ) -> _CompiledAtom | tuple:
     """An atom's ``_CompiledAtom`` (one per distinct atom), or (is_and,
     compiled children) for an ``and``/``or`` node."""
     if node.kind != "atom":
-        return node.kind == "and", [_compile(c, taus, reach, atoms) for c in node.children]
+        return node.kind == "and", [_compile(c, h, reach, atoms) for c in node.children]
     if node.atom not in atoms:
-        atoms[node.atom] = _CompiledAtom(node.atom, taus, reach)
+        atoms[node.atom] = _CompiledAtom(node.atom, h, reach)
     return atoms[node.atom]
 
 
@@ -330,26 +302,20 @@ def _walk(node: _CompiledAtom | tuple, cols: list[np.ndarray], radius: float) ->
 
 
 def _formula_mask(
-    formula: ClosedFormula,
-    points: np.ndarray,
-    taus: dict[Polynomial, Fraction],
-    radius: float = 0.0,
-    reach: Sequence[float] | None = None,
+    root: _CompiledAtom | tuple, points: np.ndarray, radius: float = 0.0
 ) -> np.ndarray:
-    """Exact truth values of the thickened formula at an (N, k) float array;
-    for radius r > 0, the grid codes of the points of the box within
-    ∞-distance r of each point (``reach`` bounds |x_i| on the box).
+    """Exact truth values of a compiled formula (``_compile``) at an (N, k)
+    float array; for radius r > 0, the grid codes of the points of the box
+    within ∞-distance r of each point.
 
-    The formula is compiled once per call (``_CompiledAtom``): each atom's
-    value and rounding band come from one pass over its terms, and it is
-    decided in float outside the band and exactly inside it (at r > 0, the
-    band widened by L_P·r answers "not settled").  The walk short-circuits:
-    an atom is evaluated only at the points where it can still change the
-    answer.  It takes the points ``_WALK_ROWS`` at a time, each block as k
-    columns, which are contiguous when ``points`` is the transpose of a
-    (k, N) array, as ``build_cubical`` hands it over.
+    Each atom's value and rounding band come from one pass over its terms,
+    and it is decided in float outside the band and exactly inside it (at
+    r > 0, the band widened by L_P·r answers "not settled").  The walk
+    short-circuits: an atom is evaluated only at the points where it can
+    still change the answer.  It takes the points ``_WALK_ROWS`` at a time,
+    each block as k columns, which are contiguous when ``points`` is the
+    transpose of a (k, N) array, as ``build_cubical`` hands it over.
     """
-    root = _compile(formula.root, taus, reach if radius else None, {})
     out = np.empty(len(points), dtype=np.int8 if radius else bool)
     for start in range(0, len(points), _WALK_ROWS):
         stop = min(start + _WALK_ROWS, len(points))
@@ -388,12 +354,13 @@ def _chamber_order(k: int) -> list[Polynomial]:
 class _QuotientOracle:
     """Grid oracle: one region, the thickened formula ∧ conditions P ≥ 0.
 
-    One ``_formula_mask`` call per batch decides the region, and its walk
-    tests the conditions only at points where the formula holds.  In image
-    space the conditions are ``_image_region``'s, which decide each block
-    with d' ≤ 3 exactly, and the points in the region go through
-    ``image_membership`` for each ``searched`` block (d' ≥ 4).  In x-space
-    they are ``_chamber_order``'s.
+    The region is compiled once (``_compile``), with M_i ≥ |x_i| taken on
+    the box's outward float enclosure.  One ``_formula_mask`` call per batch
+    decides it, and its walk tests the conditions only at points where the
+    formula holds.  In image space the conditions are ``_image_region``'s,
+    which decide each block with d' ≤ 3 exactly, and the points in the
+    region go through ``image_membership`` for each ``searched`` block
+    (d' ≥ 4).  In x-space they are ``_chamber_order``'s.
     """
 
     def __init__(
@@ -406,23 +373,19 @@ class _QuotientOracle:
     ) -> None:
         nodes = [FormulaNode("atom", atom=SignAtom(p, ">=")) for p in conditions]
         root = FormulaNode("and", children=(formula.root, *nodes)) if nodes else formula.root
-        self.region = ClosedFormula(formula.k, root)
-        self.taus = _equality_taus(formula, box, h)
+        reach = [max(-float_enclosure(lo)[0], float_enclosure(hi)[1]) for lo, hi in box]
+        self.root = _compile(root, h, reach, {})
         self.searched = searched
-        # M_i ≥ |x_i| on the box's outward float enclosure
-        self.reach = [
-            max(-float_enclosure(lo)[0], float_enclosure(hi)[1]) for lo, hi in box
-        ]
 
     def batch(self, points: np.ndarray, radius: float = 0.0) -> np.ndarray:
         """The grid codes; at radius r > 0 a searched block never answers
         inside."""
         if radius:
-            codes = _formula_mask(self.region, points, self.taus, radius, self.reach)
+            codes = _formula_mask(self.root, points, radius)
             if self.searched:
                 codes[codes == 1] = 2
             return codes
-        codes = _formula_mask(self.region, points, self.taus).astype(np.int8)
+        codes = _formula_mask(self.root, points).astype(np.int8)
         if self.searched:
             for idx in np.flatnonzero(codes):
                 row = points[idx]

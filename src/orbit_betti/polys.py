@@ -13,9 +13,9 @@ parse time — the sets we feed to the homology stages must be closed, and the
 quotient theory downstream is stated for exactly this class.
 
 The package's one interval arithmetic (directed-rounding floats: the fibre
-solver's box tests, the gradient bounds of thickened equalities) and its one
-exact elimination (a sparse ``Fraction`` column reduction: the power-sum
-rewrite's solve, the ranks over Q) live here too.
+solver's box tests) and its one exact elimination (a sparse ``Fraction``
+column reduction: the power-sum rewrite's solve, the ranks over Q) live here
+too.
 """
 
 from __future__ import annotations
@@ -343,28 +343,6 @@ def interval_mul(a_lo: float, a_hi: float, b_lo: float, b_hi: float) -> tuple[fl
     """Enclosure of [a_lo, a_hi]·[b_lo, b_hi]."""
     products = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
     return round_down(min(products)), round_up(max(products))
-
-
-def interval_evaluate(p: Polynomial, box: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """Float enclosure (lo, hi) of the range of ``p`` over a float box.
-
-    Term-wise interval arithmetic, the coefficients taken as their float
-    enclosures.  It overestimates (dependency problem) but never
-    underestimates, which is all its callers need.
-    """
-    if len(box) != p.var_count:
-        raise PolynomialError(f"box has dimension {len(box)}, expected {p.var_count}")
-    if not all(lo <= hi for lo, hi in box):
-        raise PolynomialError(f"box {box} has an empty edge")
-    total_lo = total_hi = 0.0
-    for expo, coeff in p.terms.items():
-        lo, hi = float_enclosure(coeff)
-        for (edge_lo, edge_hi), e in zip(box, expo):
-            if e:
-                lo, hi = interval_mul(lo, hi, *interval_pow(edge_lo, edge_hi, e))
-        total_lo = round_down(total_lo + lo)
-        total_hi = round_up(total_hi + hi)
-    return total_lo, total_hi
 
 
 # ---------------------------------------------------------------------------

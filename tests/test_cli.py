@@ -356,6 +356,17 @@ def test_inline_zero_denominator_is_an_error_envelope(capsys):
     assert "zero denominator" in doc["error"]
 
 
+def test_lone_block_flag_is_one_error_envelope_in_every_command(capsys):
+    """--blocks without --degrees, or --degrees without --blocks, is the same
+    usage error for ``betti`` with inline flags as for ``rewrite`` and
+    ``bounds``; ``betti`` once dropped a lone --degrees and ran on --k/--d."""
+    inline = ["--formula", "x1^2 + x2^2 + x3^2 <= 1", "--box", "-2:2,0:2", "--resolution", "1/4"]
+    for flag in (["--degrees", "5"], ["--blocks", "3"]):
+        for command, rest in (("betti", inline), ("rewrite", inline[:2]), ("bounds", ["--s", "1"])):
+            code, doc = run(capsys, command, "--k", "3", "--d", "2", *flag, *rest)
+            assert (code, doc) == (EXIT_ERROR, {"error": "--blocks and --degrees go together"})
+
+
 def test_bad_rational_list_envelope_keeps_the_parser_message(capsys):
     """``as_rational`` raises PolynomialError with the text of Fraction's own
     error, so the envelope reads as it did when that error escaped bare."""

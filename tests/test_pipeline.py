@@ -39,6 +39,7 @@ from orbit_betti.pipeline import (
     _CompiledAtom,
     _QuotientOracle,
     _chamber_order,
+    _compile,
     _formula_mask,
     _image_region,
 )
@@ -363,24 +364,43 @@ def test_report_json_round_trip_shape():
 # ---------------------------------------------------------------------------
 
 
+def _mask(formula, points):
+    """``_formula_mask`` of the formula compiled at step h = 0, which keeps
+    its equalities exact, with M_i the largest |x_i| of the points."""
+    reach = np.abs(points).max(axis=0).tolist()
+    return _formula_mask(_compile(formula.root, Fraction(0), reach, {}), points)
+
+
+def _taus(node):
+    """{P: τ} of the equality atoms of a compiled tree."""
+    if isinstance(node, _CompiledAtom):
+        return {node.atom.poly: node.tau} if node.atom.relation == "=" else {}
+    return {p: tau for child in node[1] for p, tau in _taus(child).items()}
+
+
 def test_formula_mask_decides_a_float_tie_exactly():
     """1/10·x1² − 3/10·x2 is exactly 0 at (3/4, 3/16); float gives +6.9e-18."""
     points = np.array([[0.75, 0.1875]])
     for relation in ("<=", ">="):
         formula = parse_formula(f"1/10*x1^2 - 3/10*x2 {relation} 0", 2)
-        value, _ = _CompiledAtom(formula.atoms()[0], {}).evaluate(list(points.T))
+        value, _ = _CompiledAtom(formula.atoms()[0], 0, [1.0, 1.0]).evaluate(list(points.T))
         assert value[0] != 0.0
-        assert _formula_mask(formula, points, {}).tolist() == [True]
+        assert _mask(formula, points).tolist() == [True]
 
 
 def test_formula_mask_keeps_the_thickening_exact():
-    """|x1| ≤ 1/10 is false at the double 0.1 (just above 1/10) and true one
-    ulp below, although float(1/10) == 0.1."""
+    """|x1| ≤ τ, with τ the compiled atom's (h/2)·L_P at h = 1/5 (a fraction
+    just above 1/10 with a factor 5 in its denominator, so no double), is
+    false at the double just above τ and true at the one just below, although
+    float(τ) is one of the two."""
     formula = parse_formula("x1 = 0", 1)
-    poly = formula.polynomial_set[0]
-    points = np.array([[0.1], [np.nextafter(0.1, 0.0)], [-0.1], [0.05], [0.2]])
-    mask = _formula_mask(formula, points, {poly: Fraction(1, 10)})
-    assert mask.tolist() == [False, True, False, True, False]
+    root = _compile(formula.root, Fraction(1, 5), [1.0], {})
+    tau = root.tau
+    below = float(tau) if Fraction(float(tau)) < tau else np.nextafter(float(tau), 0.0)
+    above = np.nextafter(below, 1.0)
+    assert Fraction(below) < tau < Fraction(above)
+    points = np.array([[above], [below], [-above], [below / 2], [2 * below]])
+    assert _formula_mask(root, points).tolist() == [False, True, False, True, False]
 
 
 def test_formula_mask_matches_exact_evaluation():
@@ -389,8 +409,7 @@ def test_formula_mask_matches_exact_evaluation():
     )
     grid = np.arange(-16, 17) / 8
     points = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
-    eq_poly = next(p for p in formula.polynomial_set if p.total_degree() == 1)
-    mask = _formula_mask(formula, points, {eq_poly: Fraction(0)})
+    mask = _mask(formula, points)
     expected = [
         evaluate_formula(formula, [Fraction(v) for v in row]) for row in points.tolist()
     ]
@@ -433,8 +452,10 @@ def _thickened(node, taus):
 
 def test_short_circuit_walk_matches_exact_evaluation_on_nested_trees():
     """Seeded random and/or trees (nested both ways, 2–4 children, one
-    polynomial in several atoms, equalities thickened by τ ∈ {0, 1/8, 1/10})
-    at dyadic points, which hit exact ties, and at their one-ulp neighbours."""
+    polynomial in several atoms) at dyadic points, which hit exact ties, and
+    at their one-ulp neighbours.  Each tree is compiled at a step h that
+    thickens one of its equalities by exactly τ ∈ {0, 1/8, 1/10}; the others
+    take their τ = (h/2)·L_P from the compiled atoms."""
     rng = random.Random(11)
     grid = np.arange(-8, 9) / 4
     base = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -456,12 +477,20 @@ def test_short_circuit_walk_matches_exact_evaluation_on_nested_trees():
         root = _random_tree(rng, 3)
         if root.kind != "atom":
             formulas.append(ClosedFormula(2, root))
+    reach = [2.0, 2.0]
     for formula in formulas:
-        taus = {p: rng.choice([Fraction(0), Fraction(1, 8), Fraction(1, 10)])
-                for p in formula.polynomial_set}
-        expected_formula = ClosedFormula(2, _thickened(formula.root, taus))
+        equalities = sorted(
+            {a.poly for a in formula.atoms() if a.relation == "="}, key=Polynomial.to_text
+        )
+        tau = rng.choice([Fraction(0), Fraction(1, 8), Fraction(1, 10)])
+        h = Fraction(0)
+        if equalities and tau:
+            slope = _CompiledAtom(SignAtom(rng.choice(equalities), "="), h, reach).slope
+            h = 2 * tau / Fraction(slope)
+        root = _compile(formula.root, h, reach, {})
+        expected_formula = ClosedFormula(2, _thickened(formula.root, _taus(root)))
         expected = [evaluate_formula(expected_formula, row) for row in exact_points]
-        assert _formula_mask(formula, points, taus).tolist() == expected, formula.to_text()
+        assert _formula_mask(root, points).tolist() == expected, formula.to_text()
 
 
 def test_formula_walk_in_blocks_matches_one_walk(monkeypatch):
@@ -470,13 +499,13 @@ def test_formula_walk_in_blocks_matches_one_walk(monkeypatch):
     formula = parse_formula(
         "(x1 + x2 - 1 = 0 or x1*x2 - 1/4 >= 0) and 1/10*x1^2 - 3/10*x2 <= 0", 2
     )
-    taus = {p: Fraction(1, 8) for p in formula.polynomial_set}
+    root = _compile(formula.root, Fraction(1, 4), [2.0, 2.0], {})
     points = np.random.default_rng(5).integers(-16, 17, (100, 2)) / 8
     monkeypatch.setattr(pipeline, "_WALK_ROWS", 10**6)
-    whole = _formula_mask(formula, points, taus)
+    whole = _formula_mask(root, points)
     monkeypatch.setattr(pipeline, "_WALK_ROWS", 7)
-    assert _formula_mask(formula, points, taus).tolist() == whole.tolist()
-    assert _formula_mask(formula, points[:0], taus).shape == (0,)
+    assert _formula_mask(root, points).tolist() == whole.tolist()
+    assert _formula_mask(root, points[:0]).shape == (0,)
 
 
 def _power_chain(x, e):
@@ -540,9 +569,46 @@ def test_compiled_atom_matches_the_term_by_term_reference():
         )
     ] + [_D3_CONDITION]
     for poly in polys:
-        value, bound = _CompiledAtom(SignAtom(poly, ">="), {}).evaluate(list(points.T))
+        value, bound = _CompiledAtom(SignAtom(poly, ">="), 0, [40.0] * 3).evaluate(list(points.T))
         assert np.array_equal(value, _reference_values(poly, points)), poly.to_text()
         assert np.all(bound >= _reference_error_bound(poly, points)), poly.to_text()
+
+
+def test_slope_is_a_sound_lipschitz_bound():
+    """Seeded random polynomials on rational boxes (endpoints that are not
+    doubles included): at rational points x and c of the box, corners
+    included, |P(x) − P(c)| ≤ L_P·‖x − c‖∞ in exact fractions, with L_P the
+    ``slope`` of the atom the oracle compiles; an equality's τ is (h/2)·L_P,
+    and h/2 when L_P is 0."""
+    rng = random.Random(23)
+    h = Fraction(1, 6)
+    polys = [Polynomial.constant(3, 2), Polynomial(1)]
+    while len(polys) < 80:
+        n = rng.randint(1, 3)
+        polys.append(Polynomial(n, {
+            tuple(rng.randint(0, 3) for _ in range(n)): Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            for _ in range(rng.randint(1, 5))
+        }))
+    flat = 0
+    for poly in polys:
+        box = []
+        for _ in range(poly.var_count):
+            lo = Fraction(rng.randint(-12, 12), rng.randint(1, 5))
+            box.append((lo, lo + Fraction(rng.randint(1, 12), rng.randint(1, 5))))
+        formula = ClosedFormula(poly.var_count, FormulaNode("atom", atom=SignAtom(poly, "=")))
+        atom = _QuotientOracle(formula, box, h, []).root
+        slope = Fraction(atom.slope)
+        assert atom.tau == (h / 2 * slope if slope else h / 2)
+        flat += slope == 0
+        for _ in range(20):
+            x, c = (
+                [lo + (hi - lo) * rng.choice([Fraction(0), Fraction(1), Fraction(rng.randint(0, 45), 45)])
+                 for lo, hi in box]
+                for _ in range(2)
+            )
+            gap = max(abs(a - b) for a, b in zip(x, c))
+            assert abs(evaluate_polynomial(poly, x) - evaluate_polynomial(poly, c)) <= slope * gap
+    assert flat >= 2
 
 
 def test_formula_mask_decides_the_d3_condition_at_its_exact_zeros():
@@ -565,7 +631,7 @@ def test_formula_mask_decides_the_d3_condition_at_its_exact_zeros():
     assert all(evaluate_polynomial(_D3_CONDITION, row) == 0 for row in exact_points[:150])
     for relation in (">=", "<=", "="):
         formula = ClosedFormula(3, FormulaNode("atom", atom=SignAtom(_D3_CONDITION, relation)))
-        mask = _formula_mask(formula, points, {_D3_CONDITION: Fraction(0)})
+        mask = _mask(formula, points)
         assert mask.tolist() == [evaluate_formula(formula, row) for row in exact_points]
 
 
@@ -604,7 +670,7 @@ def test_moment_mask_matches_fractions():
         rng.integers(-8, 200, 400) / 64,
         [0.1875, np.nextafter(0.1875, 0.0), -0.0, 3.0],
     ])
-    mask = _formula_mask(formula, np.stack([p1, p2], axis=-1), {})
+    mask = _mask(formula, np.stack([p1, p2], axis=-1))
     expected = [
         b >= 0 and a * a <= 3 * b
         for a, b in zip(map(Fraction, p1.tolist()), map(Fraction, p2.tolist()))
@@ -659,13 +725,13 @@ def test_formula_mask_frees_its_arrays_on_return():
     (8 MB each) are released by reference counting alone."""
     formula = parse_formula("x1^2 + x2^2 <= 1 and x1 + x2 = 0 or x1*x2 >= 1/4", 2)
     points = np.random.default_rng(1).uniform(-2, 2, (10**6, 2))
-    taus = {p: Fraction(1, 8) for p in formula.polynomial_set}
+    root = _compile(formula.root, Fraction(1, 4), [2.0, 2.0], {})
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        _formula_mask(formula, points, taus)
+        _formula_mask(root, points)
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -869,7 +935,7 @@ def test_tile_codes_agree_with_exact_evaluation_at_every_cell_centre(monkeypatch
         build_cubical(Recording(), box, h)
         tiles, radius, codes = seen[0]
         assert radius > 0
-        thickened = ClosedFormula(2, _thickened(formula.root, oracle.taus))
+        thickened = ClosedFormula(2, _thickened(formula.root, _taus(oracle.root)))
         tile_counts = [math.ceil(m / 4) for m in counts]
         for (t1, t2), code in zip(np.ndindex(*tile_counts), codes.tolist()):
             if code == 2:

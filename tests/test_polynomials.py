@@ -27,8 +27,9 @@ from orbit_betti.polys import (
     evaluate_formula,
     evaluate_polynomial,
     float_enclosure,
-    interval_evaluate,
+    interval_mul,
     interval_pow,
+    interval_scale,
     multidegree,
     parse_formula,
     parse_polynomial,
@@ -142,7 +143,7 @@ def test_float_batch_matches_exact(p, data):
     pts = [
         [data.draw(st.integers(-3, 3)) for _ in range(p.var_count)] for _ in range(4)
     ]
-    atom = _CompiledAtom(SignAtom(p, ">="), {})
+    atom = _CompiledAtom(SignAtom(p, ">="), 0, [3.0] * p.var_count)
     batch, bound = atom.evaluate(list(np.array(pts, dtype=float).T))
     for row, err, point in zip(batch, bound, pts):
         exact = evaluate_polynomial(p, point)
@@ -302,19 +303,32 @@ def test_formula_text_round_trip():
 # ---------------------------------------------------------------------------
 
 
-@given(polynomials(max_vars=2), st.data())
-def test_interval_enclosure_is_sound(p, data):
-    box = []
-    point = []
-    for _ in range(p.var_count):
-        a = data.draw(small_fractions)
-        b = data.draw(small_fractions)
-        lo, hi = min(a, b), max(a, b)
-        box.append((float_enclosure(lo)[0], float_enclosure(hi)[1]))
-        t = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=8))
-        point.append(lo + (hi - lo) * t)
-    lo, hi = interval_evaluate(p, box)
-    assert Fraction(lo) <= evaluate_polynomial(p, point) <= Fraction(hi)
+def _enclosed_interval(data):
+    """A rational interval [lo, hi] drawn from ``small_fractions``, its
+    outward float enclosure, and a rational point of it."""
+    a, b = data.draw(small_fractions), data.draw(small_fractions)
+    lo, hi = min(a, b), max(a, b)
+    t = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=8))
+    return (float_enclosure(lo)[0], float_enclosure(hi)[1]), lo + (hi - lo) * t
+
+
+@given(st.data())
+def test_interval_enclosure_is_sound(data):
+    """The primitives the fibre solver's box tests compose: x^m, x·y, a·x
+    and a·x^m·y stay inside their enclosures at rational points of rational
+    intervals."""
+    (a_lo, a_hi), x = _enclosed_interval(data)
+    (b_lo, b_hi), y = _enclosed_interval(data)
+    m = data.draw(st.integers(1, 6))
+    a = float(data.draw(small_fractions))
+    for (lo, hi), exact in (
+        (interval_pow(a_lo, a_hi, m), x**m),
+        (interval_mul(a_lo, a_hi, b_lo, b_hi), x * y),
+        (interval_scale(a, a_lo, a_hi), Fraction(a) * x),
+        (interval_mul(*interval_scale(a, *interval_pow(a_lo, a_hi, m)), b_lo, b_hi),
+         Fraction(a) * x**m * y),
+    ):
+        assert Fraction(lo) <= exact <= Fraction(hi)
 
 
 def test_float_enclosure_steps_out_only_when_rounded():
@@ -324,20 +338,9 @@ def test_float_enclosure_steps_out_only_when_rounded():
     assert np.nextafter(lo, 1.0) == float(Fraction(1, 3)) == np.nextafter(hi, 0.0)
 
 
-def test_interval_is_tight_on_linear_terms():
-    p = parse_polynomial("2*x1 - 3", 1)
-    lo, hi = interval_evaluate(p, [(-1.0, 2.0)])
-    assert -5 - 1e-14 < lo <= -5 and 1 <= hi < 1 + 1e-14
-
-
 def test_interval_even_power_across_zero():
     lo, hi = interval_pow(-2.0, 1.0, 2)
     assert lo == 0.0 and 4.0 <= hi < 4.0 + 1e-14
-
-
-def test_interval_rejects_inverted_endpoints():
-    with pytest.raises(PolynomialError):
-        interval_evaluate(parse_polynomial("x1", 1), [(1.0, 0.0)])
 
 
 # ---------------------------------------------------------------------------
