@@ -288,6 +288,10 @@ def _run_betti_file(path: Path) -> tuple[dict, int]:
 @click.option("--json", "output", type=str, default=None)
 def betti(job, k, d, blocks, degrees, formula_text, box, resolution, constant_c, jobs, output) -> int:
     """Quotient Betti numbers b^0..b^{t−1} from a job file or inline flags."""
+    inline = {"--k": k, "--d": d, "--blocks": blocks, "--degrees": degrees,
+              "--formula": formula_text, "--box": box, "--resolution": resolution}
+    if job and (given := ", ".join(flag for flag, v in inline.items() if v is not None)):
+        raise click.UsageError(f"{given} cannot be given with --job, which holds the whole problem")
     if job and Path(job).is_dir():
         paths = sorted(Path(job).glob("*.json"))
         if not paths:

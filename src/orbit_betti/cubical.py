@@ -97,10 +97,6 @@ class CubicalError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def cell_dim(cell: Cell) -> int:
-    return sum(code & 1 for code in cell)
-
-
 def cell_faces(cell: Cell) -> list[Cell]:
     """The codimension-1 faces: drop one non-degenerate axis to an endpoint."""
     out = []

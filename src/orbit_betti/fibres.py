@@ -118,27 +118,6 @@ class Face:
         return tuple(out)
 
 
-def weighted_power_sum(lam: Composition, m: int, t: Sequence):
-    """Σ_i λ_i t_i^m with t in the composition's own group order (descending);
-    exact when the parameters are rational."""
-    parts = lam.parts
-    if len(t) != len(parts):
-        raise FibreError(f"expected {len(parts)} parameters, got {len(t)}")
-    if m < 1:
-        raise FibreError("power index must be a positive integer")
-    if all(isinstance(v, (int, Fraction)) for v in t):
-        return sum(
-            (w * as_rational(v) ** m for w, v in zip(parts, t)), Fraction(0)
-        )
-    return float(sum(w * float(v) ** m for w, v in zip(parts, t)))
-
-
-def power_sum_vector(x: Sequence[RationalLike], m_max: int) -> tuple[Fraction, ...]:
-    """Exact (p_1, ..., p_{m_max}) of a rational point (weights all 1)."""
-    xs = [as_rational(v) for v in x]
-    return tuple(sum((v**m for v in xs), Fraction(0)) for m in range(1, m_max + 1))
-
-
 class _PowerSums:
     """One query's power sums y_1..y_d', scaled to integers once.
 
@@ -149,17 +128,18 @@ class _PowerSums:
     """
 
     def __init__(self, exact: Sequence[Fraction]) -> None:
-        self.exact = tuple(exact)
-        self.scale = s = math.lcm(*(v.denominator for v in self.exact))
-        self.ints = tuple(
-            v.numerator * (s**m // v.denominator) for m, v in enumerate(self.exact, start=1)
-        )
+        self.exact = exact
+        self.scale = s = math.lcm(*[v.denominator for v in exact])
+        self.ints = []
+        power = 1
+        for v in exact:
+            power *= s
+            self.ints.append(v.numerator * (power // v.denominator))
 
-    @functools.cached_property
-    def floats(self) -> tuple[float, ...]:
-        """The y_m as Y_m / s^m, each correctly rounded (so equal to
-        float(y_m)); a value past the float range raises OverflowError."""
-        return tuple(v / self.scale**m for m, v in enumerate(self.ints, start=1))
+    def floats(self) -> list[float]:
+        """The y_m, each correctly rounded; a value past the float range
+        raises OverflowError."""
+        return [v.numerator / v.denominator for v in self.exact]
 
 
 # ---------------------------------------------------------------------------
@@ -181,27 +161,34 @@ class FibreSolution:
     residual: float
 
     def embedded(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.face.embed(self.t))
+        return self.face.embed(self.t)
 
     @staticmethod
     def make(face: Face, t: Sequence[float], y: Sequence[float], tol: float) -> "FibreSolution":
         """Accept t when equation m's residual is at most tol + _ROUNDING·Σ λ_i|t_i|^m:
         at large |y| the rounding of the float point alone exceeds any
-        absolute tol, and only that rounding is forgiven.  A power sum that
-        overflows raises OverflowError."""
+        absolute tol, and only that rounding is forgiven.  One pass over the
+        terms λ_i·t_i^m of each equation sums them and their sizes, left to
+        right on every Python version (``sum`` compensates from 3.12 on).  A
+        power sum that overflows raises OverflowError."""
         parts = face.lam.parts
         residual = 0.0
         for m, ym in enumerate(y, start=1):
-            error = abs(sum(w * tv**m for w, tv in zip(parts, t)) - float(ym))
-            scale = sum(w * abs(tv) ** m for w, tv in zip(parts, t))
+            total = scale = 0.0
+            for w, tv in zip(parts, t):
+                term = w * tv**m
+                total += term
+                scale += abs(term)
+            error = abs(total - ym)
             if scale == math.inf:
                 raise OverflowError(_FLOAT_RANGE)
             if error > tol + _ROUNDING * scale:
                 raise FibreError(f"residual {error} of equation {m} exceeds tolerance {tol}")
             residual = max(residual, error)
-        if any(b - a > tol for a, b in zip(t, t[1:])):
-            raise FibreError(f"parameters {t} violate the descending ordering beyond {tol}")
-        return FibreSolution(face, tuple(float(v) for v in t), residual)
+        for a, b in zip(t, t[1:]):
+            if b - a > tol:
+                raise FibreError(f"parameters {t} violate the descending ordering beyond {tol}")
+        return FibreSolution(face, tuple(map(float, t)), residual)
 
 
 # Solver settings the underlying theory is silent about.
@@ -636,7 +623,7 @@ def _moment_verdict(
         raise FibreError(f"expected {d_prime} power sums, got {len(y_exact)}")
     sums = _PowerSums(y_exact)
     conditions = _moment_conditions(k, d_prime, sums.ints)
-    if any(c < 0 for c in conditions):
+    if min(conditions, default=0) < 0:
         return sums, conditions, OUTSIDE
     return sums, conditions, INSIDE if d_prime <= 3 else None
 
@@ -693,27 +680,19 @@ _BRACKET = 2.0**-40
 _ROOT_BITS = 55
 # Exact Newton steps a float guess may take before Sturm bisection.
 _NEWTON_RETRIES = 3
+# A d' ≤ 3 section smaller than 2^-_SMALL_BITS is solved at unit scale.
+_SMALL_BITS = 20
 
 
-def _scaled_value(coeffs: Sequence[int], n: int, den: int) -> int:
-    """den^deg · p(n/den) for the integer polynomial p (highest coefficient
-    first) and den > 0: the homogenised Horner sum Σ c_i·n^(deg−i)·den^i."""
+def _sign_at(coeffs: Sequence[int], n: int, den: int) -> int:
+    """The exact sign of the integer polynomial (highest coefficient first)
+    at n/den, den > 0: that of den^deg·p(n/den), the homogenised Horner sum
+    Σ c_i·n^(deg−i)·den^i."""
     value, scale = coeffs[0], 1
     for c in coeffs[1:]:
         scale *= den
         value = value * n + c * scale
-    return value
-
-
-def _sign_at(coeffs: Sequence[int], n: int, den: int) -> int:
-    """The exact sign of the integer polynomial at n/den, den > 0."""
-    value = _scaled_value(coeffs, n, den)
     return (value > 0) - (value < 0)
-
-
-def _derivative(coeffs: Sequence[int]) -> list[int]:
-    degree = len(coeffs) - 1
-    return [c * (degree - i) for i, c in enumerate(coeffs[:-1])]
 
 
 def _sturm_roots(coeffs: Sequence[int]) -> list[float]:
@@ -726,7 +705,7 @@ def _sturm_roots(coeffs: Sequence[int]) -> list[float]:
     Cauchy's R = 1 + max |c_i / c_0| holds every root; every end is an
     integer over |c_0|·2^e.
     """
-    chain = [coeffs, _derivative(coeffs)]
+    chain = [coeffs, [c * (len(coeffs) - 1 - i) for i, c in enumerate(coeffs[:-1])]]
     while True:
         rem, divisor = list(chain[-2]), chain[-1]
         lead, sign = abs(divisor[0]), (divisor[0] > 0) - (divisor[0] < 0)
@@ -770,21 +749,40 @@ def _sturm_roots(coeffs: Sequence[int]) -> list[float]:
     return sorted(roots)
 
 
-def _crosses(coeffs: Sequence[int], r: float) -> bool:
-    """Does the integer polynomial have, exactly, the sign of its leading
-    coefficient at the lower end of the dyadic bracket r ± _BRACKET·max(1,
-    |r|) and the opposite sign at the upper end?  With simple real roots only,
-    that crossing is the smaller root of a quadratic and the middle root of
-    a cubic, and no other root lies in the bracket."""
+def _bracket(coeffs: Sequence[int], r: float) -> tuple[bool, float]:
+    """Does the quadratic or cubic (integer coefficients, highest first)
+    have, exactly, the sign of its leading coefficient at the lower end of
+    the dyadic bracket r ± _BRACKET·max(1, |r|) and the opposite sign at the
+    upper end?  With simple real roots only, that crossing is the smaller
+    root of a quadratic or the middle root of a cubic, alone in the bracket.
+    Also the Newton step from r, exact and rounded once.
+
+    One homogenised Horner pass at r = n/den gives the Taylor coefficients
+    of den^deg·p at r: P = den^deg·p(r), S = den^(deg−1)·p'(r),
+    C = den^(deg−2)·p''(r)/2 and a cubic's a.  The step is
+    (n·S − P)/(den·S), or r where S = 0.  Over the half-width w/(den·f) the
+    ends' values are positive multiples of E ∓ O: E = P·f² + C·w² and
+    O = S·w·f, or for a cubic E = (P·f² + C·w²)·f and O = (S·f² + a·w²)·w.
+    """
     n, den = r.as_integer_ratio()
+    value, slope, curve, scale = coeffs[0], 0, 0, 1
+    for c in coeffs[1:]:
+        curve, slope = curve * n + slope, slope * n + value
+        scale *= den
+        value = value * n + c * scale
+    step = (n * slope - value) / (den * slope) if slope else r
     width, width_den = (_BRACKET * max(1.0, abs(r))).as_integer_ratio()
-    # both denominators are powers of two: bring them to the larger
-    if width_den > den:
-        n, den = n * (width_den // den), width_den
+    # both denominators are powers of two: bring both to the larger
+    f = max(1, width_den // den)
+    width *= max(1, den // width_den)
+    even = value * f * f + curve * width * width
+    if len(coeffs) == 3:
+        odd = slope * width * f
     else:
-        width *= den // width_den
+        even, odd = even * f, (slope * f * f + coeffs[0] * width * width) * width
     lead = (coeffs[0] > 0) - (coeffs[0] < 0)
-    return _sign_at(coeffs, n - width, den) == lead == -_sign_at(coeffs, n + width, den)
+    low, high = even - odd, even + odd
+    return (low > 0) - (low < 0) == lead == (high < 0) - (high > 0), step
 
 
 def _ordered_root(coeffs: Sequence[int]) -> float:
@@ -797,14 +795,14 @@ def _ordered_root(coeffs: Sequence[int]) -> float:
     shift −b/3a, m = 2√(−p/3) and cos θ = 3q/(p·m) = −sgn(a·R)·√(R²/(−4P³))
     for p = P/3a², q = R/27a³.  Each ratio is rounded once from integers, so
     the scale of the coefficients does not change the guess, and none
-    divides by a rounded zero.  The guess is kept when ``_crosses``
-    certifies its bracket, after one exact Newton step (``_polished``).  A
-    guess whose bracket misses the root — its error grows with the roots'
-    spread, to about √u·spread where acos is near ±1, so a root small
-    beside the others misses — is retried after each of up to
-    ``_NEWTON_RETRIES`` exact Newton steps, which square its relative error;
-    only then does Sturm bisection find the root.  A root is never accepted
-    on float evidence.
+    divides by a rounded zero.  The guess is kept when ``_bracket``
+    certifies its bracket, polished by the exact Newton step the same pass
+    gives, kept only inside the bracket, which holds the root.  A guess
+    whose bracket misses the root — its error grows with the roots' spread,
+    to about √u·spread where acos is near ±1, so a root small beside the
+    others misses — is retried after each of up to ``_NEWTON_RETRIES``
+    such steps, which square its relative error; only then does Sturm
+    bisection find the root.  A root is never accepted on float evidence.
     """
     index = len(coeffs) - 3
     if index == 0:
@@ -814,33 +812,17 @@ def _ordered_root(coeffs: Sequence[int]) -> float:
         guess = c_a / q if q > 0 else q
     else:
         a, b, c, d = coeffs
-        big_p, big_r = 3 * a * c - b * b, 2 * b**3 - 9 * a * b * c + 27 * a * a * d
+        ac, bb, aa = a * c, b * b, a * a
+        big_p, big_r = 3 * ac - bb, (2 * bb - 9 * ac) * b + 27 * aa * d
         cos_theta = math.sqrt(big_r * big_r / (-4 * big_p**3)) * (-1 if a * big_r > 0 else 1)
-        m = 2 * math.sqrt(-big_p / (9 * a * a))
+        m = 2 * math.sqrt(-big_p / (9 * aa))
         guess = -b / (3 * a) + m * math.cos(math.acos(cos_theta) / 3 - 2 * math.pi / 3)
     for _ in range(_NEWTON_RETRIES + 1):
-        if _crosses(coeffs, guess):
-            return _polished(coeffs, guess)
-        guess = _newton_step(coeffs, guess)
+        crosses, step = _bracket(coeffs, guess)
+        if crosses:
+            return step if abs(step - guess) <= _BRACKET * max(1.0, abs(guess)) else guess
+        guess = step
     return _sturm_roots(coeffs)[index]
-
-
-def _newton_step(coeffs: Sequence[int], r: float) -> float:
-    """One Newton step from the float r, in exact integers and rounded once:
-    r − p(r)/p'(r) = (n·S − P)/(den·S) with P = den^deg·p(r) and
-    S = den^(deg−1)·p'(r); r itself where p'(r) = 0."""
-    n, den = r.as_integer_ratio()
-    slope = _scaled_value(_derivative(coeffs), n, den)
-    if slope == 0:
-        return r
-    return (n * slope - _scaled_value(coeffs, n, den)) / (den * slope)
-
-
-def _polished(coeffs: Sequence[int], r: float) -> float:
-    """One Newton step from the bracketed float root r, kept only inside
-    r's bracket, which holds the root."""
-    step = _newton_step(coeffs, r)
-    return step if abs(step - r) <= _BRACKET * max(1.0, abs(r)) else r
 
 
 def _section_eliminant(k: int, y: _PowerSums) -> list[int]:
@@ -866,6 +848,12 @@ def _section_eliminant(k: int, y: _PowerSums) -> list[int]:
     ]
 
 
+@functools.lru_cache(maxsize=256)
+def _face(parts: tuple[int, ...]) -> Face:
+    """The face of a parts tuple, built once per tuple."""
+    return Face(Composition.from_parts(parts))
+
+
 def _closed_form_point(
     k: int, y: _PowerSums, conditions: tuple[int, ...], tol: float
 ) -> FibreSolution:
@@ -882,18 +870,35 @@ def _closed_form_point(
     - d' = 3, Q = 0 < V: the image boundary.  The cubic's double root
       s = (9ad − bc)/(2(b² − 3ac)) is the value repeated k − 1 times: face
       (k−1, 1) when k·s > y_1, else (1, k−1).
+
+    Off the diagonal, a point of size |x| = √y_2 ≈ 2^e < 2^-_SMALL_BITS,
+    with e = ⌊bitlen(Y_2)/2⌋ − bitlen(s), is solved at unit scale: at the
+    exactly rescaled y'_m = 2^(−m·e)·y_m, returned as 2^e·t' with 2^e times
+    the rescaled residual, which bounds every equation's.  Below that size
+    the absolute floors -- 2^-40 of the root's bracket, 2^-55 of Sturm's
+    width, ``make``'s tol -- are no longer small beside the point, and from
+    about 2^-340 on its power sums round to subnormals or to 0.  So the
+    section at the power sums of 2^-j·x is 2^-j times the one at x.  The
+    faces come from ``_face``, one per parts tuple.
     """
     big, scale = y.ints, y.scale
     if len(big) == 1 or k * big[1] == big[0] ** 2:
-        lam, t = (k,), (big[0] / (scale * k),)
-    elif len(big) == 2:
+        return FibreSolution.make(_face((k,)), (big[0] / (scale * k),), y.floats(), tol)
+    shift = big[1].bit_length() // 2 - scale.bit_length()
+    if shift < -_SMALL_BITS:
+        y = _PowerSums([v * 2 ** (-m * shift) for m, v in enumerate(y.exact, start=1)])
+        big, scale = y.ints, y.scale
+    else:
+        shift = 0
+    floats = y.floats()
+    if len(big) == 2:
         v = _ordered_root(_section_eliminant(k, y))
-        lam, t = (1, k - 1), (y.floats[0] - (k - 1) * v, v)
+        lam, t = (1, k - 1), (floats[0] - (k - 1) * v, v)
     elif conditions[0] > 0:
         b = k - 2
         s = _ordered_root(_section_eliminant(k, y))
-        pair_sum = y.floats[0] - b * s
-        pair_gap = math.sqrt(max(2 * (y.floats[1] - b * s * s) - pair_sum**2, 0.0))
+        pair_sum = floats[0] - b * s
+        pair_gap = math.sqrt(max(2 * (floats[1] - b * s * s) - pair_sum**2, 0.0))
         lam, t = (1, b, 1), ((pair_sum + pair_gap) / 2, s, (pair_sum - pair_gap) / 2)
     else:
         a, b, c, d = _section_eliminant(k, y)
@@ -905,7 +910,11 @@ def _closed_form_point(
             lam, t = (k - 1, 1), (num / den, single)
         else:
             lam, t = (1, k - 1), (single, num / den)
-    return FibreSolution.make(Face(Composition.from_parts(lam)), t, y.floats, tol)
+    point = FibreSolution.make(_face(lam), t, floats, tol)
+    if shift:
+        point = FibreSolution(point.face, tuple(math.ldexp(v, shift) for v in point.t),
+                              math.ldexp(point.residual, shift))
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -934,17 +943,20 @@ def arnold_section(
     A point that fails ``image_conditions`` raises before any search.  For
     d' ≤ 3 the answer is the one point of ``_closed_form_point``, on the
     closed maximal face: ``candidates`` is 1, ``ambiguous`` false and
-    ``undecided_boxes`` 0.  For d' ≥ 4 the candidates are the fibre points
-    over every face in comp_kd(k, d'), from ``_face_fibre``.  A point whose
-    grouping pattern is coarser than the face it was found in is the same
-    geometric point as its copy in the coarser face, so candidates within
-    ``_dedup_radius(tol)`` of each other are merged and reported in their
-    minimal face.  Distinct candidates tied in value within tolerance set
-    the ``ambiguous`` flag.  When no face yields a candidate the error says
-    "outside" if every face was certified empty by directed-rounding
-    intervals and "undecided" otherwise.  ``undecided_boxes`` counts the
-    boxes the search could not settle: a face with any may hide a larger
-    value.
+    ``undecided_boxes`` 0.  That path is one straight line of integer work
+    on the once-scaled power sums: the faces are cached per parts tuple, a
+    point smaller than 2^-_SMALL_BITS is solved at unit scale and scaled
+    back, ``make``'s checks run in one pass, and x and p_{d+1} are read off
+    t.  For d' ≥ 4 the candidates are the fibre points over every face in
+    comp_kd(k, d'), from ``_face_fibre``.  A point whose grouping pattern is
+    coarser than the face it was found in is the same geometric point as its
+    copy in the coarser face, so candidates within ``_dedup_radius(tol)`` of
+    each other are merged and reported in their minimal face.  Distinct
+    candidates tied in value within tolerance set the ``ambiguous`` flag.
+    When no face yields a candidate the error says "outside" if every face
+    was certified empty by directed-rounding intervals and "undecided"
+    otherwise.  ``undecided_boxes`` counts the boxes the search could not
+    settle: a face with any may hide a larger value.
     """
     if not d < k:
         raise FibreError(f"section requires d < k, got d={d}, k={k}")
@@ -972,7 +984,7 @@ def arnold_section(
 def _next_power_sum(sol: FibreSolution, d: int) -> float:
     """p_{d+1} at the solution; past the float range a FibreError."""
     try:
-        value = float(sum(w * tv ** (d + 1) for w, tv in zip(sol.face.lam.parts, sol.t)))
+        value = sum([w * tv ** (d + 1) for w, tv in zip(sol.face.lam.parts, sol.t)])
     except OverflowError as exc:
         raise FibreError(_FLOAT_RANGE) from exc
     if not math.isfinite(value):

@@ -176,20 +176,6 @@ def power_sum_rewrite(p: Polynomial, blocks: BlockSpec) -> PowerSumForm:
     return PowerSumForm(arities, Polynomial(max(n_y, 1), terms))
 
 
-def expand_power_sum_form(form: PowerSumForm, blocks: BlockSpec) -> Polynomial:
-    """Inverse direction: substitute p_{i,m} back and expand in the x-variables."""
-    if form.block_arities != blocks.d_primes:
-        raise PolynomialError("form arities do not match the block spec")
-    images = [
-        power_sum_polynomial(blocks, i, m)
-        for i, a in enumerate(form.block_arities)
-        for m in range(1, a + 1)
-    ]
-    if not images:
-        raise PolynomialError("empty power-sum coordinate list")
-    return form.poly.substitute(images)
-
-
 def rewrite_formula(f: ClosedFormula, blocks: BlockSpec) -> ClosedFormula:
     """Rewrite every atom of a block-symmetric formula into power sums.
 

@@ -10,7 +10,9 @@ import pytest
 from orbit_betti import fibres, pipeline
 from orbit_betti.cli import EXIT_ERROR, EXIT_OK, EXIT_UNCERTAIN, main
 from orbit_betti.compositions import Composition
-from orbit_betti.fibres import Face, FibreSearch, FibreSolution, power_sum_vector
+from orbit_betti.fibres import Face, FibreSearch, FibreSolution
+
+from helpers import power_sum_vector
 
 SPHERE_JOB = {
     "k": 3,
@@ -151,6 +153,24 @@ def test_betti_job_file(tmp_path, capsys):
     assert doc["betti"] == [1, 0]
     assert doc["stable"] is True
     assert "timing_seconds" in doc
+
+
+@pytest.mark.parametrize("directory", [False, True], ids=["file", "directory"])
+def test_betti_job_refuses_inline_problem_flags(tmp_path, capsys, directory):
+    """--job FILE or DIR ran the job and dropped an inline flag such as --k
+    without a word: every problem flag next to --job is an error envelope."""
+    job = _job_file(tmp_path, "sphere", SPHERE_JOB)
+    target = str(tmp_path if directory else job)
+    flags = [("--k", "4"), ("--d", "3"), ("--blocks", "2,1"), ("--degrees", "2,1"),
+             ("--formula", "x1 + x2 + x3 = 0"), ("--box", "-1:1,0:1"), ("--resolution", "1/4")]
+    for flag, value in flags:
+        code, doc = run(capsys, "betti", "--job", target, flag, value)
+        assert code == EXIT_ERROR and set(doc) == {"error"}
+        assert flag in doc["error"] and "--job" in doc["error"]
+    code, doc = run(capsys, "betti", "--job", target, "--k", "3", "--resolution", "1/8")
+    assert code == EXIT_ERROR and "--k, --resolution" in doc["error"]
+    code, doc = run(capsys, "betti", "--job", target, "--jobs", "1", "--constant-c", "1")
+    assert code == EXIT_OK
 
 
 def test_betti_inline_flags(capsys):

@@ -29,7 +29,6 @@ from orbit_betti.cubical import (
     MAX_RANK_CELLS,
     boundary,
     build_cubical,
-    cell_dim,
     cell_faces,
     betti_numbers,
     collapsed_cells,
@@ -37,6 +36,8 @@ from orbit_betti.cubical import (
     rank_betti,
     stable_betti,
 )
+
+from helpers import cell_dim
 
 
 def complex_from_tops(ambient_dim: int, tops: list[tuple[int, ...]]) -> CubicalComplex:

@@ -20,7 +20,7 @@ from orbit_betti.compositions import Composition, comp_kd, comp_max, precedes
 from orbit_betti.fibres import (
     _EMPTY,
     _UNIQUE,
-    _crosses,
+    _bracket,
     _krawczyk,
     _ordered_root,
     _section_of,
@@ -36,9 +36,7 @@ from orbit_betti.fibres import (
     image_conditions,
     image_membership,
     is_below_some_maximal,
-    power_sum_vector,
     solve_fibre,
-    weighted_power_sum,
 )
 from orbit_betti.polys import (
     PolynomialError,
@@ -47,6 +45,8 @@ from orbit_betti.polys import (
     float_enclosure,
     parse_polynomial,
 )
+
+from helpers import power_sum_vector, weighted_power_sum
 
 C = Composition.from_parts
 
@@ -577,7 +577,7 @@ def test_ordered_root_is_picked_exactly():
         cubic = _with_roots([Fraction(-2), Fraction(7, 8), Fraction(1, 3)], lead=lead)
         assert _ordered_root(cubic) == 1 / 3
     close = _with_roots([Fraction(1), 1 + Fraction(1, 10**13), Fraction(2)])
-    assert not _crosses(close, 1.0 + 1e-13)
+    assert not _bracket(close, 1.0 + 1e-13)[0]
     root = _ordered_root(close)
     assert root == _sturm_roots(close)[1] == pytest.approx(1.0 + 1e-13, abs=1e-15)
     assert root > 1.0
@@ -585,7 +585,7 @@ def test_ordered_root_is_picked_exactly():
     # 2^-40·|r| holds both, so it comes from Sturm bisection
     million = 10**6
     wide = _with_roots([Fraction(million), million + Fraction(1, 10**7), Fraction(-3 * million)])
-    assert not _crosses(wide, 1e6)
+    assert not _bracket(wide, 1e6)[0]
     root = _ordered_root(wide)
     assert root == _sturm_roots(wide)[1] == pytest.approx(1e6, rel=2**-50)
 
@@ -596,24 +596,24 @@ def test_brackets_are_exactly_their_width():
     run from the leading coefficient's below the root to the opposite one
     above it, which only a quadratic's smaller and a cubic's middle root do."""
     coeffs = _with_roots([Fraction(1), Fraction(3)])
-    assert _crosses(coeffs, 1 + 2**-42)
-    assert _crosses(coeffs, 1 - 2**-41)
-    assert not _crosses(coeffs, 1 + 2**-39)
-    assert not _crosses(coeffs, 1 - 2**-39)
-    assert not _crosses(coeffs, 3 * (1 + 2**-41))
-    assert _crosses([-c for c in coeffs], 1 + 2**-42)
+    assert _bracket(coeffs, 1 + 2**-42)[0]
+    assert _bracket(coeffs, 1 - 2**-41)[0]
+    assert not _bracket(coeffs, 1 + 2**-39)[0]
+    assert not _bracket(coeffs, 1 - 2**-39)[0]
+    assert not _bracket(coeffs, 3 * (1 + 2**-41))[0]
+    assert _bracket([-c for c in coeffs], 1 + 2**-42)[0]
     # beyond |r| = 1 the width is relative
     above_one = _with_roots([Fraction(3), Fraction(5)])
-    assert _crosses(above_one, 3 * (1 + 2**-41))
-    assert not _crosses(above_one, 3 * (1 - 2**-39))
+    assert _bracket(above_one, 3 * (1 + 2**-41))[0]
+    assert not _bracket(above_one, 3 * (1 - 2**-39))[0]
     # a bracket end on the root is no strict sign change
     at_zero = _with_roots([Fraction(0), Fraction(3)])
-    assert _crosses(at_zero, 2**-40 * 0.999)
-    assert not _crosses(at_zero, 2**-40)
+    assert _bracket(at_zero, 2**-40 * 0.999)[0]
+    assert not _bracket(at_zero, 2**-40)[0]
     for lead in (-3, 1):
         cubic = _with_roots([Fraction(-2), Fraction(1, 3), Fraction(7, 8)], lead=lead)
-        assert _crosses(cubic, 1 / 3 + 2**-42)
-        assert not _crosses(cubic, -2.0) and not _crosses(cubic, 7 / 8)
+        assert _bracket(cubic, 1 / 3 + 2**-42)[0]
+        assert not _bracket(cubic, -2.0)[0] and not _bracket(cubic, 7 / 8)[0]
 
 
 def _fraction_sign(coeffs, x):
@@ -995,6 +995,35 @@ def test_section_takes_the_one_ordered_root_at_small_scale():
     assert arnold_section(3, 2, (0, Fraction(1, 10**400))).solution.face.lam.parts == (1, 2)
     tiny = power_sum_vector([Fraction(v, 10**200) for v in (0, 1, 2, 7)], 3)
     assert arnold_section(4, 3, tiny).solution.face.lam.parts == (1, 2, 1)
+
+
+def test_section_of_a_tiny_point_is_the_unit_section_scaled():
+    """At y = (10^-200, 10^-400), k = 3, y_2 rounds to 0 and the section
+    was x ≈ (−6.9e-18, −6.9e-18, 1.4e-17); at the power sums of (0, 1, 2,
+    7)·10^-200 it was a point out of chamber order.  A point below
+    2^-_SMALL_BITS is solved at unit scale and scaled back, so the section
+    at the power sums of 2^-j·x is 2^-j times the section at x, bit for
+    bit, on seeded points of every d' ≤ 3 branch."""
+    result = arnold_section(3, 2, (Fraction(1, 10**200), Fraction(1, 10**400)))
+    assert result.solution.face.lam.parts == (1, 2)
+    assert result.x == pytest.approx((0.0, 0.0, 1e-200), rel=1e-12, abs=1e-212)
+    assert result.solution.residual <= 1e-9 * 1e-200
+    rng = random.Random(20261020)
+    points = [(4, 3, [0, 1, 2, 7])]
+    for i in range(60):
+        k, den = rng.randint(3, 7), rng.choice([1, 3, 7, 64])
+        x = sorted(Fraction(rng.randint(-9 * den, 9 * den), den) for _ in range(k))
+        if i % 4 == 1:
+            x = [x[0]] * (k - 1) + [x[-1]]  # two values: Q = 0 when d = 3
+        points.append((k, 1 + i % min(3, k - 1), x))
+    for k, d, x in points:
+        unit = arnold_section(k, d, power_sum_vector(x, d))
+        for j in (30, 350, 700):
+            tiny = arnold_section(k, d, power_sum_vector([v / 2**j for v in x], d))
+            assert tiny.solution.face == unit.solution.face, (k, d, x, j)
+            assert tiny.solution.t == tuple(v * 2.0**-j for v in unit.solution.t), (k, d, x, j)
+            assert tiny.x == tuple(v * 2.0**-j for v in unit.x)
+            assert list(tiny.x) == sorted(tiny.x)
 
 
 def test_non_finite_power_sums_are_a_polynomial_error():

@@ -902,18 +902,22 @@ def test_a_searched_block_never_settles_a_tile_inside(monkeypatch):
 
 
 def test_tile_codes_agree_with_exact_evaluation_at_every_cell_centre(monkeypatch):
-    """Seeded and/or trees over the pool polynomials, whose zeros (and the
-    thickened equalities' ±τ) fall exactly on cell centres, tile edges
-    included: the centres are the multiples of 1/8 and the clip boxes are
-    shifted by whole cells, so tiles start at other centres.  Wherever the
-    oracle settles a tile, the exact thickened formula has that value at
-    each of the tile's cell centres.  The grids are tiled whatever their
+    """Seeded and/or trees over the pool polynomials.  A tree with a linear
+    equality P (x1 + x2 − 1 or 1/3·x1 − 1/3·x2, whose slope does not depend
+    on the box) takes the step h = 2τ/L_P, τ ∈ {1/8, 1/10}, so that its
+    band edge is exactly τ, and a box whose cell centres include a point
+    with P = ±τ: every centre on that line is a tie.  The other trees take
+    h = 1/8, where the pool's zeros fall on the centres, multiples of 1/8.
+    The clip boxes are shifted by whole cells, so tiles start at other
+    centres.  Wherever the oracle settles a tile, the exact thickened
+    formula has that value at each of the tile's cell centres, ties
+    included, and ties are met.  The grids are tiled whatever their
     size."""
     monkeypatch.setattr(cubical, "_TILED_CELLS", 0)
     rng = random.Random(19)
-    h = Fraction(1, 8)
+    linear = {parse_polynomial(text, 2): text for text in ("x1 + x2 - 1", "1/3*x1 - 1/3*x2")}
     settled = {0: 0, 1: 0}
-    trees = 0
+    trees = ties = 0
     while trees < 40:
         root = _random_tree(rng, 3)
         if root.kind == "atom":
@@ -921,7 +925,21 @@ def test_tile_codes_agree_with_exact_evaluation_at_every_cell_centre(monkeypatch
         trees += 1
         formula = ClosedFormula(2, root)
         counts = [rng.randint(9, 22), rng.randint(9, 22)]
-        lows = [Fraction(rng.randint(-16, -4), 8) - h / 2 for _ in counts]
+        equalities = sorted(
+            {a.poly for a in formula.atoms() if a.relation == "=" and a.poly in linear},
+            key=Polynomial.to_text,
+        )
+        if equalities:
+            poly = rng.choice(equalities)
+            tau = rng.choice([Fraction(1, 8), Fraction(1, 10)]) * rng.choice([-1, 1])
+            h = 2 * abs(tau) / Fraction(_CompiledAtom(SignAtom(poly, "="), 0, [1.0, 1.0]).slope)
+            a = Fraction(rng.randint(-8, 8), 8)
+            tie = [a, 1 + tau - a] if linear[poly] == "x1 + x2 - 1" else [a, a - 3 * tau]
+            assert evaluate_polynomial(poly, tie) == tau
+            lows = [c - (rng.randrange(m) + Fraction(1, 2)) * h for c, m in zip(tie, counts)]
+        else:
+            h = Fraction(1, 8)
+            lows = [Fraction(rng.randint(-16, -4), 8) - h / 2 for _ in counts]
         box = [(lo, lo + m * h) for lo, m in zip(lows, counts)]
         oracle = _QuotientOracle(formula, box, h, [])
         seen = []
@@ -935,7 +953,8 @@ def test_tile_codes_agree_with_exact_evaluation_at_every_cell_centre(monkeypatch
         build_cubical(Recording(), box, h)
         tiles, radius, codes = seen[0]
         assert radius > 0
-        thickened = ClosedFormula(2, _thickened(formula.root, _taus(oracle.root)))
+        taus = _taus(oracle.root)
+        thickened = ClosedFormula(2, _thickened(formula.root, taus))
         tile_counts = [math.ceil(m / 4) for m in counts]
         for (t1, t2), code in zip(np.ndindex(*tile_counts), codes.tolist()):
             if code == 2:
@@ -945,4 +964,6 @@ def test_tile_codes_agree_with_exact_evaluation_at_every_cell_centre(monkeypatch
                 for j in range(4 * t2, min(4 * t2 + 4, counts[1])):
                     centre = [lows[0] + h / 2 + i * h, lows[1] + h / 2 + j * h]
                     assert evaluate_formula(thickened, centre) == (code == 1)
+                    ties += sum(abs(evaluate_polynomial(p, centre)) == t for p, t in taus.items())
+    assert ties > 0
     assert settled[0] > 100 and settled[1] > 100

@@ -24,11 +24,12 @@ from orbit_betti.powersums import (
     PowerSumForm,
     SymmetryError,
     check_symmetric,
-    expand_power_sum_form,
     power_sum_polynomial,
     power_sum_rewrite,
     rewrite_formula,
 )
+
+from helpers import expand_power_sum_form
 
 # ---------------------------------------------------------------------------
 # symmetry check
