@@ -22,7 +22,6 @@ from orbit_betti.polys import (
     ParseError,
     Polynomial,
     PolynomialError,
-    Rational,
     SignAtom,
     evaluate_formula,
     evaluate_polynomial,
@@ -84,7 +83,6 @@ __all__ = [
     "PowerSumForm",
     "ProblemSpec",
     "QuotientReport",
-    "Rational",
     "SectionResult",
     "SignAtom",
     "SymmetryError",

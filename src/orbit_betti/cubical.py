@@ -59,6 +59,7 @@ reported values serve for either reading.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -189,8 +190,10 @@ class CubicalComplex:
                 out.setdefault(n - len(axes), set()).update(map(tuple, codes.tolist()))
         return out
 
+    @functools.cached_property
     def _counts(self) -> list[int]:
-        """The number of cells of K of each dimension 0..n."""
+        """The number of cells of K of each dimension 0..n, from one walk of
+        the layers per complex (``top`` is not changed once built)."""
         n = self.ambient_dim
         counts = [0] * (n + 1)
         for axes, layer in _closure_layers(self.top):
@@ -198,13 +201,13 @@ class CubicalComplex:
         return counts
 
     def cell_count(self, q: int) -> int:
-        return self._counts()[q]
+        return self._counts[q]
 
     def total_cells(self) -> int:
-        return sum(self._counts())
+        return sum(self._counts)
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** q * count for q, count in enumerate(self._counts()))
+        return sum((-1) ** q * count for q, count in enumerate(self._counts))
 
 
 class GridOracle(Protocol):

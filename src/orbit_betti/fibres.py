@@ -235,10 +235,19 @@ def _solve_linear(a: list[list[float]], b: list[float]) -> list[float] | None:
     return [m[i][n] / m[i][i] for i in range(n)]
 
 
+def _left_sum(terms) -> float:
+    """The float sum of ``terms``, added left to right on every Python
+    version (``sum`` compensates float sums from 3.12 on)."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def _residual_vector(parts: tuple[int, ...], t: list[float], y: list[float]) -> list[float]:
     out = []
     for m in range(1, len(y) + 1):
-        out.append(sum(w * tv**m for w, tv in zip(parts, t)) - y[m - 1])
+        out.append(_left_sum(w * tv**m for w, tv in zip(parts, t)) - y[m - 1])
     return out
 
 
@@ -272,13 +281,13 @@ def _gauss_newton(
         # normal equations with damping: (JᵀJ + μI) δ = -Jᵀ r
         a = [
             [
-                sum(jac[m][i] * jac[m][j] for m in range(len(y)))
+                _left_sum(jac[m][i] * jac[m][j] for m in range(len(y)))
                 + (mu if i == j else 0.0)
                 for j in range(ell)
             ]
             for i in range(ell)
         ]
-        b = [-sum(jac[m][i] * res[m] for m in range(len(y))) for i in range(ell)]
+        b = [-_left_sum(jac[m][i] * res[m] for m in range(len(y))) for i in range(ell)]
         delta = _solve_linear(a, b)
         if delta is None:
             mu = max(mu * 10.0, 1e-10)
@@ -609,10 +618,13 @@ def _moment_verdict(
     """Check y and tol against (k, d) and decide ``image_conditions`` exactly.
 
     Returns the scaled power sums, the conditions' integer values at them,
-    and INSIDE or OUTSIDE when the conditions decide (always for d' ≤ 3),
-    else None.  The conditions are evaluated in integers on Y_m = s^m·y_m: a
-    condition of weighted degree w (2 for V, 6 for the d' = 3 one) is
-    s^w > 0 times its value at y, so its sign is the same.
+    and INSIDE or OUTSIDE when they decide, else None.  They decide for
+    d' ≤ 3, and for d' ≥ 4 when V = k·Y_2 − Y_1² is 0: V is s² times
+    Σ_{i<j} (x_i − x_j)², so x is the diagonal (y_1/k, …, y_1/k), and y is
+    inside iff Y_m·k^(m−1) = Y_1^m for every m.  The conditions are
+    evaluated in integers on Y_m = s^m·y_m: a condition of weighted degree w
+    (2 for V, 6 for the d' = 3 one) is s^w > 0 times its value at y, so its
+    sign is the same.
     """
     if k < 1 or d < 1:
         raise FibreError("k and d must be positive")
@@ -625,6 +637,10 @@ def _moment_verdict(
     conditions = _moment_conditions(k, d_prime, sums.ints)
     if min(conditions, default=0) < 0:
         return sums, conditions, OUTSIDE
+    big = sums.ints
+    if d_prime >= 4 and k * big[1] == big[0] ** 2:
+        diagonal = all(v * k ** m == big[0] ** (m + 1) for m, v in enumerate(big))
+        return sums, conditions, INSIDE if diagonal else OUTSIDE
     return sums, conditions, INSIDE if d_prime <= 3 else None
 
 
@@ -984,7 +1000,7 @@ def arnold_section(
 def _next_power_sum(sol: FibreSolution, d: int) -> float:
     """p_{d+1} at the solution; past the float range a FibreError."""
     try:
-        value = sum([w * tv ** (d + 1) for w, tv in zip(sol.face.lam.parts, sol.t)])
+        value = _left_sum(w * tv ** (d + 1) for w, tv in zip(sol.face.lam.parts, sol.t))
     except OverflowError as exc:
         raise FibreError(_FLOAT_RANGE) from exc
     if not math.isfinite(value):

@@ -19,25 +19,23 @@ counts orbits of finite configurations two ways.
 Both grids sample one closed formula, the region: in image space the
 rewritten formula ∧ the per-block ``fibres.image_conditions``, which define
 the image of the chamber for d' ≤ 3; in x-space the formula ∧ the chamber
-order x_{i+1} − x_i ≥ 0.  Every atom of the region is decided exactly at the
-(float) grid centers: one pass over its terms gives both the float value and
-an a-priori rounding band; the value decides outside the band, and
-fractions decide inside it.  Only a block with d' ≥ 4 sends the points in
-the region to the fibre solver.  The reported homology is that of the
-clipped, thickened set; callers pick clip boxes large enough to contain the
-region of interest.
+order x_{i+1} − x_i ≥ 0.  The grid asks about cell centres (radius 0) and
+first about tile centres (radius r > 0, ``build_cubical``).  At every radius
+the region is walked on one order, false 0 < not settled 1 < true 2 (``and``
+the minimum, ``or`` the maximum), mapped once to the grid codes.  One pass
+over an atom's terms gives its float value and an a-priori rounding band;
+the value decides outside the band, and inside it the atom is decided in
+fractions at r = 0 and is "not settled" at r > 0.  A block with d' ≥ 4 sends
+the cells in the region to the fibre solver and never lets a tile be settled
+inside.  The reported homology is that of the clipped, thickened set;
+callers pick clip boxes large enough to contain the region of interest.
 
 Each atom carries one bound, L_P = Σ_terms Σ_j |c|·e_j·Π_i M_i^(e_i − [i=j])
 with M_i = max(|lo_i|, |hi_i|), rounded up: it bounds the ℓ¹ norm of ∇P on
 the box, so |P(x) − P(c)| ≤ L_P·‖x − c‖∞ for x and c in the box.  It serves
 twice.  An equality P = 0 is sampled as the closed shell |P| ≤ τ with
 τ = (h/2)·L_P (h/2 when L_P = 0), so every grid cell meeting {P = 0}
-contributes its center.  And the grid settles whole tiles of cells first
-(``build_cubical``): asked about a tile centre c at radius r, an atom widens
-its band by L_P·r, and a centre inside the widened band is "not settled".
-The formula is then walked three-valued, on the order false < not settled <
-true (``and`` the minimum, ``or`` the maximum), and a d' ≥ 4 block never
-lets a tile be settled inside.
+contributes its center.  And at radius r the band is widened by L_P·r.
 """
 
 from __future__ import annotations
@@ -154,9 +152,9 @@ class _CompiledAtom:
     for the rounding of the magnitude and of the comparisons, plus an
     underflow allowance per step; N counts one step more than the path, as
     the magnitude sums rounded terms.  ``mask`` decides in float outside the
-    band around the threshold (0, or ±τ for a thickened equality) and in
-    ``Fraction`` inside it, once per distinct tuple of the values of the
-    columns the atom uses.
+    band around the threshold (0, or ±τ for a thickened equality) and, at
+    radius 0, in ``Fraction`` inside it, once per distinct tuple of the
+    values of the columns the atom uses.
 
     ``slope`` = L_P = Σ_terms Σ_j |c|·e_j·Π_i M_i^(e_i − [i=j]), rounded up,
     with M_i = ``reach[i]`` ≥ |x_i| on the box, bounds the ℓ¹ norm of ∇P
@@ -226,9 +224,9 @@ class _CompiledAtom:
         return value, magnitude
 
     def mask(self, cols: Sequence[np.ndarray], radius: float = 0.0) -> np.ndarray:
-        """Truth values, or for radius r > 0 the walk's codes (false 0, not
-        settled 1, true 2) with the band widened by L_P·r, rounded up with
-        room for its addition to the band."""
+        """The walk's codes, false 0 < not settled 1 < true 2.  At radius
+        r > 0 the band, widened by L_P·r (rounded up with room for its
+        addition to the band), answers 1; at r = 0 it is decided exactly."""
         value, err = self.evaluate(cols)
         if radius:
             err += round_up(self.slope * radius * (1 + 4 * _UNIT_ROUNDOFF))
@@ -240,18 +238,16 @@ class _CompiledAtom:
         else:
             out = value >= 0.0 if self.atom.relation == ">=" else value <= 0.0
             band = np.abs(value, out=value) <= err
-        if radius:
-            codes = out.view(np.int8) * np.int8(2)
-            codes[band] = 1
-            return codes
+        codes = out.view(np.int8)
+        codes *= 2
         rows = np.flatnonzero(band)
         if rows.size:
-            out[rows] = self._exact(cols, rows)
-        return out
+            codes[rows] = 1 if radius else self._exact(cols, rows)
+        return codes
 
     def _exact(self, cols: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray:
-        """Exact verdicts at ``rows``, one per distinct tuple of the values of
-        the columns the atom uses, scattered back to every row."""
+        """Exact codes, false 0 or true 2, at ``rows``: one per distinct tuple
+        of the values of the columns the atom uses, scattered to every row."""
         poly = self.atom.poly
         point = [Fraction(0)] * poly.var_count
         keys = np.column_stack([cols[i][rows] for i in self.used] or [np.zeros(rows.size)])
@@ -263,8 +259,8 @@ class _CompiledAtom:
         for key in keys[first].tolist():
             for i, v in zip(self.used, key):
                 point[i] = Fraction(v)
-            verdicts.append(self.test(evaluate_polynomial(poly, point)))
-        return np.array(verdicts)[inverse]
+            verdicts.append(2 if self.test(evaluate_polynomial(poly, point)) else 0)
+        return np.array(verdicts, dtype=np.int8)[inverse]
 
 
 def _compile(
@@ -280,51 +276,46 @@ def _compile(
 
 
 def _walk(node: _CompiledAtom | tuple, cols: list[np.ndarray], radius: float) -> np.ndarray:
-    """Values of a compiled subtree on the order false < not settled < true
-    (booleans at radius 0, 0 < 1 < 2 above): an ``and`` takes the minimum
-    of its children and an ``or`` the maximum, and each later child is
-    evaluated only where the result can still change — where it is not
-    false for an ``and``, not true for an ``or`` — on the columns gathered
-    at those points."""
+    """Codes of a compiled subtree on the order false 0 < not settled 1 <
+    true 2: an ``and`` takes the minimum of its children and an ``or`` the
+    maximum, and each later child is evaluated only where the result can
+    still change — where it is not false for an ``and``, not true for an
+    ``or`` — on the columns gathered at those points."""
     if isinstance(node, _CompiledAtom):
         return node.mask(cols, radius)
     is_and, children = node
     out = _walk(children[0], cols, radius)
-    top = 2 if radius else True
     for child in children[1:]:
-        open_ = np.flatnonzero(out if is_and else out != top)
+        open_ = np.flatnonzero(out != (0 if is_and else 2))
         if open_.size:
             found = _walk(child, [c[open_] for c in cols], radius)
-            if radius:
-                found = (np.minimum if is_and else np.maximum)(out[open_], found)
-            out[open_] = found
+            out[open_] = (np.minimum if is_and else np.maximum)(out[open_], found)
     return out
 
 
 def _formula_mask(
     root: _CompiledAtom | tuple, points: np.ndarray, radius: float = 0.0
 ) -> np.ndarray:
-    """Exact truth values of a compiled formula (``_compile``) at an (N, k)
-    float array; for radius r > 0, the grid codes of the points of the box
-    within ∞-distance r of each point.
+    """The grid codes of a compiled formula (``_compile``) at an (N, k)
+    float array, 0 outside, 1 inside, 2 not settled: at radius 0 of each
+    point (always 0 or 1), at radius r > 0 of every point of the box within
+    ∞-distance r of it.
 
-    Each atom's value and rounding band come from one pass over its terms,
-    and it is decided in float outside the band and exactly inside it (at
-    r > 0, the band widened by L_P·r answers "not settled").  The walk
-    short-circuits: an atom is evaluated only at the points where it can
-    still change the answer.  It takes the points ``_WALK_ROWS`` at a time,
-    each block as k columns, which are contiguous when ``points`` is the
-    transpose of a (k, N) array, as ``build_cubical`` hands it over.
+    The walk (``_walk``) short-circuits: an atom is evaluated only at the
+    points where it can still change the answer.  It takes the points
+    ``_WALK_ROWS`` at a time, each block as k columns, which are contiguous
+    when ``points`` is the transpose of a (k, N) array, as ``build_cubical``
+    hands it over.
     """
-    out = np.empty(len(points), dtype=np.int8 if radius else bool)
+    out = np.empty(len(points), dtype=np.int8)
     for start in range(0, len(points), _WALK_ROWS):
         stop = min(start + _WALK_ROWS, len(points))
         cols = [points[start:stop, i] for i in range(points.shape[1])]
         out[start:stop] = _walk(root, cols, radius)
-    if radius:
-        # the walk's false 0 < not settled 1 < true 2 as codes 0, 2, 1
-        out = (3 - out) % 3
-    return out
+    # the walk's false 0 < not settled 1 < true 2 as the grid codes 0, 2, 1
+    codes = (out == 2).view(np.int8)
+    codes[out == 1] = 2
+    return codes
 
 
 def _image_region(
@@ -378,16 +369,14 @@ class _QuotientOracle:
         self.searched = searched
 
     def batch(self, points: np.ndarray, radius: float = 0.0) -> np.ndarray:
-        """The grid codes; at radius r > 0 a searched block never answers
-        inside."""
-        if radius:
-            codes = _formula_mask(self.root, points, radius)
-            if self.searched:
-                codes[codes == 1] = 2
-            return codes
-        codes = _formula_mask(self.root, points).astype(np.int8)
-        if self.searched:
-            for idx in np.flatnonzero(codes):
+        """The grid codes of ``_formula_mask``; a searched block never lets
+        a tile be settled inside, and decides each cell inside the formula
+        with ``image_membership``."""
+        codes = _formula_mask(self.root, points, radius)
+        if self.searched and radius:
+            codes[codes == 1] = 2
+        elif self.searched:
+            for idx in np.flatnonzero(codes == 1):
                 row = points[idx]
                 for k, d, lo, hi in self.searched:
                     verdict = image_membership(k, d, [float(v) for v in row[lo:hi]])

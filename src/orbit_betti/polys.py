@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str, float]
 
 RELATIONS = (">=", "<=", "=")
@@ -186,18 +185,6 @@ class Polynomial:
             return 0
         idx = [i - 1 for i in var_indices]
         return max(sum(e[i] for i in idx) for e in self.terms)
-
-    def derivative(self, index: int) -> "Polynomial":
-        """Partial derivative with respect to x_{index} (1-based)."""
-        i = index - 1
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for expo, coeff in self.terms.items():
-            if expo[i] == 0:
-                continue
-            new = list(expo)
-            new[i] -= 1
-            terms[tuple(new)] = coeff * expo[i]
-        return Polynomial(self.var_count, terms)
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Compose: replace x_i by images[i-1] (all in a common target space)."""

@@ -7,6 +7,7 @@ expected values; the solver must reproduce them to tolerance.
 
 import math
 import random
+import time
 import types
 from fractions import Fraction
 
@@ -1108,16 +1109,41 @@ def test_one_part_face_beyond_d3_keeps_an_absolute_residual(monkeypatch):
     y = (5000, 5 * 10**6, 5 * 10**9, 5 * 10**12 - 1)
     assert solve_fibre(C((5,)), y) == fibres.FibreSearch((), 0)
     # the faces with ℓ ≥ 2 take minutes to search this close to the diagonal:
-    # they answer "undecided" here, so that only the (5) face is searched
+    # should the search be reached, they answer "undecided" here
     search = fibres.solve_fibre
 
     def one_part_only(lam, y, tol=1e-9):
         return search(lam, y, tol=tol) if lam.length == 1 else fibres.FibreSearch((), 1)
 
     monkeypatch.setattr(fibres, "solve_fibre", one_part_only)
-    assert image_membership(5, 4, y) == UNDECIDED
-    with pytest.raises(FibreError, match="undecided"):
+    assert image_membership(5, 4, y) == OUTSIDE
+    with pytest.raises(FibreError, match="outside"):
         arnold_section(5, 4, y)
+
+
+def test_d4_points_with_zero_variance_are_decided_on_the_diagonal(monkeypatch):
+    """V = k·p_2 − p_1² = Σ_{i<j} (x_i − x_j)² = 0 forces x = (2, …, 2) at
+    (p_1, p_2) = (10, 20), k = 5, so y is in the image iff p_3 = 40 and
+    p_4 = 80.  The face search takes minutes this close to the diagonal;
+    these points are decided in integers, with no search, in well under a
+    second."""
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("solve_fibre called")
+
+    monkeypatch.setattr(fibres, "solve_fibre", no_search)
+    start = time.perf_counter()
+    for c in (2, 100, 1000, 10**4):
+        y = (10, 20, 40, 80 - Fraction(1, c))
+        assert image_membership(5, 4, y) == OUTSIDE
+        with pytest.raises(FibreError, match="outside"):
+            arnold_section(5, 4, y)
+    assert image_membership(5, 4, (10, 20, 40, 80)) == INSIDE
+    result = arnold_section(5, 4, (10, 20, 40, 80))
+    assert result.solution.face.lam.parts == (5,)
+    assert (result.candidates, result.ambiguous, result.undecided_boxes) == (1, False, 0)
+    assert result.x == (2.0,) * 5 and result.value == 160.0
+    assert time.perf_counter() - start < 1.0
 
 
 def test_section_searches_faces_only_beyond_d3(monkeypatch):

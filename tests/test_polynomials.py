@@ -151,11 +151,8 @@ def test_float_batch_matches_exact(p, data):
         assert abs(Fraction(row) - exact) <= Fraction(err)
 
 
-def test_derivative_and_substitute():
+def test_substitute():
     p = parse_polynomial("x1^3*x2 + 2*x2^2", 2)
-    assert p.derivative(1) == parse_polynomial("3*x1^2*x2", 2)
-    assert p.derivative(2) == parse_polynomial("x1^3 + 4*x2", 2)
-
     # substitute x1 -> t^2, x2 -> t + 1 (single variable t named x1)
     t = Polynomial.variable(1, 1)
     composed = p.substitute([t**2, t + 1])
