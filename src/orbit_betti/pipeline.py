@@ -455,10 +455,15 @@ def bounds_report(blocks: BlockSpec, s: int, constant_c: float = 1.0) -> BoundsR
     omega = blocks.omega
 
     optm_algebraic = d_max * (2 * d_max - 1) ** (k_total - 1)
-    optm_closed = 0
-    for i in range(k_total + 1):
-        for j in range(1, k_total - i + 1):
-            optm_closed += math.comb(s + 1, j) * 6**j * optm_algebraic
+    # optm_closed sums C(s+1, j)·6^j·optm_algebraic over i ≤ k and
+    # 1 ≤ j ≤ k − i.  With t = k − i the inner sum is partial[min(t, s+1)];
+    # C(s+1, j) = 0 beyond s + 1, so each of the k − s values t > s gives
+    # partial[s+1] = 7^(s+1) − 1.
+    partial = [0]
+    for j in range(1, s + 2):
+        partial.append(partial[-1] + math.comb(s + 1, j) * 6**j)
+    outer = sum(partial[: min(k_total, s) + 1]) + max(0, k_total - s) * partial[-1]
+    optm_closed = outer * optm_algebraic
 
     multi = c**k_total * s**k_total * omega ** (3 * k_total)
     for k_i, d_i in zip(blocks.block_sizes, blocks.degree_caps):

@@ -10,7 +10,10 @@ defining family of a formula is syntactic).
 Formulas are *closed*: atoms are ``P >= 0``, ``P <= 0`` or ``P = 0`` combined
 with ``and`` / ``or`` only.  Negations and strict inequalities are rejected at
 parse time — the sets we feed to the homology stages must be closed, and the
-quotient theory downstream is stated for exactly this class.
+quotient theory downstream is stated for exactly this class.  One
+precedence-climbing pass reads polynomials and formulas alike, on one table
+of binding powers: or < and < relations < + − < * < unary sign < ^ (README,
+*Formula syntax*).
 
 The package's one interval arithmetic (directed-rounding floats: the fibre
 solver's box tests) and its one exact elimination (a sparse ``Fraction``
@@ -21,6 +24,7 @@ too.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -587,255 +591,149 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TWO_CHAR = (">=", "<=")
-# open "(" and unary "-" at any point of a parse; each level costs the
-# recursive descent at most four stack frames, far below Python's limit
+# open "(" and unary signs at any point of a parse; a level costs at most
+# six stack frames (one per binding power climbed), about 600 in all
 MAX_NESTING = 100
 
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Yield (kind, value, position); kinds: num, var, kw, op."""
-    tokens: list[tuple[str, str, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text[i : i + 2] in _TWO_CHAR:
-            tokens.append(("op", text[i : i + 2], i))
-            i += 2
-            continue
-        if ch in "+-*^()=/,":
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch in "<>":
-            raise ParseError(
-                f"strict inequality {ch!r} rejected: only closed relations >=, <=, = are allowed",
-                i,
-            )
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word in ("and", "or", "not"):
-                tokens.append(("kw", word, i))
-            else:
-                tokens.append(("var", word, i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    return tokens
+_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|(>=|<=|[-+*^()=/,])|(\S))")
+# binding power of each infix operator, loosest first; a unary sign binds at
+# _SIGN, and a literal n/m and a power "^ n" bind to the operand they follow,
+# tighter than anything here
+_BINDING = {"or": 1, "and": 2, ">=": 3, "<=": 3, "=": 3, "+": 4, "-": 4, "*": 5}
+_SIGN = 6
+_CONNECTIVES = ("and", "or")
 
 
-class _Parser:
-    """Recursive descent over the token list.
+class _Climb:
+    """One precedence-climbing pass (Pratt, POPL 1973) over a text's tokens.
 
-    Grammar (or binds loosest):
-        formula  := conj ("or" conj)*
-        conj     := clause ("and" clause)*
-        clause   := "(" formula ")" | poly rel const
-        rel      := ">=" | "<=" | "="
-        poly     := signed term (("+"|"-") term)*
-        term     := factor ("*" factor)*
-        factor   := base ("^" nat)?
-        base     := "(" poly ")" | "-" base | x<int> | literal
-        literal  := nat ("/" nat)?
-
-    ``depth`` counts the "(" and unary "-" open at the cursor; more than
-    MAX_NESTING is a ParseError at the token that opens one too many.
+    ``expr(rbp)`` reads one operand, then every infix operator that binds
+    tighter than ``rbp`` and fits the operand read so far: ``and``/``or``
+    join formulas, a relation and arithmetic take polynomials.  A relation
+    yields a formula, so relations do not chain; a run of one connective is
+    one node, and a parenthesised run stays its own.  ``depth`` counts the
+    "(" and unary signs open at the cursor; more than MAX_NESTING is a
+    ParseError at the token that opens one too many.
     """
 
-    def __init__(self, tokens: list[tuple[str, str, int]], k: int, text_len: int):
-        self.tokens = tokens
-        self.k = k
-        self.pos = 0
-        self.depth = 0
-        self.text_len = text_len
+    def __init__(self, text: str, k: int):
+        if k < 1:
+            raise ParseError("k must be >= 1 (degenerate variable count rejected)", 0)
+        self.k, self.at, self.depth = k, 0, 0
+        self.tokens: list[tuple[str, str, int]] = []  # (kind, value, position)
+        for match in _TOKEN.finditer(text):
+            num, name, op, other = match.groups()
+            position = match.start(match.lastindex)
+            if other in ("<", ">"):
+                raise ParseError(
+                    f"strict inequality {other!r} rejected: only closed relations >=, <=, = are allowed",
+                    position,
+                )
+            if other is not None:
+                raise ParseError(f"unexpected character {other!r}", position)
+            if name == "not":
+                raise ParseError("negation rejected: formulas must be negation-free", position)
+            kind = "num" if num else "name" if name and name not in _CONNECTIVES else "op"
+            self.tokens.append((kind, num or name or op, position))
+        self.tokens.append(("end", "", len(text)))
 
-    def _peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _next(self) -> tuple[str, str, int]:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.text_len)
-        self.pos += 1
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.at]
+        if tok[0] == "end":
+            raise ParseError("unexpected end of input", tok[2])
+        self.at += 1
         return tok
 
-    def _expect_op(self, value: str) -> None:
-        tok = self._next()
-        if tok[0] != "op" or tok[1] != value:
-            raise ParseError(f"expected {value!r}, found {tok[1]!r}", tok[2])
+    def done(self) -> None:
+        kind, value, position = self.tokens[self.at]
+        if kind != "end":
+            raise ParseError(f"trailing input {value!r}", position)
 
-    def _open(self, tok: tuple[str, str, int]) -> None:
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok[2])
+    def formula(self, operand: "Polynomial | FormulaNode") -> FormulaNode:
+        """``operand`` where a formula stands: a polynomial there lacks its relation."""
+        if isinstance(operand, FormulaNode):
+            return operand
+        _, value, position = self.next()
+        raise ParseError(f"expected a relation >=, <= or =, found {value!r}", position)
 
-    # formula level ----------------------------------------------------
-
-    def parse_formula(self) -> FormulaNode:
-        node = self.parse_conj()
-        parts = [node]
-        while True:
-            tok = self._peek()
-            if tok is not None and tok[0] == "kw" and tok[1] == "or":
-                self._next()
-                parts.append(self.parse_conj())
-            else:
-                break
-        if len(parts) == 1:
-            return parts[0]
-        return FormulaNode("or", children=tuple(parts))
-
-    def parse_conj(self) -> FormulaNode:
-        parts = [self.parse_clause()]
-        while True:
-            tok = self._peek()
-            if tok is not None and tok[0] == "kw" and tok[1] == "and":
-                self._next()
-                parts.append(self.parse_clause())
-            else:
-                break
-        if len(parts) == 1:
-            return parts[0]
-        return FormulaNode("and", children=tuple(parts))
-
-    def parse_clause(self) -> FormulaNode:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.text_len)
-        if tok[0] == "kw" and tok[1] == "not":
-            raise ParseError("negation rejected: formulas must be negation-free", tok[2])
-        if tok[0] == "op" and tok[1] == "(":
-            # Could be a parenthesised formula or a parenthesised polynomial:
-            # try the formula route first and fall back on failure.
-            save = self.pos, self.depth
-            try:
-                self._open(self._next())
-                inner = self.parse_formula()
-                self._expect_op(")")
-                self.depth -= 1
-                return inner
-            except ParseError:
-                self.pos, self.depth = save
-        return self.parse_atom()
-
-    def parse_atom(self) -> FormulaNode:
-        poly = self.parse_poly()
-        tok = self._next()
-        if tok[0] == "kw" and tok[1] == "not":
-            raise ParseError("negation rejected: formulas must be negation-free", tok[2])
-        if tok[0] != "op" or tok[1] not in RELATIONS:
-            raise ParseError(f"expected a relation >=, <= or =, found {tok[1]!r}", tok[2])
-        relation = tok[1]
-        rhs = self.parse_poly()
-        if rhs.total_degree() > 0:
-            raise ParseError(
-                "relation right-hand side must be a rational constant", tok[2]
-            )
-        return FormulaNode("atom", atom=SignAtom(poly - rhs, relation))
-
-    # polynomial level ---------------------------------------------------
-
-    def parse_poly(self) -> Polynomial:
-        sign = Fraction(1)
-        tok = self._peek()
-        while tok is not None and tok[0] == "op" and tok[1] in "+-":
-            self._next()
-            if tok[1] == "-":
-                sign = -sign
-            tok = self._peek()
-        poly = self.parse_term() * sign
-        while True:
-            tok = self._peek()
-            if tok is not None and tok[0] == "op" and tok[1] in "+-":
-                self._next()
-                term = self.parse_term()
-                poly = poly + term if tok[1] == "+" else poly - term
-            else:
-                break
-        return poly
-
-    def parse_term(self) -> Polynomial:
-        poly = self.parse_factor()
-        while True:
-            tok = self._peek()
-            if tok is not None and tok[0] == "op" and tok[1] == "*":
-                self._next()
-                poly = poly * self.parse_factor()
-            else:
-                break
-        return poly
-
-    def parse_factor(self) -> Polynomial:
-        base = self.parse_base()
-        tok = self._peek()
-        if tok is not None and tok[0] == "op" and tok[1] == "^":
-            self._next()
-            etok = self._next()
-            if etok[0] != "num":
-                raise ParseError("exponent must be a nonnegative integer", etok[2])
-            return base ** int(etok[1])
-        return base
-
-    def parse_base(self) -> Polynomial:
-        tok = self._next()
-        if tok[0] == "op" and tok[1] in "(-":
-            self._open(tok)
-            if tok[1] == "(":
-                poly = self.parse_poly()
-                self._expect_op(")")
-            else:
-                poly = -self.parse_base()
-            self.depth -= 1
-            return poly
-        if tok[0] == "num":
-            numerator = int(tok[1])
-            nxt = self._peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
-                self._next()
-                dtok = self._next()
-                if dtok[0] != "num":
-                    raise ParseError("denominator must be an integer", dtok[2])
-                if int(dtok[1]) == 0:
-                    raise ParseError("zero denominator", dtok[2])
-                return Polynomial.constant(Fraction(numerator, int(dtok[1])), self.k)
-            return Polynomial.constant(numerator, self.k)
-        if tok[0] == "var":
-            name = tok[1]
-            if not (name.startswith("x") and name[1:].isdigit()):
-                raise ParseError(f"unknown symbol {name!r} (variables are x1..x{self.k})", tok[2])
-            index = int(name[1:])
-            if not 1 <= index <= self.k:
-                raise ParseError(
-                    f"variable index {index} out of range 1..{self.k}", tok[2]
-                )
-            return Polynomial.variable(index, self.k)
-        if tok[0] == "kw" and tok[1] == "not":
-            raise ParseError("negation rejected: formulas must be negation-free", tok[2])
+    @staticmethod
+    def polynomial(operand: "Polynomial | FormulaNode", tok: tuple[str, str, int]) -> Polynomial:
+        """``operand`` of the arithmetic operator ``tok``."""
+        if isinstance(operand, Polynomial):
+            return operand
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+
+    def suffix(self, op: str, message: str) -> int | None:
+        """The number after ``op`` at the cursor, None if ``op`` is not there."""
+        if self.tokens[self.at][1] != op:
+            return None
+        self.at += 1
+        kind, value, position = self.next()
+        if kind != "num":
+            raise ParseError(message, position)
+        return int(value)
+
+    def expr(self, rbp: int) -> "Polynomial | FormulaNode":
+        tok = kind, value, position = self.next()
+        if value in ("(", "+", "-"):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", position)
+            if value == "(":
+                left = self.expr(0)
+                close = self.next()
+                if close[1] != ")":
+                    raise ParseError(f"expected ')', found {close[1]!r}", close[2])
+            else:
+                left = self.polynomial(self.expr(_SIGN), tok)
+                left = -left if value == "-" else left
+            self.depth -= 1
+        elif kind == "num":
+            den = self.suffix("/", "denominator must be an integer")
+            if den == 0:
+                raise ParseError("zero denominator", self.tokens[self.at - 1][2])
+            left = Polynomial.constant(Fraction(int(value), den or 1), self.k)
+        elif kind == "name":
+            if not (value.startswith("x") and value[1:].isdigit()):
+                raise ParseError(f"unknown symbol {value!r} (variables are x1..x{self.k})", position)
+            index = int(value[1:])
+            if not 1 <= index <= self.k:
+                raise ParseError(f"variable index {index} out of range 1..{self.k}", position)
+            left = Polynomial.variable(index, self.k)
+        else:
+            raise ParseError(f"unexpected token {value!r}", position)
+        # a power's base is the operand just read, never a signed one:
+        # -x1^2 is -(x1^2), and x1^2^3 is an error
+        if value not in ("+", "-") and isinstance(left, Polynomial):
+            exponent = self.suffix("^", "exponent must be a nonnegative integer")
+            left = left if exponent is None else left**exponent
+        while True:
+            tok = _, op, position = self.tokens[self.at]
+            bp = _BINDING.get(op, 0)
+            if bp <= rbp or isinstance(left, FormulaNode) != (op in _CONNECTIVES):
+                return left
+            self.at += 1
+            if op in _CONNECTIVES:
+                children = [left, self.formula(self.expr(bp))]
+                while self.tokens[self.at][1] == op:
+                    self.at += 1
+                    children.append(self.formula(self.expr(bp)))
+                left = FormulaNode(op, children=tuple(children))
+            elif op in RELATIONS:
+                rhs = self.expr(bp)
+                if not isinstance(rhs, Polynomial) or rhs.total_degree() > 0:
+                    raise ParseError("relation right-hand side must be a rational constant", position)
+                left = FormulaNode("atom", atom=SignAtom(left - rhs, op))
+            else:
+                right = self.polynomial(self.expr(bp), tok)
+                left = left * right if op == "*" else left + right if op == "+" else left - right
 
 
 def parse_polynomial(text: str, k: int) -> Polynomial:
-    if k < 1:
-        raise ParseError("k must be >= 1 (degenerate variable count rejected)", 0)
-    parser = _Parser(_tokenize(text), k, len(text))
-    poly = parser.parse_poly()
-    tok = parser._peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-    return poly
+    parser = _Climb(text, k)
+    poly = parser.expr(_BINDING["="])
+    parser.done()
+    return parser.polynomial(poly, parser.tokens[0])
 
 
 def parse_formula(text: str, k: int) -> ClosedFormula:
@@ -844,11 +742,7 @@ def parse_formula(text: str, k: int) -> ClosedFormula:
     Rejects ``not`` and strict inequalities outright; those would leave the
     closed-formula class the rest of the package is built for.
     """
-    if k < 1:
-        raise ParseError("k must be >= 1 (degenerate variable count rejected)", 0)
-    parser = _Parser(_tokenize(text), k, len(text))
-    root = parser.parse_formula()
-    tok = parser._peek()
-    if tok is not None:
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    parser = _Climb(text, k)
+    root = parser.formula(parser.expr(0))
+    parser.done()
     return ClosedFormula(k, root)

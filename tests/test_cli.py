@@ -40,6 +40,17 @@ def test_rewrite_command(capsys):
     assert "y2" in doc["rewritten"] and "y1" not in doc["rewritten"]
 
 
+def test_rewrite_reads_a_signed_power_as_minus_the_power(capsys):
+    """2*-x1*x2 - -x1^2 - -x2^2 is -2*x1*x2 + x1^2 + x2^2, that is
+    2*p2 - p1^2; a reading of -x1^2 as (-x1)^2 would print -y1^2 - 1 >= 0."""
+    code, doc = run(
+        capsys, "rewrite", "--k", "2", "--d", "2",
+        "--formula", "2*-x1*x2 - -x1^2 - -x2^2 >= 1",
+    )
+    assert code == EXIT_OK
+    assert doc["rewritten"] == "-y1^2 + 2*y2 - 1 >= 0"
+
+
 def test_compositions_chain_listing(capsys):
     code, doc = run(capsys, "compositions", "--k", "3", "--d", "3", "--chains")
     assert code == EXIT_OK

@@ -14,6 +14,7 @@ The three golden regions were worked out by hand in image coordinates
 import gc
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -279,6 +280,32 @@ def test_bounds_report_d2_k3():
     assert report.chain_count_exact == 3
     assert report.vanishing_threshold == 2
     assert any("not pinned down" in note for note in report.notes)
+
+
+def test_optm_closed_matches_the_double_loop():
+    """The closed form of optm_closed against the published double sum,
+    term by term, wherever that loop is cheap."""
+    for k in range(1, 41):
+        for s in range(1, 7):
+            for d in (1, 2, 3):
+                report = bounds_report(BlockSpec.single(k, d), s=s)
+                loop = sum(
+                    math.comb(s + 1, j) * 6**j * report.optm_algebraic
+                    for i in range(k + 1)
+                    for j in range(1, k - i + 1)
+                )
+                assert report.optm_closed == loop, (k, d, s)
+
+
+def test_bounds_report_at_a_million_variables():
+    """At s = 1 the inner sum is 0 at t = 0, 12 at t = 1 and 12 + 36 from
+    t = 2 on; the report at k = 10^6 takes well under a second."""
+    k = 10**6
+    start = time.perf_counter()
+    report = bounds_report(BlockSpec.single(k, 2), s=1)
+    assert time.perf_counter() - start < 5.0
+    assert report.optm_algebraic == 2 * 3 ** (k - 1)
+    assert report.optm_closed == (12 + 48 * (k - 1)) * report.optm_algebraic
 
 
 def test_bounds_report_f_value_d4_k10():

@@ -273,6 +273,144 @@ def test_nesting_limit_is_a_parse_error_at_the_extra_level():
         assert err.value.position == position
 
 
+def test_a_unary_sign_binds_looser_than_a_power():
+    """A sign after an operator reads like a leading one: -x1^2 is -(x1^2)
+    wherever it stands (once read there as (-x1)^2)."""
+    readings = {
+        "2*-x1^2": "2*(-(x1^2))",
+        "x1*-x2^2": "x1*(-(x2^2))",
+        "1 - -x1^2": "1 - (-(x1^2))",
+        "1 + -(x1)^2": "1 + (-((x1)^2))",
+        "2^3 - -x2^0": "(2^3) - (-(x2^0))",
+    }
+    for text, conventional in readings.items():
+        assert parse_polynomial(text, 2) == parse_polynomial(conventional, 2), text
+    assert parse_polynomial("2*-x1^2", 2) == Polynomial(2, {(2, 0): Fraction(-2)})
+    assert parse_polynomial("2^3 - -x2^0", 2) == Polynomial.constant(9, 2)
+
+
+def test_every_unary_sign_is_a_prefix_and_opens_a_level():
+    """A unary + is read after an operator as at the start, and every sign
+    counts toward MAX_NESTING, a leading run too."""
+    assert parse_polynomial("x1 * +x2 - +-x1", 2) == parse_polynomial("x1*x2 + x1", 2)
+    n = MAX_NESTING
+    assert parse_formula("-" * n + "x1 >= 0", 1) == parse_formula("x1 >= 0", 1)
+    with pytest.raises(ParseError, match="nesting deeper") as err:
+        parse_formula("-" * (n + 1) + "x1 >= 0", 1)
+    assert err.value.position == n
+
+
+# binding power of each node of a drawn tree, as the table in README's
+# "Formula syntax" gives it; a leaf (variable or literal n/m) binds tightest
+_LEVEL = {"+": 4, "-": 4, "*": 5, "neg": 6, "^": 7, "x": 8, "n": 8}
+
+
+def _draw_poly(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.6:
+            return ("x", rng.randint(1, 3))
+        return ("n", Fraction(rng.randint(0, 9), rng.choice([1, 1, 2, 3])))
+    op = rng.choice(["+", "-", "*", "neg", "^"])
+    if op == "neg":
+        return (op, _draw_poly(rng, depth - 1))
+    if op == "^":
+        return (op, _draw_poly(rng, depth - 1), rng.randint(0, 2))
+    return (op, _draw_poly(rng, depth - 1), _draw_poly(rng, depth - 1))
+
+
+def _poly_text(tree, full):
+    """The tree with every inner node parenthesised, or with only the
+    parentheses the table needs."""
+    op = tree[0]
+    if op == "x":
+        return f"x{tree[1]}"
+    if op == "n":
+        return str(tree[1])
+
+    def operand(child, wrap):
+        text = _poly_text(child, full)
+        return f"({text})" if wrap and child[0] not in ("x", "n") else text
+
+    if op == "neg":
+        text = "-" + operand(tree[1], full or _LEVEL[tree[1][0]] < _LEVEL["neg"])
+    elif op == "^":
+        text = f"{operand(tree[1], True)}^{tree[2]}"
+    else:
+        level = _LEVEL[op]
+        left = operand(tree[1], full or _LEVEL[tree[1][0]] < level)
+        right = operand(tree[2], full or _LEVEL[tree[2][0]] <= level)
+        text = f"{left} {op} {right}"
+    return f"({text})" if full else text
+
+
+def _poly_value(tree, x):
+    op = tree[0]
+    if op == "x":
+        return x[tree[1] - 1]
+    if op == "n":
+        return tree[1]
+    if op == "neg":
+        return -_poly_value(tree[1], x)
+    if op == "^":
+        return _poly_value(tree[1], x) ** tree[2]
+    a, b = _poly_value(tree[1], x), _poly_value(tree[2], x)
+    return a + b if op == "+" else a - b if op == "-" else a * b
+
+
+def _draw_formula(rng, depth, parent=None):
+    if depth == 0 or rng.random() < 0.4:
+        rhs = Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+        return ("atom", rng.choice([">=", "<=", "="]), _draw_poly(rng, 3), rhs)
+    kind = "and" if parent == "or" else "or" if parent == "and" else rng.choice(["and", "or"])
+    return (kind, [_draw_formula(rng, depth - 1, kind) for _ in range(rng.randint(2, 3))])
+
+
+def _formula_text(tree, full):
+    if tree[0] == "atom":
+        rhs = f"-{-tree[3]}" if tree[3] < 0 else str(tree[3])
+        text = f"{_poly_text(tree[2], full)} {tree[1]} {rhs}"
+        return f"({text})" if full else text
+    parts = []
+    for child in tree[1]:
+        text = _formula_text(child, full)
+        parts.append(f"({text})" if child[0] == "or" and tree[0] == "and" and not full else text)
+    text = f" {tree[0]} ".join(parts)
+    return f"({text})" if full else text
+
+
+def _formula_value(tree, x):
+    if tree[0] == "atom":
+        lhs, rhs = _poly_value(tree[2], x), tree[3]
+        return lhs >= rhs if tree[1] == ">=" else lhs <= rhs if tree[1] == "<=" else lhs == rhs
+    values = [_formula_value(child, x) for child in tree[1]]
+    return all(values) if tree[0] == "and" else any(values)
+
+
+def test_precedence_table_on_seeded_trees():
+    """Seeded trees over x1..x3, literals n/m, + - *, unary minus, ^ 0..2 and
+    and/or/relations: the text with the fewest parentheses the table allows
+    and the fully parenthesised text parse to the same object, whose value
+    at three rational points is the tree's own."""
+    rng = random.Random(26)
+    points = [(Fraction(1, 2), Fraction(-2), Fraction(3)),
+              (Fraction(-3, 4), Fraction(5, 3), Fraction(0)),
+              (Fraction(2), Fraction(1, 7), Fraction(-1, 2))]
+    for _ in range(300):
+        tree = _draw_poly(rng, 4)
+        tight, full = _poly_text(tree, False), _poly_text(tree, True)
+        poly = parse_polynomial(tight, 3)
+        assert parse_polynomial(full, 3) == poly, (tight, full)
+        for x in points:
+            assert evaluate_polynomial(poly, x) == _poly_value(tree, x), tight
+    for _ in range(150):
+        tree = _draw_formula(rng, 3)
+        tight, full = _formula_text(tree, False), _formula_text(tree, True)
+        formula = parse_formula(tight, 3)
+        assert parse_formula(full, 3).root == formula.root, (tight, full)
+        for x in points:
+            assert evaluate_formula(formula, x) == _formula_value(tree, x), tight
+
+
 def test_formula_evaluation_truth_table():
     f = parse_formula("(x1 >= 0 and x2 >= 0) or x1^2 + x2^2 = 1", 2)
     assert evaluate_formula(f, (1, 1))  # first disjunct
