@@ -4,13 +4,15 @@ Every command prints one JSON document (sorted keys, so byte-identical
 across runs — wall-clock goes under the single key "timing_seconds", which
 consumers strip before comparing).  Exit codes: 0 success, 1 input or usage
 error, 2 for results that computed but carry an uncertainty flag (undecided
-membership, ambiguous section or one with undecided boxes, unstable grid
-pair).  Errors always come back
-as {"error": "..."} on stdout, never as a traceback.
+membership, ambiguous section or one with undecided boxes; for ``betti`` and
+``verify`` alike, a failed row of ``verify_report`` that is not
+informational).  Errors always come back as {"error": "..."} on stdout,
+never as a traceback.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 import time
@@ -31,6 +33,7 @@ from orbit_betti.fibres import UNDECIDED, arnold_section, image_membership
 from orbit_betti.pipeline import (
     PipelineError,
     ProblemSpec,
+    _unsettled,
     bounds_report,
     direct_quotient_betti,
     orbit_count_finite,
@@ -251,10 +254,8 @@ def _run_betti_job(doc: dict) -> tuple[dict, int]:
     report = quotient_betti(spec, constant_c=constant_c)
     out = report.to_json()
     out["timing_seconds"] = time.perf_counter() - start
-    code = EXIT_OK
-    if not report.stable or report.undecided_cells or report.coarse_undecided_cells:
-        code = EXIT_UNCERTAIN
-    return out, code
+    out["unsettled"] = _unsettled(verify_report(report))
+    return out, EXIT_UNCERTAIN if out["unsettled"] else EXIT_OK
 
 
 def _load_job(path: Path | str) -> dict:
@@ -351,7 +352,7 @@ def bounds(k, d, blocks, degrees, s, constant_c, output) -> int:
 @click.option("--direct-resolution", type=str, default=None)
 @click.option("--json", "output", type=str, default=None)
 def verify(job, direct_resolution, output) -> int:
-    """Run a job, then audit the report (bounds, vanishing, cross-oracle)."""
+    """Run a job and audit it: every row of the check table, x-space ones included."""
     doc = _load_job(job)
     spec, constant_c = _spec_from_job(doc)
     start = time.perf_counter()
@@ -363,12 +364,11 @@ def verify(job, direct_resolution, output) -> int:
     checks = verify_report(report, direct)
     out = {
         "report": report.to_json(),
-        "checks": [c.to_json() for c in checks],
+        "checks": [dataclasses.asdict(c) for c in checks],
         "timing_seconds": time.perf_counter() - start,
     }
     _emit(out, output)
-    hard_failures = [c for c in checks if not c.passed and not c.informational]
-    return EXIT_UNCERTAIN if hard_failures else EXIT_OK
+    return EXIT_UNCERTAIN if _unsettled(checks) else EXIT_OK
 
 
 def main(argv: Sequence[str] | None = None) -> int:

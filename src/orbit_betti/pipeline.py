@@ -9,7 +9,8 @@ power-sum image where the rewritten formula holds.  The pipeline composes
     → cubical homology on a clipped grid, at two resolutions
 
 and reports b^0 .. b^{t−1}, where t = Σ min(k_i, d_i); every degree from t on
-vanishes identically and is declared, not computed.
+vanishes identically and is declared, not computed (``verify_report`` checks
+it on the x-space complex).
 
 Two independent oracles keep the main path honest: ``direct_quotient_betti``
 computes the homology of Φ ∩ {x_1 ≤ … ≤ x_k} in x-space for small k (each
@@ -40,6 +41,8 @@ contributes its center.  And at radius r the band is widened by L_P·r.
 
 from __future__ import annotations
 
+import dataclasses
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -420,17 +423,22 @@ class BoundsReport:
             raise PipelineError("bound values must be nonnegative")
 
     def to_json(self) -> dict:
-        return {
-            "optm_algebraic": self.optm_algebraic,
-            "optm_closed": self.optm_closed,
-            "multi_degree_form": self.multi_degree_form,
-            "thm_bound_form": self.thm_bound_form,
-            "F_value": self.F_value,
-            "chain_count_exact": self.chain_count_exact,
-            "vanishing_threshold": self.vanishing_threshold,
-            "constant_c": self.constant_c,
-            "notes": list(self.notes),
-        }
+        """The fields as JSON values; an int with more digits than Python
+        writes as text (``sys.get_int_max_str_digits``) becomes the string
+        of its exact decimal digits."""
+        doc = dataclasses.asdict(self)
+        doc["notes"] = list(self.notes)
+        return {key: _json_int(v) if type(v) is int else v for key, v in doc.items()}
+
+
+def _json_int(n: int) -> int | str:
+    """``n``, or its decimal digits where ``str(n)`` is refused: ``str`` of a
+    ``Decimal`` has no digit limit and leaves the interpreter's alone."""
+    try:
+        str(n)
+    except ValueError:
+        return str(decimal.Decimal(n))
+    return n
 
 
 def vanishing_threshold(blocks: BlockSpec) -> int:
@@ -518,8 +526,7 @@ class QuotientReport:
     """Computed quotient Betti numbers b^0 .. b^{t−1} plus context.
 
     ``betti`` holds exactly the degrees below the vanishing threshold t; the
-    full ambient vectors (fine and coarse grid) are retained for the
-    structural checks in :func:`verify_report`.
+    full ambient vectors of the fine and the coarse grid ride along.
     """
 
     betti: tuple[int, ...]
@@ -665,65 +672,38 @@ class CheckResult:
     informational: bool
     detail: str
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "informational": self.informational,
-            "detail": self.detail,
-        }
 
+def verify_report(report: QuotientReport, direct: BettiVector | None = None) -> list[CheckResult]:
+    """The rows that decide whether a report is settled: every row that is
+    not informational passes (``_unsettled``).  Never raises.
 
-def verify_report(
-    report: QuotientReport,
-    direct: BettiVector | None = None,
-) -> list[CheckResult]:
-    """Post-hoc findings on a completed report; never raises."""
-    checks = []
-    total = sum(report.betti)
-    bound = report.bounds.thm_bound_form
-    checks.append(
-        CheckResult(
-            name="betti_sum_within_bound_form",
-            passed=total <= bound,
-            informational=True,
-            detail=(
-                f"sum of reported Betti numbers {total} vs bound form {bound} "
-                f"at c = {report.bounds.constant_c} (constant unspecified)"
-            ),
-        )
-    )
-    tail = report.full_betti.values[report.vanishing_threshold:]
-    checks.append(
-        CheckResult(
-            name="vanishing_above_threshold",
-            passed=all(v == 0 for v in tail),
-            informational=False,
-            detail=(
-                f"ambient degrees >= {report.vanishing_threshold} carry {list(tail)}"
-            ),
-        )
-    )
-    checks.append(
-        CheckResult(
-            name="stable_across_resolutions",
-            passed=report.stable,
-            informational=False,
-            detail=(
-                f"grids at {report.resolutions[0]} and {report.resolutions[1]} "
-                + ("agree" if report.stable else "disagree")
-            ),
-        )
-    )
+    The vanishing row reads ``direct``, the x-space complex in R^k; the
+    image grid lives in R^t, where no degree from t on can be nonzero.
+    """
+    total, bound = sum(report.betti), report.bounds.thm_bound_form
+    coarse_h, fine_h = report.resolutions
+    fine, coarse = report.undecided_cells, report.coarse_undecided_cells
+    checks = [
+        CheckResult("betti_sum_within_bound_form", total <= bound, True,
+                    f"sum of reported Betti numbers {total} vs bound form {bound} "
+                    f"at c = {report.bounds.constant_c} (constant unspecified)"),
+        CheckResult("stable_across_resolutions", report.stable, False,
+                    f"grids at {coarse_h} and {fine_h} " + ("agree" if report.stable else "disagree")),
+        CheckResult("no_undecided_cells", not (fine or coarse), False,
+                    f"{fine} undecided cells at {fine_h} and {coarse} at {coarse_h}"),
+    ]
     if direct is not None:
         t = report.vanishing_threshold
-        truncated = tuple(direct.values[:t])
-        checks.append(
-            CheckResult(
-                name="direct_oracle_agreement",
-                passed=truncated == report.betti,
-                informational=False,
-                detail=f"direct oracle {truncated} vs pipeline {report.betti}",
-            )
-        )
+        truncated, tail = tuple(direct.values[:t]), list(direct.values[t:])
+        checks += [
+            CheckResult("direct_oracle_agreement", truncated == report.betti, False,
+                        f"direct oracle {truncated} vs pipeline {report.betti}"),
+            CheckResult("vanishing_above_threshold", not any(tail), False,
+                        f"ambient degrees >= {t} carry {tail}"),
+        ]
     return checks
+
+
+def _unsettled(checks: Sequence[CheckResult]) -> list[str]:
+    """The names of the failed rows that are not informational."""
+    return [c.name for c in checks if not (c.passed or c.informational)]

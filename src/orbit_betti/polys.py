@@ -164,16 +164,7 @@ class Polynomial:
         return self.__mul__(other)
 
     def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise PolynomialError("negative powers not supported")
-        result = Polynomial.constant(1, self.var_count)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, Polynomial.__mul__)
 
     # -- queries --------------------------------------------------------
 
@@ -257,6 +248,22 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.var_count}, {self.to_text()!r})"
+
+
+def _power(
+    base: Polynomial, n: int, times: Callable[[Polynomial, Polynomial], Polynomial]
+) -> Polynomial:
+    """base^n by repeated squaring, each product formed by ``times``."""
+    if n < 0:
+        raise PolynomialError("negative powers not supported")
+    result = Polynomial.constant(1, base.var_count)
+    while n:
+        if n & 1:
+            result = times(result, base)
+        n >>= 1
+        if n:
+            base = times(base, base)
+    return result
 
 
 def evaluate_polynomial(p: Polynomial, x: Sequence[RationalLike]) -> Fraction:
@@ -594,6 +601,9 @@ class ParseError(ValueError):
 # open "(" and unary signs at any point of a parse; a level costs at most
 # six stack frames (one per binding power climbed), about 600 in all
 MAX_NESTING = 100
+# the work of one product the parser forms, a power's squarings included:
+# terms(A)·terms(B)·k exponent additions, checked before the product is formed
+MAX_PRODUCT_WORK = 2**16
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|(>=|<=|[-+*^()=/,])|(\S))")
 # binding power of each infix operator, loosest first; a unary sign binds at
@@ -663,6 +673,16 @@ class _Climb:
             return operand
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
+    def product(self, a: Polynomial, b: Polynomial, position: int) -> Polynomial:
+        """a·b, unless its work passes MAX_PRODUCT_WORK."""
+        if len(a.terms) * len(b.terms) * self.k > MAX_PRODUCT_WORK:
+            raise ParseError(
+                f"a product of {len(a.terms)} by {len(b.terms)} terms in {self.k} "
+                f"variables exceeds the parse limit MAX_PRODUCT_WORK = {MAX_PRODUCT_WORK}",
+                position,
+            )
+        return a * b
+
     def suffix(self, op: str, message: str) -> int | None:
         """The number after ``op`` at the cursor, None if ``op`` is not there."""
         if self.tokens[self.at][1] != op:
@@ -706,7 +726,9 @@ class _Climb:
         # -x1^2 is -(x1^2), and x1^2^3 is an error
         if value not in ("+", "-") and isinstance(left, Polynomial):
             exponent = self.suffix("^", "exponent must be a nonnegative integer")
-            left = left if exponent is None else left**exponent
+            if exponent is not None:
+                at = self.tokens[self.at - 1][2]
+                left = _power(left, exponent, lambda a, b: self.product(a, b, at))
         while True:
             tok = _, op, position = self.tokens[self.at]
             bp = _BINDING.get(op, 0)
@@ -726,7 +748,8 @@ class _Climb:
                 left = FormulaNode("atom", atom=SignAtom(left - rhs, op))
             else:
                 right = self.polynomial(self.expr(bp), tok)
-                left = left * right if op == "*" else left + right if op == "+" else left - right
+                left = self.product(left, right, position) if op == "*" else (
+                    left + right if op == "+" else left - right)
 
 
 def parse_polynomial(text: str, k: int) -> Polynomial:

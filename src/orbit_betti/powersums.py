@@ -7,11 +7,13 @@ the Newton power sums
     p_{i,m} = sum of x_j^m over the variables of block i,   m = 1..min(k_i, d_i).
 
 The rewrite here is exact and works by linear algebra: enumerate the monomials
-in the admissible power sums up to the observed block degrees, expand each one
-back into x-monomials, and solve the (consistent, full-column-rank) linear
-system over the rationals by the sparse elimination of ``polys``.  Power sums
-of index up to min(k_i, d_i) are algebraically independent, so the answer is
-unique — no normal-form or straightening step is needed.
+in the admissible power sums up to the observed block degrees D_i, expand each
+one back into x-monomials in the first min(k_i, D_i) variables of each block,
+and solve the (consistent, full-column-rank) linear system over the rationals
+by the sparse elimination of ``polys``.  Power sums of index up to
+min(k_i, d_i) are algebraically independent, so the answer is unique — no
+normal-form or straightening step is needed — and the cost of the solve does
+not grow with k_i.
 """
 
 from __future__ import annotations
@@ -134,46 +136,31 @@ def power_sum_rewrite(p: Polynomial, blocks: BlockSpec) -> PowerSumForm:
     if not check_symmetric(p, blocks):
         raise SymmetryError("polynomial is not symmetric under the block action")
 
+    # Solve in the first r_i = min(k_i, D_i) variables of each block (D_i the
+    # block degree, one variable at least).  A block-symmetric polynomial is
+    # fixed by its terms there, as every monomial orbit of degree ≤ D_i meets
+    # them, and the power-sum monomials of weighted degree ≤ D_i use p_m with
+    # m ≤ r_i only, which stay algebraically independent in r_i variables.
     arities = blocks.d_primes
-    # per-block admissible exponent vectors, then their cartesian product
-    per_block = [
-        _weighted_monomials(arities[i], degrees[i]) for i in range(blocks.omega)
-    ]
-    combos = list(product(*per_block))
-
-    # expand each candidate monomial in the x-variables
-    basis_cache: dict[tuple[int, int], Polynomial] = {}
-
-    def psum(i: int, m: int) -> Polynomial:
-        if (i, m) not in basis_cache:
-            basis_cache[(i, m)] = power_sum_polynomial(blocks, i, m)
-        return basis_cache[(i, m)]
-
-    columns: list[dict] = []
-    for combo in combos:
-        expanded = Polynomial.constant(1, blocks.total_vars)
-        for i, exponents in enumerate(combo):
-            for m, a in enumerate(exponents, start=1):
-                if a:
-                    expanded = expanded * psum(i, m) ** a
-        columns.append(expanded.terms)
-
-    solution = solve_columns(columns, p.terms)
+    sizes = [min(k, max(deg, 1)) for k, deg in zip(blocks.block_sizes, degrees)]
+    ring = BlockSpec(tuple(sizes), blocks.degree_caps)
+    kept = [v - 1 for b, r in enumerate(sizes) for v in blocks.block_variables(b)[:r]]
+    target = {
+        tuple(expo[i] for i in kept): c
+        for expo, c in p.terms.items()
+        if sum(expo[i] for i in kept) == sum(expo)
+    }
+    basis = [power_sum_polynomial(ring, b, m) for b, a in enumerate(arities) for m in range(1, a + 1)]
+    # the admissible power-sum monomials as exponent vectors, block-major
+    monomials = [sum(combo, ()) for combo in product(*(
+        _weighted_monomials(a, deg) for a, deg in zip(arities, degrees)
+    ))]
+    columns = [Polynomial(len(basis), {e: 1}).substitute(basis).terms for e in monomials]
+    solution = solve_columns(columns, target)
     if solution is None:  # pragma: no cover - guarded by check_symmetric
         raise SymmetryError("polynomial is not in the power-sum span")
-
-    n_y = sum(arities)
-    offsets = [sum(arities[:i]) for i in range(blocks.omega)]
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for combo, coeff in zip(combos, solution):
-        if coeff == 0:
-            continue
-        expo = [0] * n_y
-        for i, exponents in enumerate(combo):
-            for m, a in enumerate(exponents, start=1):
-                expo[offsets[i] + m - 1] = a
-        terms[tuple(expo)] = coeff
-    return PowerSumForm(arities, Polynomial(max(n_y, 1), terms))
+    terms = {e: c for e, c in zip(monomials, solution) if c}
+    return PowerSumForm(arities, Polynomial(len(basis), terms))
 
 
 def rewrite_formula(f: ClosedFormula, blocks: BlockSpec) -> ClosedFormula:

@@ -234,6 +234,48 @@ def test_betti_coarse_undecided_exits_2(tmp_path, capsys, monkeypatch):
     assert (doc["undecided_cells"], doc["coarse_undecided_cells"]) == (0, 3)
 
 
+@pytest.fixture
+def coarse_undecided(monkeypatch):
+    """Every grid pair reports 3 undecided cells on its coarse grid."""
+    real = pipeline.stable_betti
+    monkeypatch.setattr(pipeline, "stable_betti", lambda *args, **kwargs: dataclasses.replace(
+        real(*args, **kwargs), coarse_undecided_cells=3))
+
+
+SLAB_JOB = {"k": 3, "d": 2, "formula": "x1^2 + x2^2 + x3^2 <= 1/16",
+            "box": [["-1", "1"], ["0", "1"]], "resolution": "1/4"}
+
+
+@pytest.mark.parametrize("job, unsettled", [
+    (SPHERE_JOB, []),
+    (SLAB_JOB, ["stable_across_resolutions"]),
+])
+def test_betti_lists_the_rows_it_is_unsettled_on(tmp_path, capsys, job, unsettled):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code, doc = run(capsys, "betti", "--job", str(path))
+    assert doc["unsettled"] == unsettled
+    assert code == (EXIT_UNCERTAIN if unsettled else EXIT_OK)
+
+
+def test_betti_lists_coarse_undecided_cells_as_unsettled(tmp_path, capsys, coarse_undecided):
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps(SPHERE_JOB))
+    code, doc = run(capsys, "betti", "--job", str(path))
+    assert (code, doc["unsettled"]) == (EXIT_UNCERTAIN, ["no_undecided_cells"])
+
+
+def test_verify_exits_2_on_coarse_undecided_cells(tmp_path, capsys, coarse_undecided):
+    """verify and betti exit 2 on the same rows: the coarse grid's undecided
+    cells fail ``no_undecided_cells`` in both."""
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps(SPHERE_JOB))
+    code, doc = run(capsys, "verify", "--job", str(path), "--direct-resolution", "1/8")
+    assert code == EXIT_UNCERTAIN
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["no_undecided_cells"]
+    assert all(set(c) == {"name", "passed", "informational", "detail"} for c in doc["checks"])
+
+
 def test_betti_job_directory(tmp_path, capsys):
     (tmp_path / "a.json").write_text(json.dumps(SPHERE_JOB))
     shell = dict(SPHERE_JOB, formula="x1^2+x2^2+x3^2 >= 1 and x1^2+x2^2+x3^2 <= 2",
@@ -301,6 +343,12 @@ def test_bounds_command(capsys):
     assert code == EXIT_OK
     assert doc["optm_algebraic"] == 18
     assert doc["optm_closed"] == 1944
+
+
+def test_bounds_command_prints_bounds_of_any_size(capsys):
+    code, doc = run(capsys, "bounds", "--k", "7000", "--d", "3", "--s", "2")
+    assert code == EXIT_OK
+    assert len(doc["optm_closed"]) > 4300 and doc["thm_bound_form"] == 40824
 
 
 def test_verify_command(tmp_path, capsys):

@@ -11,9 +11,12 @@ The three golden regions were worked out by hand in image coordinates
   two horizontal rungs form exactly one cycle — (1, 1).
 """
 
+import dataclasses
 import gc
+import json
 import math
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -30,7 +33,6 @@ from orbit_betti.pipeline import (
     OrbitCount,
     PipelineError,
     ProblemSpec,
-    QuotientReport,
     bounds_report,
     direct_quotient_betti,
     orbit_count_finite,
@@ -308,6 +310,26 @@ def test_bounds_report_at_a_million_variables():
     assert report.optm_closed == (12 + 48 * (k - 1)) * report.optm_algebraic
 
 
+def test_bounds_beyond_the_int_digit_limit_are_written_as_exact_decimal_strings():
+    """At k = 7000, d = 3, s = 2 three bounds pass Python's 4,300-digit
+    int-to-str limit: they become strings of their digits, the rest stay ints,
+    and the interpreter's limit is left as it was."""
+    limit = sys.get_int_max_str_digits()
+    report = bounds_report(BlockSpec.single(7000, 3), s=2)
+    doc = json.loads(json.dumps(report.to_json()))
+    assert sys.get_int_max_str_digits() == limit
+    big = {"optm_algebraic", "optm_closed", "multi_degree_form"}
+    assert {key for key, v in doc.items() if isinstance(v, str)} == big
+    assert doc["thm_bound_form"] == report.thm_bound_form == 40824
+    assert (doc["F_value"], doc["chain_count_exact"], doc["vanishing_threshold"]) == (7, 11, 3)
+    sys.set_int_max_str_digits(0)
+    try:
+        for key in big:
+            assert doc[key].isdigit() and int(doc[key]) == getattr(report, key)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_bounds_report_f_value_d4_k10():
     report = bounds_report(BlockSpec.single(10, 4), s=2)
     assert report.F_value == 105
@@ -358,21 +380,33 @@ def test_verify_report_on_sphere():
 
 
 def test_verify_report_catches_fabricated_tail():
+    """The vanishing row reads the x-space complex in R^3, whose degree 2 a
+    fabricated (1, 0, 1, 0) fills; the image grid in R^2 cannot fail it."""
+    spec = make_spec(3, 2, SPHERE, [(-2, 2), (0, 2)], "1/16")
+    report = quotient_betti(spec)
+    results = {c.name: c for c in verify_report(report, BettiVector((1, 0, 1, 0), 2))}
+    assert results["vanishing_above_threshold"].passed is False
+    assert results["vanishing_above_threshold"].detail == "ambient degrees >= 2 carry [1, 0]"
+    assert results["direct_oracle_agreement"].passed is True
+
+
+def test_verify_report_has_no_vanishing_row_without_the_x_space_vector():
+    spec = make_spec(3, 2, SPHERE, [(-2, 2), (0, 2)], "1/16")
+    checks = verify_report(quotient_betti(spec))
+    assert [c.name for c in checks] == [
+        "betti_sum_within_bound_form", "stable_across_resolutions", "no_undecided_cells",
+    ]
+    assert all(c.passed for c in checks)
+
+
+def test_verify_report_counts_fine_and_coarse_undecided_cells():
     spec = make_spec(3, 2, SPHERE, [(-2, 2), (0, 2)], "1/16")
     good = quotient_betti(spec)
-    bad = QuotientReport(
-        betti=good.betti,
-        vanishing_threshold=good.vanishing_threshold,
-        bounds=good.bounds,
-        stable=good.stable,
-        resolutions=good.resolutions,
-        undecided_cells=good.undecided_cells,
-        coarse_undecided_cells=good.coarse_undecided_cells,
-        full_betti=BettiVector((1, 0, 1), 2),
-        coarse_betti=good.coarse_betti,
-    )
-    results = {c.name: c.passed for c in verify_report(bad)}
-    assert results["vanishing_above_threshold"] is False
+    for fine, coarse in ((0, 3), (2, 0)):
+        bad = dataclasses.replace(good, undecided_cells=fine, coarse_undecided_cells=coarse)
+        (row,) = [c for c in verify_report(bad) if c.name == "no_undecided_cells"]
+        assert (row.passed, row.informational) == (False, False)
+        assert row.detail == f"{fine} undecided cells at 1/32 and {coarse} at 1/16"
 
 
 def test_report_json_round_trip_shape():

@@ -7,6 +7,7 @@ calling the code under test twice.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import given, strategies as st
 from orbit_betti.pipeline import _CompiledAtom
 from orbit_betti.polys import (
     MAX_NESTING,
+    MAX_PRODUCT_WORK,
     BlockSpec,
     ParseError,
     Polynomial,
@@ -271,6 +273,27 @@ def test_nesting_limit_is_a_parse_error_at_the_extra_level():
         with pytest.raises(ParseError, match="nesting deeper") as err:
             parse_formula(text, 2)
         assert err.value.position == position
+
+
+def test_product_work_limit_is_a_parse_error_before_the_product_is_formed():
+    """Every product the parser forms, a power's squarings included, does at
+    most MAX_PRODUCT_WORK = terms·terms·k exponent additions: a power whose
+    expansion runs for seconds is refused at once, at its exponent."""
+    for text in ("(x1 + x2 + x3 + 1)^30 >= 0", "(x1 + x2 + x3 + 1)^40 >= 0",
+                 "(x1 + x2 + x3 + 1)^8 * (x1 + x2 + x3 + 1)^8 >= 0"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="165 by 165 terms in 3 variables exceeds the parse limit"):
+            parse_formula(text, 3)
+        assert time.perf_counter() - start < 0.5, text
+    with pytest.raises(ParseError) as err:
+        parse_formula("(x1 + x2 + x3 + 1)^30 >= 0", 3)
+    assert err.value.position == len("(x1 + x2 + x3 + 1)^")
+    # the k = 32 degree-4 atom's one square, 32 by 32 terms in 32 variables, is within it
+    assert 32**3 <= MAX_PRODUCT_WORK
+    k = 32
+    squares = " + ".join(f"x{i}^2" for i in range(1, k + 1))
+    atom = parse_formula(f"({squares})^2 >= 0", k).atoms()[0]
+    assert len(atom.poly.terms) == k * (k + 1) // 2
 
 
 def test_a_unary_sign_binds_looser_than_a_power():

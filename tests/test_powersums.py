@@ -6,6 +6,8 @@ sums, and check the rewrite recovers q exactly.  Hand-computed classics
 (elementary symmetric e2, the sphere) pin the coordinate conventions.
 """
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -186,6 +188,52 @@ def test_rewrite_agrees_pointwise(data):
     d_prime = blocks.d_primes[0]
     power_values = [sum(x**m for x in xs) for m in range(1, d_prime + 1)]
     assert evaluate_polynomial(form.poly, power_values) == evaluate_polynomial(p, xs)
+
+
+def seeded_power_sum_poly(rng: random.Random, blocks: BlockSpec) -> Polynomial:
+    """Up to four monomials in the power sums of ``blocks``, each of weighted
+    degree at most the cap in every block."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        expo = []
+        for a, cap in zip(blocks.d_primes, blocks.degree_caps):
+            part, budget = [0] * a, rng.randint(0, cap)
+            for m in rng.sample(range(1, a + 1), a):
+                part[m - 1] = rng.randint(0, budget // m)
+                budget -= m * part[m - 1]
+            expo += part
+        terms[tuple(expo)] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    return Polynomial(sum(blocks.d_primes), terms)
+
+
+def test_rewrite_round_trips_on_a_seeded_pool():
+    """The solve runs in the first min(k_i, D_i) variables of each block; on
+    one and two blocks, k_i = 1..6 and caps 1..5 (k_i < D_i included) the
+    form it finds expands back to p and is the q that p came from."""
+    rng = random.Random(27)
+    for _ in range(400):
+        omega = rng.choice((1, 2))
+        blocks = BlockSpec(
+            tuple(rng.randint(1, 6 if omega == 1 else 3) for _ in range(omega)),
+            tuple(rng.randint(1, 5) for _ in range(omega)),
+        )
+        q = seeded_power_sum_poly(rng, blocks)
+        p = expand_power_sum_form(PowerSumForm(blocks.d_primes, q), blocks)
+        form = power_sum_rewrite(p, blocks)
+        assert form.poly == q, (blocks, q)
+        assert expand_power_sum_form(form, blocks) == p
+
+
+def test_rewrite_cost_does_not_grow_with_the_block_size():
+    """(Σx_i²)² − Σx_i⁴ at k = 32 solves in 4 variables, not 32."""
+    k = 32
+    squares = " + ".join(f"x{i}^2" for i in range(1, k + 1))
+    fourths = " - ".join(f"x{i}^4" for i in range(1, k + 1))
+    p = parse_polynomial(f"({squares})^2 - {fourths}", k)
+    start = time.perf_counter()
+    form = power_sum_rewrite(p, BlockSpec.single(k, 4))
+    assert time.perf_counter() - start < 0.2
+    assert form.poly == parse_polynomial("x2^2 - x4", 4)
 
 
 # ---------------------------------------------------------------------------
