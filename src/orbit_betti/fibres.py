@@ -30,20 +30,15 @@ reports the count.  An "outside" verdict is a proof; an "inside" verdict is
 a proof when its root came from a Krawczyk-proved box of a square face
 system (ℓ = d'), and otherwise rests on the float residual ≤ tol.
 
-A query scales its power sums to integers once (``_PowerSums``): with s
-the lcm of the denominators of y_1..y_d', Y_m = s^m·y_m is an integer,
-because p_m has weight m.  The image conditions and the d' ≤ 3 eliminants
-are built from Y in integers, with no ``Fraction`` arithmetic per query.
+A query's power sums are scaled to integers once (``_PowerSums``), so the
+image conditions and the d' ≤ 3 eliminants need no ``Fraction`` arithmetic.
 
 For d' ≤ 3 the section is one point of the closed maximal face, comp_max(k,
 d') = {(1, k−1)} or {(1, k−2, 1)}, which holds the unique fibre maximum of
-p_{d'+1} (Arnold 1986; Kostov 1989).  The signs of V and of the d' = 3 image
-condition say where it lies: on the diagonal, at the smaller root of the
-(1, k−1) quadratic, at the middle root of the (1, k−2, 1) cubic, or at the
-cubic's rational double root on the boundary faces (k−1, 1) and (1, k−1).
-The eliminant's integer coefficients come straight from Y, and its one root
-is certified by two exact signs at the ends of a dyadic bracket, so the
-section has one candidate and is never ambiguous.  For d' ≥ 4,
+p_{d'+1} (Arnold 1986; Kostov 1989).  ``_closed_section`` computes it, its
+x and p_{d'+1} in one pass; the eliminant's one root is certified by two
+exact signs at the ends of a dyadic bracket, so the section has one
+candidate and is never ambiguous.  For d' ≥ 4,
 ``_face_fibre`` gives the points ``solve_fibre`` finds over each face of
 comp_kd(k, d') to membership and to the section, which merges points that
 appear in several face closures (a point with coarser grouping pattern lies
@@ -60,7 +55,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -127,19 +122,17 @@ class _PowerSums:
     decided on the Y_m in integers.
     """
 
+    __slots__ = ("exact", "scale", "ints")
+
     def __init__(self, exact: Sequence[Fraction]) -> None:
         self.exact = exact
-        self.scale = s = math.lcm(*[v.denominator for v in exact])
-        self.ints = []
+        ratios = [v.as_integer_ratio() for v in exact]
+        self.scale = s = math.lcm(*[den for _, den in ratios])
+        self.ints = ints = []
         power = 1
-        for v in exact:
+        for num, den in ratios:
             power *= s
-            self.ints.append(v.numerator * (power // v.denominator))
-
-    def floats(self) -> list[float]:
-        """The y_m, each correctly rounded; a value past the float range
-        raises OverflowError."""
-        return [v.numerator / v.denominator for v in self.exact]
+            ints.append(num * (power // den))
 
 
 # ---------------------------------------------------------------------------
@@ -165,30 +158,43 @@ class FibreSolution:
 
     @staticmethod
     def make(face: Face, t: Sequence[float], y: Sequence[float], tol: float) -> "FibreSolution":
-        """Accept t when equation m's residual is at most tol + _ROUNDING·Σ λ_i|t_i|^m:
-        at large |y| the rounding of the float point alone exceeds any
-        absolute tol, and only that rounding is forgiven.  One pass over the
-        terms λ_i·t_i^m of each equation sums them and their sizes, left to
-        right on every Python version (``sum`` compensates from 3.12 on).  A
-        power sum that overflows raises OverflowError."""
-        parts = face.lam.parts
+        """Accept t when each equation, in order, ``_lands``: at large |y| the
+        rounding of the float point alone exceeds any absolute tol, and only
+        that rounding is forgiven.  A power sum that overflows raises
+        OverflowError."""
         residual = 0.0
-        for m, ym in enumerate(y, start=1):
-            total = scale = 0.0
-            for w, tv in zip(parts, t):
-                term = w * tv**m
-                total += term
-                scale += abs(term)
-            error = abs(total - ym)
+        for m, (error, scale) in enumerate(_equations(face.lam.parts, t, y), start=1):
+            error = abs(error)
             if scale == math.inf:
                 raise OverflowError(_FLOAT_RANGE)
-            if error > tol + _ROUNDING * scale:
+            if not _lands(error, scale, tol):
                 raise FibreError(f"residual {error} of equation {m} exceeds tolerance {tol}")
             residual = max(residual, error)
         for a, b in zip(t, t[1:]):
             if b - a > tol:
                 raise FibreError(f"parameters {t} violate the descending ordering beyond {tol}")
         return FibreSolution(face, tuple(map(float, t)), residual)
+
+
+def _equations(
+    parts: Sequence[int], t: Sequence[float], y: Sequence[float]
+) -> Iterator[tuple[float, float]]:
+    """For m = 1..d' in turn, Σ λ_i t_i^m − y_m and the size Σ λ_i|t_i|^m,
+    summed left to right on every Python version (``sum`` compensates from
+    3.12 on)."""
+    for m, ym in enumerate(y, start=1):
+        total = scale = 0.0
+        for w, tv in zip(parts, t):
+            term = w * tv**m
+            total += term
+            scale += abs(term)
+        yield total - ym, scale
+
+
+def _lands(error: float, scale: float, tol: float) -> bool:
+    """``make``'s rule, which Newton stops on: error ≤ tol + _ROUNDING·size,
+    the size finite."""
+    return error <= tol + _ROUNDING * scale < math.inf
 
 
 # Solver settings the underlying theory is silent about.
@@ -244,11 +250,8 @@ def _left_sum(terms) -> float:
     return total
 
 
-def _residual_vector(parts: tuple[int, ...], t: list[float], y: list[float]) -> list[float]:
-    out = []
-    for m in range(1, len(y) + 1):
-        out.append(_left_sum(w * tv**m for w, tv in zip(parts, t)) - y[m - 1])
-    return out
+def _all_land(equations: list[tuple[float, float]], tol: float) -> bool:
+    return all(_lands(abs(error), scale, tol) for error, scale in equations)
 
 
 def _gauss_newton(
@@ -258,21 +261,22 @@ def _gauss_newton(
     tol: float,
     radius: float,
     max_iter: int,
-) -> tuple[list[float], float] | None:
+) -> list[float] | None:
     """Damped Gauss-Newton / Levenberg step on the weighted moment system.
 
-    Returns (t, residual_inf) on convergence, None otherwise.  Singular
-    Jacobians (points with coincident parameters) fall back to increasing
-    Levenberg damping, which keeps the iteration contracting toward isolated
-    double roots at a linear rate — good enough at these tolerances.
+    Stops once every equation ``_lands`` within tol/2; returns t if all land
+    within tol, else None.  Singular Jacobians (points with coincident
+    parameters) fall back to increasing Levenberg damping, which keeps the
+    iteration contracting toward isolated double roots at a linear rate —
+    good enough at these tolerances.
     """
     ell = len(parts)
     t = [float(v) for v in t0]
-    res = _residual_vector(parts, t, y)
-    rnorm = max(abs(v) for v in res)
+    eqs = list(_equations(parts, t, y))
+    rnorm = max(abs(v) for v, _ in eqs)
     mu = 0.0
     for _ in range(max_iter):
-        if rnorm <= tol * 0.5:
+        if _all_land(eqs, tol * 0.5):
             break
         jac = [
             [m * parts[i] * t[i] ** (m - 1) for i in range(ell)]
@@ -287,7 +291,7 @@ def _gauss_newton(
             ]
             for i in range(ell)
         ]
-        b = [-_left_sum(jac[m][i] * res[m] for m in range(len(y))) for i in range(ell)]
+        b = [-_left_sum(jac[m][i] * eqs[m][0] for m in range(len(y))) for i in range(ell)]
         delta = _solve_linear(a, b)
         if delta is None:
             mu = max(mu * 10.0, 1e-10)
@@ -296,10 +300,10 @@ def _gauss_newton(
         alpha = 1.0
         for _ in range(8):
             trial = [tv + alpha * dv for tv, dv in zip(t, delta)]
-            trial_res = _residual_vector(parts, trial, y)
-            trial_norm = max(abs(v) for v in trial_res)
-            if trial_norm < rnorm * (1.0 - 1e-4 * alpha) or trial_norm <= tol * 0.25:
-                t, res, rnorm = trial, trial_res, trial_norm
+            trial_eqs = list(_equations(parts, trial, y))
+            trial_norm = max(abs(v) for v, _ in trial_eqs)
+            if trial_norm < rnorm * (1.0 - 1e-4 * alpha) or _all_land(trial_eqs, tol * 0.25):
+                t, eqs, rnorm = trial, trial_eqs, trial_norm
                 mu *= 0.3
                 accepted = True
                 break
@@ -310,9 +314,7 @@ def _gauss_newton(
                 return None
         if max(abs(v) for v in t) > 3.0 * radius + 1.0:
             return None
-    if rnorm <= tol:
-        return t, rnorm
-    return None
+    return t if _all_land(eqs, tol) else None
 
 
 # -- box tests -----------------------------------------------------------------
@@ -502,12 +504,12 @@ def solve_fibre(
         ``FibreSolution.make``, which refuses it out of chamber order."""
         hit = _gauss_newton(parts, y_float, start, tol, radius, _MAX_NEWTON_ITER)
         if hit is None or (enclosure is not None and not all(
-            lo <= v <= hi for v, (lo, hi) in zip(hit[0], enclosure)
+            lo <= v <= hi for v, (lo, hi) in zip(hit, enclosure)
         )):
             return False
-        if max(abs(v) for v in hit[0]) <= radius + max(1e-9, 1e-6 * radius):
+        if max(abs(v) for v in hit) <= radius + max(1e-9, 1e-6 * radius):
             try:
-                record(FibreSolution.make(face, hit[0], y_float, tol))
+                record(FibreSolution.make(face, hit, y_float, tol))
             except FibreError:
                 pass
         return True
@@ -612,20 +614,8 @@ def image_conditions(k: int, d_prime: int, var_count: int, offset: int) -> tuple
     return _moment_conditions(k, d_prime, p)
 
 
-def _moment_verdict(
-    k: int, d: int, y: Sequence[RationalLike], tol: float
-) -> tuple[_PowerSums, tuple[int, ...], str | None]:
-    """Check y and tol against (k, d) and decide ``image_conditions`` exactly.
-
-    Returns the scaled power sums, the conditions' integer values at them,
-    and INSIDE or OUTSIDE when they decide, else None.  They decide for
-    d' ≤ 3, and for d' ≥ 4 when V = k·Y_2 − Y_1² is 0: V is s² times
-    Σ_{i<j} (x_i − x_j)², so x is the diagonal (y_1/k, …, y_1/k), and y is
-    inside iff Y_m·k^(m−1) = Y_1^m for every m.  The conditions are
-    evaluated in integers on Y_m = s^m·y_m: a condition of weighted degree w
-    (2 for V, 6 for the d' = 3 one) is s^w > 0 times its value at y, so its
-    sign is the same.
-    """
+def _read_query(k: int, d: int, y: Sequence[RationalLike], tol: float) -> _PowerSums:
+    """Check y and tol against (k, d) and scale y's power sums once."""
     if k < 1 or d < 1:
         raise FibreError("k and d must be positive")
     _check_tol(tol)
@@ -633,15 +623,31 @@ def _moment_verdict(
     y_exact = [as_rational(v) for v in y]
     if len(y_exact) != d_prime:
         raise FibreError(f"expected {d_prime} power sums, got {len(y_exact)}")
-    sums = _PowerSums(y_exact)
-    conditions = _moment_conditions(k, d_prime, sums.ints)
-    if min(conditions, default=0) < 0:
-        return sums, conditions, OUTSIDE
+    return _PowerSums(y_exact)
+
+
+def _moment_verdict(
+    k: int, d: int, y: Sequence[RationalLike], tol: float
+) -> tuple[_PowerSums, str | None]:
+    """Read the query and decide ``image_conditions`` exactly.
+
+    Returns the scaled power sums and INSIDE or OUTSIDE when they decide,
+    else None.  They decide for d' ≤ 3, and for d' ≥ 4 when
+    V = k·Y_2 − Y_1² is 0: V is s² times Σ_{i<j} (x_i − x_j)², so x is the
+    diagonal (y_1/k, …, y_1/k), and y is inside iff Y_m·k^(m−1) = Y_1^m for
+    every m.  The conditions are evaluated in integers on Y_m = s^m·y_m: a
+    condition of weighted degree w (2 for V, 6 for the d' = 3 one) is
+    s^w > 0 times its value at y, so its sign is the same.
+    """
+    sums = _read_query(k, d, y, tol)
     big = sums.ints
+    d_prime = len(big)
+    if min(_moment_conditions(k, d_prime, big), default=0) < 0:
+        return sums, OUTSIDE
     if d_prime >= 4 and k * big[1] == big[0] ** 2:
         diagonal = all(v * k ** m == big[0] ** (m + 1) for m, v in enumerate(big))
-        return sums, conditions, INSIDE if diagonal else OUTSIDE
-    return sums, conditions, INSIDE if d_prime <= 3 else None
+        return sums, INSIDE if diagonal else OUTSIDE
+    return sums, INSIDE if d_prime <= 3 else None
 
 
 def image_membership(
@@ -664,7 +670,7 @@ def image_membership(
     system (ℓ = d') carries a proof; one found on an overdetermined face
     (ℓ < d'), or by Newton on a leaf box, rests on the float residual ≤ tol.
     """
-    sums, _, verdict = _moment_verdict(k, d, y, tol)
+    sums, verdict = _moment_verdict(k, d, y, tol)
     if verdict is not None:
         return verdict
     any_undecided = False
@@ -870,69 +876,6 @@ def _face(parts: tuple[int, ...]) -> Face:
     return Face(Composition.from_parts(parts))
 
 
-def _closed_form_point(
-    k: int, y: _PowerSums, conditions: tuple[int, ...], tol: float
-) -> FibreSolution:
-    """The section point for d' ≤ 3, y inside; it must pass ``make``.
-
-    - d' = 1, or V = k·Y_2 − Y_1² = 0: the diagonal, face (k), t = y_1/k.
-    - d' = 2, V > 0: face (1, k−1), at the quadratic's smaller root.
-    - d' = 3, Q > 0 (Q the image condition): face (1, k−2, 1), at the
-      middle of the cubic's three simple roots (its discriminant is a
-      positive multiple of s⁶·Q).  u ≥ s ≥ v is g(s) = 2B − A² − (2s − A)²
-      ≥ 0; at the roots s₋ < s₊ of g the cubic is 2(y_3 − max p_3) ≤ 0 and
-      2(y_3 − min p_3) ≥ 0, so under its negative leading coefficient the
-      middle root lies in [s₋, s₊].
-    - d' = 3, Q = 0 < V: the image boundary.  The cubic's double root
-      s = (9ad − bc)/(2(b² − 3ac)) is the value repeated k − 1 times: face
-      (k−1, 1) when k·s > y_1, else (1, k−1).
-
-    Off the diagonal, a point of size |x| = √y_2 ≈ 2^e < 2^-_SMALL_BITS,
-    with e = ⌊bitlen(Y_2)/2⌋ − bitlen(s), is solved at unit scale: at the
-    exactly rescaled y'_m = 2^(−m·e)·y_m, returned as 2^e·t' with 2^e times
-    the rescaled residual, which bounds every equation's.  Below that size
-    the absolute floors -- 2^-40 of the root's bracket, 2^-55 of Sturm's
-    width, ``make``'s tol -- are no longer small beside the point, and from
-    about 2^-340 on its power sums round to subnormals or to 0.  So the
-    section at the power sums of 2^-j·x is 2^-j times the one at x.  The
-    faces come from ``_face``, one per parts tuple.
-    """
-    big, scale = y.ints, y.scale
-    if len(big) == 1 or k * big[1] == big[0] ** 2:
-        return FibreSolution.make(_face((k,)), (big[0] / (scale * k),), y.floats(), tol)
-    shift = big[1].bit_length() // 2 - scale.bit_length()
-    if shift < -_SMALL_BITS:
-        y = _PowerSums([v * 2 ** (-m * shift) for m, v in enumerate(y.exact, start=1)])
-        big, scale = y.ints, y.scale
-    else:
-        shift = 0
-    floats = y.floats()
-    if len(big) == 2:
-        v = _ordered_root(_section_eliminant(k, y))
-        lam, t = (1, k - 1), (floats[0] - (k - 1) * v, v)
-    elif conditions[0] > 0:
-        b = k - 2
-        s = _ordered_root(_section_eliminant(k, y))
-        pair_sum = floats[0] - b * s
-        pair_gap = math.sqrt(max(2 * (floats[1] - b * s * s) - pair_sum**2, 0.0))
-        lam, t = (1, b, 1), ((pair_sum + pair_gap) / 2, s, (pair_sum - pair_gap) / 2)
-    else:
-        a, b, c, d = _section_eliminant(k, y)
-        num, den = 9 * a * d - b * c, 2 * (b * b - 3 * a * c)
-        # den = 2a²(s − s')² > 0, s' the simple root; the other value is
-        # y_1 − (k−1)·s, rounded once
-        single = (big[0] * den - (k - 1) * num * scale) / (scale * den)
-        if k * num * scale > big[0] * den:
-            lam, t = (k - 1, 1), (num / den, single)
-        else:
-            lam, t = (1, k - 1), (single, num / den)
-    point = FibreSolution.make(_face(lam), t, floats, tol)
-    if shift:
-        point = FibreSolution(point.face, tuple(math.ldexp(v, shift) for v in point.t),
-                              math.ldexp(point.residual, shift))
-    return point
-
-
 # ---------------------------------------------------------------------------
 # the section: maximize p_{d+1} over the located fibre candidates
 # ---------------------------------------------------------------------------
@@ -957,34 +900,29 @@ def arnold_section(
     """The distinguished fibre point: maximal p_{d+1} over the fibre of y.
 
     A point that fails ``image_conditions`` raises before any search.  For
-    d' ≤ 3 the answer is the one point of ``_closed_form_point``, on the
-    closed maximal face: ``candidates`` is 1, ``ambiguous`` false and
-    ``undecided_boxes`` 0.  That path is one straight line of integer work
-    on the once-scaled power sums: the faces are cached per parts tuple, a
-    point smaller than 2^-_SMALL_BITS is solved at unit scale and scaled
-    back, ``make``'s checks run in one pass, and x and p_{d+1} are read off
-    t.  For d' ≥ 4 the candidates are the fibre points over every face in
-    comp_kd(k, d'), from ``_face_fibre``.  A point whose grouping pattern is
-    coarser than the face it was found in is the same geometric point as its
-    copy in the coarser face, so candidates within ``_dedup_radius(tol)`` of
-    each other are merged and reported in their minimal face.  Distinct
-    candidates tied in value within tolerance set the ``ambiguous`` flag.
-    When no face yields a candidate the error says "outside" if every face
-    was certified empty by directed-rounding intervals and "undecided"
-    otherwise.  ``undecided_boxes`` counts the boxes the search could not
-    settle: a face with any may hide a larger value.
+    d' ≤ 3, and on the diagonal (V = 0) at any d', the answer is the one
+    point of ``_closed_section``, on the closed maximal face: ``candidates``
+    is 1, ``ambiguous`` false and ``undecided_boxes`` 0.  For d' ≥ 4 the
+    candidates are the fibre points over every face in comp_kd(k, d'), from
+    ``_face_fibre``.  A point whose grouping pattern is coarser than the face
+    it was found in is the same geometric point as its copy in the coarser
+    face, so candidates within ``_dedup_radius(tol)`` of each other are
+    merged and reported in their minimal face.  Distinct candidates tied in
+    value within tolerance set the ``ambiguous`` flag.  When no face yields a
+    candidate the error says "outside" if every face was certified empty by
+    directed-rounding intervals and "undecided" otherwise.
+    ``undecided_boxes`` counts the boxes the search could not settle: a face
+    with any may hide a larger value.
     """
     if not d < k:
         raise FibreError(f"section requires d < k, got d={d}, k={k}")
-    sums, conditions, verdict = _moment_verdict(k, d, y, tol)
+    if d <= 3:
+        return _closed_section(k, d, y, tol)
+    sums, verdict = _moment_verdict(k, d, y, tol)
     if verdict == OUTSIDE:
         raise FibreError(f"image membership is {OUTSIDE}, not inside")
-    if verdict == INSIDE:
-        try:
-            top = _closed_form_point(k, sums, conditions, tol)
-        except OverflowError as exc:
-            raise FibreError(_FLOAT_RANGE) from exc
-        return SectionResult(top, top.embedded(), _next_power_sum(top, d), False, 1, 0)
+    if verdict == INSIDE:  # the diagonal, decided in integers
+        return _closed_section(k, d, sums.exact, tol)
     raw: list[FibreSolution] = []
     undecided = 0
     for lam in comp_kd(k, len(sums.exact)):
@@ -995,6 +933,102 @@ def arnold_section(
         status = UNDECIDED if undecided else OUTSIDE
         raise FibreError(f"image membership is {status}, not inside")
     return _section_of(raw, d, tol, undecided)
+
+
+def _closed_section(k: int, d: int, y: Sequence[RationalLike], tol: float) -> SectionResult:
+    """The section for d ≤ 3 < k, or for y inside on the diagonal at any
+    d < k, in one pass: y is read once, the signs of the image condition Q
+    and of V = k·Y_2 − Y_1² place the point, and each power of its at most
+    three distinct values is taken once.
+
+    - d = 1, or V = 0: the diagonal, face (k), t = y_1/k.
+    - d = 2, V > 0: face (1, k−1), at the quadratic's smaller root.
+    - d = 3, Q > 0: face (1, k−2, 1), at the middle of the cubic's three
+      simple roots (its discriminant is a positive multiple of s⁶·Q).
+      u ≥ s ≥ v is g(s) = 2B − A² − (2s − A)² ≥ 0; at the roots s₋ < s₊ of
+      g the cubic is 2(y_3 − max p_3) ≤ 0 and 2(y_3 − min p_3) ≥ 0, so
+      under its negative leading coefficient the middle root lies in
+      [s₋, s₊].
+    - d = 3, Q = 0 < V: the image boundary.  The cubic's double root
+      s = (9ad − bc)/(2(b² − 3ac)) is the value repeated k − 1 times: face
+      (k−1, 1) when k·s > y_1, else (1, k−1).
+
+    The point must pass ``FibreSolution.make``'s checks, made here; a face
+    with fewer than three values pads with weight 0 at 0.0, whose +0.0 terms
+    change no sum.
+
+    Off the diagonal, a point of size √y_2 ≈ 2^e < 2^-_SMALL_BITS,
+    e = ⌊bitlen(Y_2)/2⌋ − bitlen(s), is solved at the exactly rescaled
+    y'_m = 2^(−m·e)·y_m and scaled back, t and residual times 2^e: below that
+    size the absolute floors (the root's 2^-40 bracket, Sturm's 2^-55 width,
+    tol) are not small beside the point, and from about 2^-340 on its power
+    sums round to subnormals or to 0.  So the section at the power sums of
+    2^-j·x is 2^-j times the one at x.
+    """
+    sums = _read_query(k, d, y, tol)
+    big, scale = sums.ints, sums.scale
+    conditions = _moment_conditions(k, d, big)
+    if conditions and conditions[0] < 0:
+        raise FibreError(f"image membership is {OUTSIDE}, not inside")
+    diagonal = d == 1 or k * big[1] == big[0] ** 2
+    shift = 0 if diagonal else big[1].bit_length() // 2 - scale.bit_length()
+    if shift < -_SMALL_BITS:
+        sums = _PowerSums([v * 2 ** (-m * shift) for m, v in enumerate(sums.exact, start=1)])
+        big, scale = sums.ints, sums.scale
+    else:
+        shift = 0
+    try:
+        power, floats = 1, []
+        for v in big:
+            power *= scale
+            floats.append(v / power)
+        if diagonal:
+            lam, t1, t2, t3 = (k,), big[0] / (scale * k), 0.0, 0.0
+        elif d == 2:
+            v = _ordered_root(_section_eliminant(k, sums))
+            lam, t1, t2, t3 = (1, k - 1), floats[0] - (k - 1) * v, v, 0.0
+        elif conditions[0] > 0:
+            b = k - 2
+            mid = _ordered_root(_section_eliminant(k, sums))
+            pair_sum = floats[0] - b * mid
+            pair_gap = math.sqrt(max(2 * (floats[1] - b * mid * mid) - pair_sum**2, 0.0))
+            lam, t1, t2, t3 = (1, b, 1), (pair_sum + pair_gap) / 2, mid, (pair_sum - pair_gap) / 2
+        else:
+            a, b, c, e = _section_eliminant(k, sums)
+            num, den = 9 * a * e - b * c, 2 * (b * b - 3 * a * c)
+            # den = 2a²(s − s')² > 0, s' the simple root; the other value is
+            # y_1 − (k−1)·s, rounded once
+            single = (big[0] * den - (k - 1) * num * scale) / (scale * den)
+            if k * num * scale > big[0] * den:
+                lam, t1, t2, t3 = (k - 1, 1), num / den, single, 0.0
+            else:
+                lam, t1, t2, t3 = (1, k - 1), single, num / den, 0.0
+        w1, w2, w3 = (*lam, 0, 0)[:3]
+        t = (t1, t2, t3)[: len(lam)]
+        residual = 0.0
+        for m, ym in enumerate(floats, start=1):
+            a, b, c = w1 * t1**m, w2 * t2**m, w3 * t3**m
+            total = 0.0 + a + b + c
+            size = abs(a) + abs(b) + abs(c)
+            error = abs(total - ym)
+            if size == math.inf:
+                raise OverflowError(_FLOAT_RANGE)
+            if error > tol + _ROUNDING * size:
+                raise FibreError(f"residual {error} of equation {m} exceeds tolerance {tol}")
+            if error > residual:
+                residual = error
+        if w2 and t2 - t1 > tol or w3 and t3 - t2 > tol:
+            raise FibreError(f"parameters {t} violate the descending ordering beyond {tol}")
+        if shift:
+            t1, t2, t3 = math.ldexp(t1, shift), math.ldexp(t2, shift), math.ldexp(t3, shift)
+            t, residual = (t1, t2, t3)[: len(lam)], math.ldexp(residual, shift)
+        value = 0.0 + w1 * t1 ** (d + 1) + w2 * t2 ** (d + 1) + w3 * t3 ** (d + 1)
+    except OverflowError as exc:
+        raise FibreError(_FLOAT_RANGE) from exc
+    if not math.isfinite(value):
+        raise FibreError(_FLOAT_RANGE)
+    x = (t3,) * w3 + (t2,) * w2 + (t1,) * w1
+    return SectionResult(FibreSolution(_face(lam), t, residual), x, value, False, 1, 0)
 
 
 def _next_power_sum(sol: FibreSolution, d: int) -> float:

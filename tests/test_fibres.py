@@ -1027,6 +1027,92 @@ def test_section_of_a_tiny_point_is_the_unit_section_scaled():
             assert list(tiny.x) == sorted(tiny.x)
 
 
+def _agreement_pool():
+    """320 seeded (k, d, y, tol), d ≤ 3, eight kinds in turn: the diagonal
+    (V = 0, any d), the (1, k−1) quadratic at d = 2, the interior of the
+    (1, k−2, 1) cubic at d = 3, the boundary faces (k−1, 1) and (1, k−1)
+    at d = 3 (Q = 0), a point below 2^-20, a point whose p_4 is near the
+    float range, and power sums given as ints, strings or floats."""
+    rng = random.Random(20261102)
+    for i in range(320):
+        kind, k, den = i % 8, rng.randint(4, 8), rng.choice([1, 3, 64])
+        x = sorted(Fraction(rng.randint(-3 * den, 3 * den), den) for _ in range(k))
+        d = 2 if kind == 1 else 3
+        if kind == 0:
+            x, d = [x[0]] * k, rng.randint(1, 3)
+        elif kind == 3:
+            x = [x[0]] + [x[-1] + 1] * (k - 1)
+        elif kind == 4:
+            x = [x[0] - 1] * (k - 1) + [x[-1]]
+        elif kind == 5:
+            x = [v / 2 ** rng.randint(25, 400) for v in x]
+        elif kind == 6:
+            x = [v * 10**75 for v in x]
+        y = power_sum_vector(x, d)
+        if kind == 7:
+            form = (int, str, float)[i // 8 % 3]
+            y = power_sum_vector([Fraction(round(v * den), 64 if form is float else 1)
+                                  for v in x], d)
+            y = [form(v) for v in y]
+        yield kind, k, d, y, rng.choice([1e-9, 1e-6])
+
+
+def test_closed_section_agrees_with_make_embed_and_next_power_sum():
+    """The d ≤ 3 section computes its point, x and p_{d+1} in one pass of
+    its own; the generic rules are the oracle.  On the ``_agreement_pool``,
+    ``FibreSolution.make`` accepts each returned t with the same residual,
+    ``Face.embed`` of t is x, and ``_next_power_sum`` is the value.  A point
+    below 2^-20 is solved at y'_m = 2^(−m·e)·y_m with
+    e = ⌊bitlen(Y_2)/2⌋ − bitlen(s) (Y and s from ``_PowerSums``), so there
+    ``make`` sees 2^-e·t at y' and its residual is 2^-e times the one
+    returned."""
+    seen = {}
+    for kind, k, d, y, tol in _agreement_pool():
+        result = arnold_section(k, d, y, tol)
+        sol = result.solution
+        exact = [as_rational(v) for v in y]
+        sums = fibres._PowerSums(exact)
+        shift = sums.ints[1].bit_length() // 2 - sums.scale.bit_length() if d > 1 else 0
+        if sol.face.length == 1 or shift >= -20:
+            shift = 0
+        floats = [float(v * 2 ** (-m * shift)) for m, v in enumerate(exact, start=1)]
+        unit_t = tuple(math.ldexp(v, -shift) for v in sol.t)
+        again = FibreSolution.make(sol.face, unit_t, floats, tol)
+        assert (again.face, again.t) == (sol.face, unit_t), (k, d, y)
+        assert again.residual == math.ldexp(sol.residual, -shift), (k, d, y)
+        assert sol.face.embed(sol.t) == result.x, (k, d, y)
+        assert fibres._next_power_sum(sol, d) == result.value, (k, d, y)
+        assert (result.candidates, result.ambiguous, result.undecided_boxes) == (1, False, 0)
+        seen.setdefault(kind, set()).add((d, sol.face.lam.parts, shift < 0))
+    shapes = {kind: {(d, len(parts), parts[0]) for d, parts, _ in faces}
+              for kind, faces in seen.items()}
+    assert {(d, 1) for d, length, _ in shapes[0]} == {(1, 1), (2, 1), (3, 1)}
+    assert {(d, length, top) for d, length, top in shapes[1]} == {(2, 2, 1)}
+    assert {(d, length, top) for d, length, top in shapes[2]} == {(3, 3, 1)}
+    assert {(d, length) for d, length, top in shapes[3]} == {(3, 2)}
+    assert {top for _, _, top in shapes[3]} == {k - 1 for k in range(4, 9)}
+    assert {(d, length, top) for d, length, top in shapes[4]} == {(3, 2, 1)}
+    assert any(rescaled for _, parts, rescaled in seen[5] if len(parts) == 3)
+    assert all(not rescaled for kind in (1, 2, 3, 4, 6, 7) for *_, rescaled in seen[kind])
+
+
+@pytest.mark.parametrize("top", [50, 500, 5000])
+def test_newton_stops_on_makes_rule_at_large_scale(top):
+    """x = (−7, 0, 1/3, 11, T) at (k, d) = (5, 4): Newton stopped only when
+    every absolute residual was ≤ tol/2, which the rounding of p_4 ≈ T^4
+    alone exceeds, so no run landed; membership answered "undecided" after
+    0.1–1 s and the section found no candidate.  Newton's stop (tol/2) and
+    acceptance (tol) are now per equation and add ``make``'s rounding
+    allowance."""
+    x = [Fraction(v) for v in (-7, 0, Fraction(1, 3), 11, top)]
+    y = power_sum_vector(x, 4)
+    assert image_membership(5, 4, y) == INSIDE
+    if top == 50:
+        result = arnold_section(5, 4, y)
+        assert (result.candidates, result.ambiguous, result.undecided_boxes) == (1, False, 0)
+        assert result.value >= float(sum(v**5 for v in x))
+
+
 def test_non_finite_power_sums_are_a_polynomial_error():
     """``as_rational`` let float infinities and NaN escape as a bare
     OverflowError or ValueError."""
