@@ -239,7 +239,9 @@ def _spec_from_job(doc: dict) -> tuple[ProblemSpec, float]:
 
 def _job_options_to_doc(k, d, blocks, degrees, formula_text, box, resolution, constant_c) -> dict:
     doc: dict = {"formula": formula_text, "box": [[str(lo), str(hi)] for lo, hi in _parse_box(box)],
-                 "resolution": resolution, "constant_c": constant_c}
+                 "resolution": resolution}
+    if constant_c is not None:
+        doc["constant_c"] = constant_c
     spec = _blocks_from(k, d, blocks, degrees)
     if blocks:
         doc["blocks"], doc["degrees"] = list(spec.block_sizes), list(spec.degree_caps)
@@ -283,14 +285,15 @@ def _run_betti_file(path: Path) -> tuple[dict, int]:
 @click.option("--formula", "formula_text", type=str, default=None)
 @click.option("--box", type=str, default=None, help="lo:hi,lo:hi,… in image space")
 @click.option("--resolution", type=str, default=None)
-@click.option("--constant-c", type=float, default=1.0)
+@click.option("--constant-c", type=float, default=None, help="default 1.0")
 @click.option("--jobs", type=int, default=1,
               help="accepted for compatibility: the jobs of a directory run one after another")
 @click.option("--json", "output", type=str, default=None)
 def betti(job, k, d, blocks, degrees, formula_text, box, resolution, constant_c, jobs, output) -> int:
     """Quotient Betti numbers b^0..b^{t−1} from a job file or inline flags."""
     inline = {"--k": k, "--d": d, "--blocks": blocks, "--degrees": degrees,
-              "--formula": formula_text, "--box": box, "--resolution": resolution}
+              "--formula": formula_text, "--box": box, "--resolution": resolution,
+              "--constant-c": constant_c}
     if job and (given := ", ".join(flag for flag, v in inline.items() if v is not None)):
         raise click.UsageError(f"{given} cannot be given with --job, which holds the whole problem")
     if job and Path(job).is_dir():

@@ -40,12 +40,11 @@ x and p_{d'+1} in one pass; the eliminant's one root is certified by two
 exact signs at the ends of a dyadic bracket, so the section has one
 candidate and is never ambiguous.  For d' ≥ 4,
 ``_face_fibre`` gives the points ``solve_fibre`` finds over each face of
-comp_kd(k, d') to membership and to the section, which merges points that
-appear in several face closures (a point with coarser grouping pattern lies
-in every finer face's closure -- it is reported in its minimal face) and
-returns the candidate maximizing the next power sum p_{d+1}.  Distinct
-candidates with values tied within tolerance are flagged as ambiguous rather
-than resolved by fiat.
+comp_kd(k, d') but the diagonal (k), which V = 0 decides, to membership and
+to the section, which reports a point of several face closures in its
+minimal face and returns the candidate maximizing the next power sum
+p_{d+1}.  Distinct candidates with values tied within tolerance are flagged
+as ambiguous rather than resolved by fiat.
 """
 
 from __future__ import annotations
@@ -659,12 +658,12 @@ def image_membership(
     """Is y in the image of the chamber under the truncated power-sum map?
 
     For d' ≤ 3 ``image_conditions`` decide exactly.  For d' ≥ 4 a point that
-    fails them is "outside"; otherwise ``_face_fibre`` searches the faces of
-    comp_kd(k, d') shortest first (a boundary point is found on its lower
-    face before the top face's degenerate fibre is searched) and stops at
-    the first face with a solution: "inside".  "outside" then needs every
-    face certified empty by directed-rounding intervals; anything else is
-    "undecided".
+    fails them is "outside"; if V ≠ 0, ``_face_fibre`` searches the faces
+    of comp_kd(k, d') but (k) shortest first (a boundary point is found on
+    its lower face before the top face's degenerate fibre is searched) and
+    stops at the first face with a solution: "inside".  "outside" then needs
+    every face certified empty by directed-rounding intervals; anything else
+    is "undecided".
 
     An "inside" found by a Krawczyk-proved unique root of a square face
     system (ℓ = d') carries a proof; one found on an overdetermined face
@@ -674,7 +673,7 @@ def image_membership(
     if verdict is not None:
         return verdict
     any_undecided = False
-    for lam in comp_kd(k, len(sums.exact)):
+    for lam in comp_kd(k, len(sums.exact))[1:]:  # (k) comes first
         search = _face_fibre(lam, sums.exact, tol)
         if search.solutions:
             return INSIDE
@@ -902,15 +901,16 @@ def arnold_section(
     A point that fails ``image_conditions`` raises before any search.  For
     d' ≤ 3, and on the diagonal (V = 0) at any d', the answer is the one
     point of ``_closed_section``, on the closed maximal face: ``candidates``
-    is 1, ``ambiguous`` false and ``undecided_boxes`` 0.  For d' ≥ 4 the
-    candidates are the fibre points over every face in comp_kd(k, d'), from
-    ``_face_fibre``.  A point whose grouping pattern is coarser than the face
-    it was found in is the same geometric point as its copy in the coarser
-    face, so candidates within ``_dedup_radius(tol)`` of each other are
-    merged and reported in their minimal face.  Distinct candidates tied in
-    value within tolerance set the ``ambiguous`` flag.  When no face yields a
-    candidate the error says "outside" if every face was certified empty by
-    directed-rounding intervals and "undecided" otherwise.
+    is 1, ``ambiguous`` false and ``undecided_boxes`` 0.  Else the
+    candidates are the fibre points over every face of comp_kd(k, d') but
+    (k), from ``_face_fibre``.  A point whose grouping pattern is coarser
+    than the face it was found in is the same geometric point as its copy
+    in the coarser face, so candidates within ``_dedup_radius(tol)`` of each
+    other are merged and reported in their minimal face.  Distinct
+    candidates tied in value within tolerance set the ``ambiguous`` flag.
+    When no face yields a candidate the error says "outside" if every face
+    was certified empty by directed-rounding intervals and "undecided"
+    otherwise.
     ``undecided_boxes`` counts the boxes the search could not settle: a face
     with any may hide a larger value.
     """
@@ -925,7 +925,7 @@ def arnold_section(
         return _closed_section(k, d, sums.exact, tol)
     raw: list[FibreSolution] = []
     undecided = 0
-    for lam in comp_kd(k, len(sums.exact)):
+    for lam in comp_kd(k, len(sums.exact))[1:]:
         search = _face_fibre(lam, sums.exact, tol)
         raw.extend(search.solutions)
         undecided += search.undecided_boxes
@@ -1013,7 +1013,7 @@ def _closed_section(k: int, d: int, y: Sequence[RationalLike], tol: float) -> Se
             error = abs(total - ym)
             if size == math.inf:
                 raise OverflowError(_FLOAT_RANGE)
-            if error > tol + _ROUNDING * size:
+            if not _lands(error, size, tol):
                 raise FibreError(f"residual {error} of equation {m} exceeds tolerance {tol}")
             if error > residual:
                 residual = error

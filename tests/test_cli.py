@@ -173,15 +173,27 @@ def test_betti_job_refuses_inline_problem_flags(tmp_path, capsys, directory):
     job = _job_file(tmp_path, "sphere", SPHERE_JOB)
     target = str(tmp_path if directory else job)
     flags = [("--k", "4"), ("--d", "3"), ("--blocks", "2,1"), ("--degrees", "2,1"),
-             ("--formula", "x1 + x2 + x3 = 0"), ("--box", "-1:1,0:1"), ("--resolution", "1/4")]
+             ("--formula", "x1 + x2 + x3 = 0"), ("--box", "-1:1,0:1"), ("--resolution", "1/4"),
+             ("--constant-c", "1")]
     for flag, value in flags:
         code, doc = run(capsys, "betti", "--job", target, flag, value)
         assert code == EXIT_ERROR and set(doc) == {"error"}
         assert flag in doc["error"] and "--job" in doc["error"]
     code, doc = run(capsys, "betti", "--job", target, "--k", "3", "--resolution", "1/8")
     assert code == EXIT_ERROR and "--k, --resolution" in doc["error"]
-    code, doc = run(capsys, "betti", "--job", target, "--jobs", "1", "--constant-c", "1")
+    code, doc = run(capsys, "betti", "--job", target, "--jobs", "1")
     assert code == EXIT_OK
+
+
+def test_betti_inline_constant_c_defaults_to_one(capsys):
+    """--constant-c has no default of its own, so that --job can refuse it;
+    an inline run without it computes at c = 1.0, and its job doc carries
+    no null constant_c, which the job checks would refuse."""
+    inline = ("--k", "3", "--d", "2", "--formula", SPHERE_JOB["formula"], "--box", "-2:2,0:2",
+              "--resolution", "1/16")
+    for extra, c in (((), 1.0), (("--constant-c", "5"), 5.0)):
+        code, doc = run(capsys, "betti", *inline, *extra)
+        assert code == EXIT_OK and doc["bounds"]["constant_c"] == c
 
 
 def test_betti_inline_flags(capsys):

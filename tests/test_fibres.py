@@ -1207,6 +1207,29 @@ def test_one_part_face_beyond_d3_keeps_an_absolute_residual(monkeypatch):
         arnold_section(5, 4, y)
 
 
+def test_d4_search_skips_the_one_part_face_once_v_is_nonzero(monkeypatch):
+    """x = (1, 1, 1, 1, 1 + 10^-5) has V = k·p_2 − p_1² = 4·10^-10 ≠ 0, so it
+    is off the diagonal, the one point of the face (5).  That face's point
+    t = y_1/5 still met tol in floats: membership answered "inside" from it,
+    and the section answered face (5) with p_5 below p_5(x)."""
+    x = (1, 1, 1, 1, 1 + Fraction(1, 10**5))
+    y = power_sum_vector(x, 4)
+    # the faces with ℓ ≥ 2 take about 25 s to search this close to the
+    # diagonal: here they answer "undecided", and (5) is searched for real
+    search = fibres.solve_fibre
+    searched = []
+
+    def one_part_only(lam, y, tol=1e-9):
+        searched.append(lam.parts)
+        return search(lam, y, tol=tol) if lam.length == 1 else fibres.FibreSearch((), 1)
+
+    monkeypatch.setattr(fibres, "solve_fibre", one_part_only)
+    assert image_membership(5, 4, y) == UNDECIDED
+    with pytest.raises(FibreError, match="undecided"):
+        arnold_section(5, 4, y)
+    assert searched and (5,) not in searched
+
+
 def test_d4_points_with_zero_variance_are_decided_on_the_diagonal(monkeypatch):
     """V = k·p_2 − p_1² = Σ_{i<j} (x_i − x_j)² = 0 forces x = (2, …, 2) at
     (p_1, p_2) = (10, 20), k = 5, so y is in the image iff p_3 = 40 and
